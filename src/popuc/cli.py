@@ -1,16 +1,15 @@
 """Command-line interface.
 
 Subcommands: moments, opuc, zeros, sweep, verify, scenario.
-Exit codes: 0 success, 2 configuration/validation failure, 3 numerical failure.
+Exit codes: 0 success, 1 a verification check failed (``verify``),
+2 configuration/validation failure, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import io
 import json
-import math
 import os
 import sys
 
@@ -28,7 +27,7 @@ from .dynamics import (
 from .expressions import ExprError
 from .measures import DEFAULT_NODES, Measure, MeasureError, moments, validate
 from .opuc import DegenerateMeasureError, gram_opuc
-from .paraorthogonal import RootFindingError, build_popuc, fix_zero_param, zeros_on_circle
+from .paraorthogonal import RootFindingError
 from .scenarios import SCENARIOS, scenario_config, scenario_json
 from .verify import CHECKS, run_checks
 
@@ -55,6 +54,15 @@ def _load_measure(path: str) -> Measure:
     return Measure.from_json(obj.get("measure", obj))
 
 
+def _flag_policy(args) -> ZeroPolicy | None:
+    """The policy set by --fix-zero or --b, if either was given."""
+    if args.fix_zero is not None:
+        return ZeroPolicy.fixed_xi(args.fix_zero)
+    if args.b is not None:
+        return ZeroPolicy.fixed_b(args.b)
+    return None
+
+
 def _load_config(args) -> SweepConfig:
     with open(args.config) as fh:
         obj = json.load(fh)
@@ -65,11 +73,8 @@ def _load_config(args) -> SweepConfig:
         start_s, stop_s, steps_s = args.grid.split(":")
         grid = {"start": float(start_s), "stop": float(stop_s), "steps": int(steps_s)}
     policy_obj = obj.get("policy", {})
-    if args.fix_zero is not None:
-        policy = ZeroPolicy.fixed_xi(args.fix_zero)
-    elif args.b is not None:
-        policy = ZeroPolicy.fixed_b(args.b)
-    else:
+    policy = _flag_policy(args)
+    if policy is None:
         value = policy_obj.get("value", [1.0, 0.0])
         kind = policy_obj.get("kind", "fixed_b")
         policy = ZeroPolicy(kind, complex(value[0], value[1]))
@@ -133,25 +138,16 @@ def cmd_opuc(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    m = _load_measure(args.config)
-    degree = args.degree
-    ms = moments(m, args.t, 2 * degree + 2, int(args.nodes or _default_nodes()))
-    fam = gram_opuc(ms, degree - 1)
-    q = fam[degree - 1]
-    if args.fix_zero is not None:
-        b = fix_zero_param(q, args.fix_zero)
-        theta_ref = cmath.phase(args.fix_zero)
-    elif args.b is not None:
-        b = args.b
-        theta_ref = -math.pi
-    else:
+    policy = _flag_policy(args)
+    if policy is None:
         print("zeros: need --b or --fix-zero", file=sys.stderr)
         return EXIT_CONFIG
-    p = build_popuc(q, b)
-    zs = zeros_on_circle(p, theta_ref)
+    m = _load_measure(args.config)
+    st = solve_at(m, args.degree, policy, args.t, int(args.nodes or _default_nodes()))
+    zs = st.zero_set
     payload = {
         "t": args.t,
-        "b": [p.b.real, p.b.imag],
+        "b": [st.popuc.b.real, st.popuc.b.imag],
         "phases": [float(ph) for ph in zs.phases],
         "residuals": [float(r) for r in zs.residuals],
         "min_gap": zs.min_gap,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DEFAULT_NODES, Measure, MomentSequence, moments
+from .expressions import ExprError
+from .measures import DEFAULT_NODES, Measure, MeasureError, MomentSequence, moments
 from .opuc import OpucFamily, gram_opuc, inner_product, polyval
 from .paraorthogonal import (
     PopucInstance,
@@ -23,6 +24,7 @@ from .paraorthogonal import (
     zeros_on_circle,
 )
 from .predicates import (
+    PredicateError,
     VerdictReport,
     motion_context,
     verdict,
@@ -375,7 +377,8 @@ def sweep_verdicts(
                 rep: VerdictReport = verdict(
                     motion_context(cfg.measure, marked, float(t)), cfg.theorem
                 )
-            except Exception as exc:  # collision mid-sweep degrades gracefully
+            except (PredicateError, MeasureError, ExprError) as exc:
+                # a collision mid-sweep degrades gracefully
                 entry["verdicts"].append({"zero_index": k, "error": str(exc)})
                 continue
             item = rep.to_json()

@@ -202,9 +202,8 @@ class MomentSequence:
         """The size x size matrix [c_{j-k}]_{0<=j,k<size}."""
         if size - 1 > self.K:
             raise IndexError("insufficient moment order for requested Toeplitz size")
-        return np.array(
-            [[self[j - k] for k in range(size)] for j in range(size)], dtype=complex
-        )
+        idx = np.arange(size)
+        return self.c[self.K + idx[:, None] - idx[None, :]]
 
 
 def quadrature_moment(w: ACWeight, t: float, k: int, nodes: int = DEFAULT_NODES) -> complex:

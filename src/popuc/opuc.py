@@ -16,16 +16,18 @@ __all__ = [
     "DegenerateMeasureError",
     "gram_opuc",
     "reversed_poly",
+    "szego_step",
     "inner_product",
     "polyval",
 ]
 
-# relative pivot threshold flagging exhausted finite support
+# smallest admissible norm ratio kappa_m / c_0; below it the support is exhausted
 DEGENERACY_THRESHOLD = 1e-12
 
 
 class DegenerateMeasureError(ValueError):
-    """Toeplitz moment matrix lost positive definiteness (finite support exhausted)."""
+    """The norm ratio kappa_m / c_0 = prod (1 - |alpha_k|^2) collapsed
+    (finite support exhausted)."""
 
 
 def polyval(coeffs: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
@@ -72,17 +74,17 @@ def inner_product(p: np.ndarray, q: np.ndarray, ms: MomentSequence) -> complex:
     """<p, q> = int p(e^{i theta}) conj(q(e^{i theta})) dmu = sum p_j conj(q_k) c_{k-j}."""
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
-    if (len(p) - 1) > ms.K or (len(q) - 1) > ms.K:
-        raise IndexError("insufficient moment order for inner product")
-    total = 0.0 + 0.0j
-    for j, pj in enumerate(p):
-        if pj == 0:
-            continue
-        for k, qk in enumerate(q):
-            if qk == 0:
-                continue
-            total += pj * np.conj(qk) * ms[k - j]
-    return total
+    T = ms.toeplitz(max(len(p), len(q)))
+    return complex(np.conj(q) @ T[: len(q), : len(p)] @ p)
+
+
+def szego_step(coeffs: np.ndarray, conj_alpha: complex) -> np.ndarray:
+    """z p(z) - conj_alpha p*(z): one step of the Szego recursion, one degree up."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(len(coeffs) + 1, dtype=complex)
+    out[1:] = coeffs
+    out[:-1] -= conj_alpha * reversed_poly(coeffs)
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,37 +107,31 @@ class OpucFamily:
 
 
 def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
-    """Build Q_0..Q_n by solving the dense Toeplitz system for each degree.
+    """Build Q_0..Q_n by the Szego recursion Q_{k+1} = z Q_k - conj(alpha_k) Q_k*.
 
-    Q_m is determined by <Q_m, z^p> = 0 for p < m.  Raises
-    :class:`DegenerateMeasureError` when the moment matrix loses positive
-    definiteness or the squared norm collapses, which for a pure N+1-point
-    measure happens at degree N+1.
+    conj(alpha_k) = <z Q_k, 1> / kappa_k and kappa_{k+1} = (1 - |alpha_k|^2) kappa_k,
+    with kappa_k = ||Q_k||^2.  Raises :class:`DegenerateMeasureError` when the
+    norm ratio kappa_m / c_0 = prod_{k<m} (1 - |alpha_k|^2) collapses, which for
+    a pure N-point measure happens at degree N.
     """
-    if n > ms.K:
-        raise IndexError(f"need moments up to order {n}, have K={ms.K}")
-    c0 = ms[0].real
-    polys = [MonicPoly(np.array([1.0 + 0.0j]))]
+    if n < 0:
+        raise ValueError(f"OPUC degree {n} is negative")
+    # first row [c_0, c_{-1}, ..., c_{-n}]: <z^{j+1}, 1> = c_{-(j+1)} = row[j + 1]
+    row = ms.toeplitz(n + 1)[0]
+    c0 = row[0].real
+    coeffs = np.array([1.0 + 0.0j])
+    polys = [MonicPoly(coeffs)]
     norms = [c0]
     alphas = []
     for m in range(1, n + 1):
-        T = ms.toeplitz(m)
-        eigs = np.linalg.eigvalsh(T)
-        if eigs[0] <= DEGENERACY_THRESHOLD * c0:
-            raise DegenerateMeasureError(
-                f"moment matrix not positive definite at degree {m} "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
-        rhs = -np.array([ms[p - m] for p in range(m)], dtype=complex)
-        low = np.linalg.solve(T, rhs)
-        coeffs = np.concatenate([low, [1.0 + 0.0j]])
-        # <Q_m, Q_m> = <Q_m, z^m> since Q_m is orthogonal to lower degrees
-        kappa = sum(coeffs[j] * ms[m - j] for j in range(m + 1)).real
+        conj_alpha = complex(coeffs @ row[1 : m + 1]) / norms[-1]
+        kappa = (1.0 - abs(conj_alpha) ** 2) * norms[-1]
         if kappa <= DEGENERACY_THRESHOLD * c0:
             raise DegenerateMeasureError(
-                f"squared norm collapsed at degree {m} (kappa = {kappa:.3e})"
+                f"norm ratio collapsed at degree {m} (kappa_{m} / c_0 = {kappa / c0:.3e})"
             )
+        coeffs = szego_step(coeffs, conj_alpha)
         polys.append(MonicPoly(coeffs))
         norms.append(kappa)
-        alphas.append(-np.conj(coeffs[0]))
+        alphas.append(np.conj(conj_alpha))
     return OpucFamily(tuple(polys), np.array(norms), np.array(alphas, dtype=complex))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .opuc import MonicPoly, polyval, reversed_poly
+from .opuc import MonicPoly, polyval, reversed_poly, szego_step
 
 __all__ = [
     "PopucInstance",
@@ -90,14 +90,10 @@ class ZeroSet:
 
 
 def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
-    """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1."""
+    """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1: the Szego step with b for alpha_n."""
     if abs(abs(b) - 1.0) > UNIMODULAR_TOL:
         raise ValueError(f"|b| = {abs(b)} is off the unit circle")
-    n = q.degree
-    coeffs = np.zeros(n + 2, dtype=complex)
-    coeffs[1:] = q.coeffs
-    coeffs[: n + 1] -= np.conj(b) * reversed_poly(q.coeffs)
-    return PopucInstance(MonicPoly(coeffs), complex(b), n)
+    return PopucInstance(MonicPoly(szego_step(q.coeffs, np.conj(b))), complex(b), q.degree)
 
 
 def fix_zero_param(q: MonicPoly, xi: complex) -> complex:

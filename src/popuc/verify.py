@@ -14,17 +14,25 @@ from typing import Callable
 import numpy as np
 
 from .closed_forms import bs_mass_opuc, lebesgue_mass_popuc, w0_bs, w0_lebesgue
-from .dynamics import SweepConfig, ZeroPolicy, balance_check, fd_velocity, solve_at, sweep
+from .dynamics import (
+    SweepConfig, TrackingError, ZeroPolicy, balance_check, fd_velocity, solve_at, sweep
+)
 from .expressions import differentiate, evaluate, parse
-from .measures import ACWeight, MassPoint, Measure, circular_gap, moments
-from .opuc import gram_opuc, inner_product, polyval, reversed_poly
-from .paraorthogonal import build_popuc, deflate, fix_zero_param, zeros_on_circle
-from .predicates import motion_context, s_factor, s_sum
+from .measures import ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments
+from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, reversed_poly
+from .paraorthogonal import (
+    RootFindingError, build_popuc, deflate, fix_zero_param, zeros_on_circle
+)
+from .predicates import PredicateError, motion_context, s_factor, s_sum
 from .scenarios import scenario_config
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
 
 SEED = 20240601
+
+_PIPELINE_ERRORS = (
+    DegenerateMeasureError, RootFindingError, TrackingError, MeasureError, PredicateError
+)
 
 
 @dataclass
@@ -152,7 +160,7 @@ def check_balance_discrete() -> CheckResult:
         pol = ZeroPolicy.fixed_xi(xi)
         try:
             st = solve_at(m, degree, pol, 0.0)
-        except Exception:
+        except _PIPELINE_ERRORS:
             continue
         zs = st.zero_set
         non_fixed = [k for k in range(len(zs)) if k != zs.fixed_index]
@@ -162,7 +170,7 @@ def check_balance_discrete() -> CheckResult:
         for t in ts:
             try:
                 be = balance_check(m, degree, pol, float(t), zs.phases[tracked], "t21", h=1e-5)
-            except Exception:
+            except _PIPELINE_ERRORS:
                 bad = True
                 break
             worst = max(worst, be.mismatch)

@@ -3,7 +3,10 @@ import math
 
 import pytest
 
+from popuc import verify
 from popuc.cli import main
+from popuc.dynamics import ZeroPolicy, solve_at
+from popuc.measures import Measure
 
 
 def _write(tmp_path, name, obj):
@@ -66,10 +69,35 @@ def test_zeros_with_fixed_zero(tmp_path, mixed_config):
     assert len(payload["phases"]) == 5
     assert min(abs(p - math.pi / 2) for p in payload["phases"]) < 1e-9
     assert max(payload["residuals"]) < 1e-9
+    assert payload["phases"] == list(_library_zeros(mixed_config, ZeroPolicy.fixed_xi(1j)))
+
+
+def test_zeros_with_fixed_b(tmp_path, mixed_config):
+    out = tmp_path / "z.json"
+    code = main(
+        [
+            "zeros", "--config", mixed_config, "--t", "0.5", "--degree", "5",
+            "--b=-1,0", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["b"] == [-1.0, 0.0]
+    assert payload["phases"] == list(_library_zeros(mixed_config, ZeroPolicy.fixed_b(-1)))
+
+
+def _library_zeros(config_path, policy):
+    with open(config_path) as fh:
+        m = Measure.from_json(json.load(fh)["measure"])
+    return solve_at(m, 5, policy, 0.5).zero_set.phases
 
 
 def test_zeros_needs_policy(tmp_path, mixed_config):
     assert main(["zeros", "--config", mixed_config]) == 2
+
+
+def test_zeros_rejects_degree_below_one(mixed_config):
+    assert main(["zeros", "--config", mixed_config, "--degree", "0", "--b", "1,0"]) == 2
 
 
 def test_sweep_csv_and_verdicts(tmp_path, mixed_config):
@@ -155,6 +183,12 @@ def test_verify_single_check(capsys):
     captured = capsys.readouterr()
     assert "PASS" in captured.out
     assert "expr" in captured.out
+
+
+def test_verify_failing_check_exits_1(monkeypatch):
+    failing = verify.CheckResult(name="always-fails", passed=False, detail="", seconds=0.0)
+    monkeypatch.setitem(verify.CHECKS, "always-fails", lambda: failing)
+    assert main(["verify", "--only", "always-fails"]) == 1
 
 
 def test_quad_nodes_env_override(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from popuc import dynamics
 from popuc.dynamics import (
     SweepConfig,
     TrackingError,
@@ -13,6 +14,7 @@ from popuc.dynamics import (
     fd_velocity,
     solve_at,
     sweep,
+    sweep_verdicts,
     tracked_velocity,
 )
 from popuc.measures import ACWeight, MassPoint, Measure
@@ -152,3 +154,15 @@ def test_stationary_scenario_sweep():
     cfg = scenario_config("lebesgue_mass_fixed_one")
     traj = sweep(cfg)
     assert np.max(np.abs(traj.chains - traj.chains[0])) < 1e-8
+
+
+def test_sweep_verdicts_propagates_defects(monkeypatch):
+    cfg = SweepConfig(MIXED, 5, 0.2, 0.4, 3, ZeroPolicy.fixed_xi(1j), theorem="t23")
+    traj = sweep(cfg)
+
+    def broken_verdict(ctx, theorem):
+        raise ZeroDivisionError("defect in a motion functional")
+
+    monkeypatch.setattr(dynamics, "verdict", broken_verdict)
+    with pytest.raises(ZeroDivisionError):
+        sweep_verdicts(cfg, traj)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from popuc.dynamics import ZeroPolicy, solve_at
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import (
     DegenerateMeasureError,
@@ -12,6 +14,7 @@ from popuc.opuc import (
     polyval,
     reversed_poly,
 )
+from popuc.paraorthogonal import build_popuc, zeros_on_circle
 
 
 def _random_measure(rng):
@@ -147,3 +150,74 @@ def test_finite_support_degenerates():
     assert fam.max_degree == N - 1
     with pytest.raises(DegenerateMeasureError):
         gram_opuc(ms, N)
+
+
+def test_thirty_masses_support_degree_thirty_popuc():
+    # 30 distinct masses support Q_0..Q_29, so the degree-30 POPUC exists even
+    # though the 28x28 moment matrix has a smallest eigenvalue near 1e-11
+    rng = np.random.default_rng(8)
+    om = np.sort(rng.uniform(0, 2 * math.pi, 30))
+    masses = [MassPoint.of(float(rng.uniform(0.05, 2.0)), float(o)) for o in om]
+    state = solve_at(Measure.of(ACWeight.none(), masses), 30, ZeroPolicy.fixed_b(1), 0.0)
+    zs = state.zero_set
+    scale = float(np.max(np.abs(state.popuc.poly.coeffs)))
+    assert len(zs) == 30
+    assert zs.pre_projection_deviation <= 1e-9
+    assert float(np.max(zs.residuals)) / scale <= 1e-9
+    assert zs.min_gap > 1e-6
+
+
+@st.composite
+def admissible_measures(draw):
+    """(measure, n): 1-8 masses at least 0.28 apart, an optional Lebesgue or
+    Bernstein-Szego part, and a degree n the support carries."""
+    n_masses = draw(st.integers(1, 8))
+    start = draw(st.floats(0.0, 2 * math.pi))
+    gaps = draw(st.lists(st.floats(0.3, 0.75), min_size=n_masses, max_size=n_masses))
+    gammas = draw(st.lists(st.floats(0.05, 2.0), min_size=n_masses, max_size=n_masses))
+    om = start + np.cumsum(gaps)
+    masses = [MassPoint.of(g, float(o)) for g, o in zip(gammas, om)]
+    kind = draw(st.sampled_from(["none", "lebesgue", "bernstein_szego"]))
+    if kind == "lebesgue":
+        ac = ACWeight.lebesgue(draw(st.floats(0.1, 2.0)))
+    elif kind == "bernstein_szego":
+        lam = complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)))
+        ac = ACWeight.bernstein_szego(lam, draw(st.floats(0.1, 2.0)))
+    else:
+        ac = ACWeight.none()
+    # N masses alone support Q_0..Q_{N-1}
+    n = draw(st.integers(0, n_masses - 1 if kind == "none" else 10))
+    return Measure.of(ac, masses), n
+
+
+@settings(deadline=None)
+@given(admissible_measures())
+def test_recursion_alphas_inside_disc_and_norms_match(case):
+    m, n = case
+    ms = moments(m, 0.0, n + 1)
+    fam = gram_opuc(ms, n)
+    assert np.all(np.abs(fam.alphas) < 1.0)
+    for k in range(n + 1):
+        norm = inner_product(fam[k].coeffs, fam[k].coeffs, ms)
+        assert abs(norm - fam.norms[k]) <= 1e-10 * ms[0].real
+
+
+@settings(deadline=None)
+@given(
+    admissible_measures(),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.1, 2 * math.pi - 0.1),
+)
+def test_popuc_zeros_for_two_b_strictly_interlace(case, arg_b, delta):
+    # Golinskii (2002): zeros of z Q_n - conj(b) Q_n* for distinct unimodular b
+    # interlace on the circle
+    m, n = case
+    q = gram_opuc(moments(m, 0.0, n + 1), n)[n]
+    phases = [
+        np.mod(zeros_on_circle(build_popuc(q, np.exp(1j * a))).phases, 2 * math.pi)
+        for a in (arg_b, arg_b + delta)
+    ]
+    merged = np.concatenate(phases)
+    labels = np.repeat([0, 1], n + 1)[np.argsort(merged)]
+    assert np.all(labels[1:] != labels[:-1])
+    assert np.all(np.diff(np.sort(merged)) > 0)
