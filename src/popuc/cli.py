@@ -25,7 +25,7 @@ from .dynamics import (
     sweep_verdicts,
 )
 from .expressions import ExprError
-from .measures import DEFAULT_NODES, Measure, MeasureError, moments, validate
+from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, moments, validate
 from .opuc import DegenerateMeasureError, gram_opuc
 from .paraorthogonal import RootFindingError
 from .scenarios import SCENARIOS, scenario_config, scenario_json
@@ -44,8 +44,18 @@ def _complex_pair(text: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
-def _default_nodes() -> int:
-    return int(os.environ.get("POPUC_QUAD_NODES", DEFAULT_NODES))
+def _nodes(args, configured=None) -> int:
+    """Quadrature node count: --nodes, else the config file's value, else
+    POPUC_QUAD_NODES, else the default; at least MIN_NODES."""
+    if args.nodes is not None:
+        nodes = args.nodes
+    elif configured is not None:
+        nodes = int(configured)
+    else:
+        nodes = int(os.environ.get("POPUC_QUAD_NODES", DEFAULT_NODES))
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
+    return nodes
 
 
 def _load_measure(path: str) -> Measure:
@@ -87,7 +97,7 @@ def _load_config(args) -> SweepConfig:
         policy=policy,
         h=float(obj.get("h", 1e-5)),
         theorem=args.theorem or obj.get("theorem", "t21"),
-        nodes=int(args.nodes or obj.get("nodes", _default_nodes())),
+        nodes=_nodes(args, obj.get("nodes")),
     )
 
 
@@ -105,12 +115,13 @@ def _dump_json(obj, out: str | None) -> None:
 
 def cmd_moments(args) -> int:
     m = _load_measure(args.config)
+    nodes = _nodes(args)
     diags = validate(m, args.t)
     if diags:
         for d in diags:
             print(f"validation: {d.code}: {d.message}", file=sys.stderr)
         return EXIT_CONFIG
-    ms = moments(m, args.t, args.order, int(args.nodes or _default_nodes()))
+    ms = moments(m, args.t, args.order, nodes)
     payload = {
         "t": args.t,
         "K": args.order,
@@ -123,7 +134,7 @@ def cmd_moments(args) -> int:
 def cmd_opuc(args) -> int:
     m = _load_measure(args.config)
     n = args.degree
-    ms = moments(m, args.t, 2 * n + 2, int(args.nodes or _default_nodes()))
+    ms = moments(m, args.t, 2 * n + 2, _nodes(args))
     fam = gram_opuc(ms, n)
     payload = {
         "t": args.t,
@@ -143,7 +154,7 @@ def cmd_zeros(args) -> int:
         print("zeros: need --b or --fix-zero", file=sys.stderr)
         return EXIT_CONFIG
     m = _load_measure(args.config)
-    st = solve_at(m, args.degree, policy, args.t, int(args.nodes or _default_nodes()))
+    st = solve_at(m, args.degree, policy, args.t, _nodes(args))
     zs = st.zero_set
     payload = {
         "t": args.t,
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, config_required=True):
         p.add_argument("--config", required=config_required, help="JSON config path")
-        p.add_argument("--nodes", type=int, default=None, help="quadrature node count")
+        p.add_argument("--nodes", type=int, default=None, help="quadrature node count (at least 16)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("moments", help="trigonometric moments c_{-K..K}")

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import ExprError
-from .measures import DEFAULT_NODES, Measure, MeasureError, MomentSequence, moments
+from .measures import (
+    DEFAULT_NODES,
+    MIN_NODES,
+    Measure,
+    MeasureError,
+    MomentSequence,
+    moments,
+    theta_grid,
+)
 from .opuc import OpucFamily, gram_opuc, inner_product, polyval
 from .paraorthogonal import (
     PopucInstance,
@@ -95,6 +103,8 @@ class SweepConfig:
             raise ValueError("grid too small: need steps >= 3")
         if self.degree < 2:
             raise ValueError("POPUC degree must be at least 2")
+        if self.nodes < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {self.nodes}")
         spacing = abs(self.t_stop - self.t_start) / (self.steps - 1)
         if self.h > spacing / 2:
             raise ValueError("finite-difference step h must be <= grid spacing / 2")
@@ -277,15 +287,13 @@ class BalanceEntry:
 
 
 def _ac_quadrature(measure: Measure, t: float, integrand, nodes: int) -> float:
-    """Trapezoid integral of integrand(theta) * w(theta; t) over one period,
-    against dtheta/2pi; zero when there is no AC part."""
+    """Midpoint-rule integral of integrand(theta) * w(theta; t) over one period,
+    against dtheta/2pi; zero when there is no AC part.  ``integrand`` maps
+    the array of nodes to an array of values."""
     if measure.ac.kind == "none":
         return 0.0
-    thetas = measure.ac.theta0 + 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
-    total = 0.0
-    for th in thetas:
-        total += integrand(th) * measure.ac.density(th, t)
-    return total / nodes
+    thetas = theta_grid(measure.ac.theta0, nodes, midpoint=True)
+    return float(np.sum(integrand(thetas) * measure.ac.density(thetas, t))) / nodes
 
 
 def _c_integral(
@@ -344,10 +352,10 @@ def balance_check(
         d2 = deflate(deflate(p.poly.coeffs, xi), zeta)
         pref = 1j * (zeta - xi)
 
-        def integrand(th: float) -> float:
-            z = cmath.exp(1j * th)
+        def integrand(th: np.ndarray) -> np.ndarray:
+            z = np.exp(1j * th)
             s_p2 = (pref * z * polyval(d2, z) * np.conj(polyval(p.poly.coeffs, z))).real
-            return s_p2 * (ctx.f_theta(th) - ctx.f_at_phi) if ctx.f_theta else 0.0
+            return s_p2 * (ctx.f_theta(th) - ctx.f_at_phi)
 
         rhs += _ac_quadrature(m, t, integrand, min(nodes, 2048))
     else:

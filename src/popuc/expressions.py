@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 __all__ = [
     "Expr",
     "Const",
@@ -205,32 +207,52 @@ _FUNC_IMPL = {
     "abs": abs,
 }
 
+_ARRAY_FUNC_IMPL = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
 
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
+
+def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Evaluate ``e`` with the given variable bindings.
 
-    Division by zero, function domain errors, and non-finite results all
-    raise :class:`EvalError` instead of propagating IEEE specials.
+    A binding may be a float or a numpy array (a whole theta grid, say); the
+    tree is walked once and array nodes use the numpy functions, so the
+    result is an array wherever an array variable reaches it.  Division by
+    zero, function domain errors, and non-finite results all raise
+    :class:`EvalError` instead of propagating IEEE specials; on arrays they
+    raise when they would at any single element.
     """
     value = _eval(e, bindings)
-    if not math.isfinite(value):
+    if isinstance(value, np.ndarray):
+        if not np.all(np.isfinite(value)):
+            raise EvalError("non-finite result in array evaluation")
+    elif not math.isfinite(value):
         raise EvalError(f"non-finite result {value!r}")
     return value
 
 
-def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
+def _eval(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
         try:
-            return float(bindings[e.name])
+            value = bindings[e.name]
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
+        if isinstance(value, np.ndarray):
+            return value.astype(float, copy=False)
+        return float(value)
     if isinstance(e, Neg):
         return -_eval(e.operand, bindings)
     if isinstance(e, BinOp):
         left = _eval(e.left, bindings)
         right = _eval(e.right, bindings)
+        if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
+            return _array_binop(e.op, left, right)
         if e.op == "+":
             return left + right
         if e.op == "-":
@@ -240,10 +262,40 @@ def _eval(e: Expr, bindings: Mapping[str, float]) -> float:
         if right == 0.0:
             raise EvalError("division by zero")
         return left / right
+    arg = _eval(e.arg, bindings)
+    if isinstance(arg, np.ndarray):
+        return _array_call(e.func, arg)
     try:
-        return _FUNC_IMPL[e.func](_eval(e.arg, bindings))
+        return _FUNC_IMPL[e.func](arg)
     except (ValueError, OverflowError) as exc:
         raise EvalError(f"{e.func}: {exc}") from None
+
+
+def _array_binop(op: str, left, right) -> np.ndarray:
+    # IEEE overflow to inf is not an error here, as for Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        if np.any(right == 0.0):
+            raise EvalError("division by zero")
+        return left / right
+
+
+def _array_call(func: str, arg: np.ndarray) -> np.ndarray:
+    # the element-wise counterparts of the math module's ValueError/OverflowError
+    if func == "sqrt" and np.any(arg < 0.0):
+        raise EvalError("sqrt: math domain error")
+    if func in ("sin", "cos") and np.any(np.isinf(arg)):
+        raise EvalError(f"{func}: math domain error")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _ARRAY_FUNC_IMPL[func](arg)
+    if func == "exp" and np.any(np.isinf(value) & np.isfinite(arg)):
+        raise EvalError("exp: math range error")
+    return value
 
 
 def free_vars(e: Expr) -> frozenset[str]:

@@ -3,8 +3,8 @@
 A measure is an optional absolutely continuous weight (against dtheta/2pi)
 plus a finite list of point masses whose weights and locations are
 expressions in the parameter ``t``.  Moments c_k = int e^{-ik theta} dmu
-are produced in closed form where available and by periodic trapezoid
-quadrature otherwise.
+are produced in closed form where available and otherwise by the periodic
+trapezoid rule, every c_k at once from one FFT of the density on the node grid.
 """
 from __future__ import annotations
 
@@ -26,10 +26,14 @@ __all__ = [
     "quadrature_moment",
     "validate",
     "circular_gap",
+    "theta_grid",
     "DEFAULT_NODES",
+    "MIN_NODES",
 ]
 
 DEFAULT_NODES = 4096
+# fewest nodes any theta grid may have
+MIN_NODES = 16
 
 # coincidence / collision tolerance for angles, modulo 2 pi
 ANGLE_TOL = 1e-9
@@ -39,12 +43,22 @@ class MeasureError(ValueError):
     """Invalid measure data at the queried parameter value."""
 
 
-def circular_gap(a: float, b: float) -> float:
-    """Distance between angles ``a`` and ``b`` modulo 2 pi, in [0, pi]."""
-    d = math.fmod(a - b, 2.0 * math.pi)
-    if d < 0:
-        d += 2.0 * math.pi
+def circular_gap(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """Distance between angles ``a`` and ``b`` modulo 2 pi, in [0, pi];
+    element-wise when either is an array."""
+    d = (a - b) % (2.0 * math.pi)
+    if isinstance(d, np.ndarray):
+        return np.minimum(d, 2.0 * math.pi - d)
     return min(d, 2.0 * math.pi - d)
+
+
+def theta_grid(theta0: float, nodes: int, midpoint: bool = False) -> np.ndarray:
+    """``nodes`` equispaced angles over one period from ``theta0``: the
+    trapezoid nodes theta0 + 2 pi j / nodes, or with ``midpoint`` the
+    midpoints theta0 + 2 pi (j + 1/2) / nodes."""
+    if nodes < MIN_NODES:
+        raise MeasureError(f"a theta grid needs at least {MIN_NODES} nodes, got {nodes}")
+    return theta0 + 2.0 * math.pi * (np.arange(nodes) + (0.5 if midpoint else 0.0)) / nodes
 
 
 def _as_expr(value: Expr | str | float) -> Expr:
@@ -110,17 +124,19 @@ class ACWeight:
     def custom(cls, weight: Expr | str, theta0: float = 0.0) -> "ACWeight":
         return cls("custom", weight=_as_expr(weight), theta0=theta0)
 
-    def density(self, theta: float, t: float) -> float:
-        """Evaluate the density w(theta; t) against dtheta/2pi."""
+    def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
+        """The density w(theta; t) against dtheta/2pi, as an array of the
+        shape of ``theta``: a whole grid of angles is evaluated in one pass."""
+        theta = np.asarray(theta, dtype=float)
         if self.kind == "none":
-            return 0.0
+            return np.zeros_like(theta)
         if self.kind == "lebesgue":
-            return evaluate(self.scale, {"t": t})
+            return np.full_like(theta, evaluate(self.scale, {"t": t}))
         if self.kind == "bernstein_szego":
             s = evaluate(self.scale, {"t": t})
-            z = complex(math.cos(theta), math.sin(theta))
-            return s * (1.0 - abs(self.lam) ** 2) / abs(1.0 - self.lam * z) ** 2
-        return evaluate(self.weight, {"theta": theta, "t": t})
+            z = np.cos(theta) + 1j * np.sin(theta)
+            return s * (1.0 - abs(self.lam) ** 2) / np.abs(1.0 - self.lam * z) ** 2
+        return np.broadcast_to(evaluate(self.weight, {"theta": theta, "t": t}), theta.shape)
 
 
 @dataclass(frozen=True)
@@ -206,36 +222,35 @@ class MomentSequence:
         return self.c[self.K + idx[:, None] - idx[None, :]]
 
 
-def quadrature_moment(w: ACWeight, t: float, k: int, nodes: int = DEFAULT_NODES) -> complex:
-    """Composite trapezoid value of int e^{-ik theta} w(theta; t) dtheta/2pi.
+def quadrature_moment(w: ACWeight, t: float, K: int, nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """Composite trapezoid values of int e^{-ik theta} w(theta; t) dtheta/2pi
+    for k = 0..K, as an array.
 
-    The rule is applied over one period starting at ``w.theta0``; for smooth
-    periodic integrands the convergence is spectral.
+    The density is evaluated once, on ``nodes`` points over one period
+    starting at ``w.theta0``, and every value comes from one FFT:
+    c_k = e^{-ik theta0} fft(w)[k mod nodes] / nodes.  Orders k >= nodes alias
+    exactly as the trapezoid rule aliases them.  For smooth periodic
+    integrands the convergence is spectral.
     """
-    if nodes < 16:
-        raise MeasureError("quadrature needs at least 16 nodes")
-    thetas = w.theta0 + 2.0 * math.pi * np.arange(nodes) / nodes
-    vals = np.array([w.density(th, t) for th in thetas], dtype=float)
+    thetas = theta_grid(w.theta0, nodes)
+    vals = w.density(thetas, t)
     if not np.all(np.isfinite(vals)):
         raise MeasureError("weight evaluates non-finite at a quadrature node")
-    phases = np.exp(-1j * k * thetas)
-    # periodic trapezoid == midpoint-free uniform average over one period
-    return complex(np.mean(vals * phases))
+    k = np.arange(K + 1)
+    return np.fft.fft(vals)[k % nodes] * np.exp(-1j * k * w.theta0) / nodes
 
 
-def _ac_moment(ac: ACWeight, t: float, k: int, nodes: int) -> complex:
-    if ac.kind == "none":
-        return 0.0 + 0.0j
+def _ac_moments(ac: ACWeight, t: float, K: int, nodes: int) -> np.ndarray:
+    """c_0..c_K of the absolutely continuous part."""
+    if ac.kind == "custom":
+        return quadrature_moment(ac, t, K, nodes)
+    c = np.zeros(K + 1, dtype=complex)
     if ac.kind == "lebesgue":
-        s = evaluate(ac.scale, {"t": t})
-        return complex(s) if k == 0 else 0.0 + 0.0j
-    if ac.kind == "bernstein_szego":
+        c[0] = evaluate(ac.scale, {"t": t})
+    elif ac.kind == "bernstein_szego":
         # geometric moments of the Poisson-kernel (squared-modulus) weight
-        s = evaluate(ac.scale, {"t": t})
-        if k >= 0:
-            return s * ac.lam**k
-        return s * np.conj(ac.lam) ** (-k)
-    return quadrature_moment(ac, t, k, nodes)
+        c[:] = evaluate(ac.scale, {"t": t}) * ac.lam ** np.arange(K + 1)
+    return c
 
 
 def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentSequence:
@@ -243,13 +258,9 @@ def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentS
     if K < 0:
         raise MeasureError("K must be nonnegative")
     gam, om = m.mass_values(t)
-    c = np.zeros(2 * K + 1, dtype=complex)
-    for k in range(K + 1):
-        value = _ac_moment(m.ac, t, k, nodes)
-        if len(gam):
-            value += np.sum(gam * np.exp(-1j * k * om))
-        c[K + k] = value
-        c[K - k] = np.conj(value)
+    k = np.arange(K + 1)
+    half = _ac_moments(m.ac, t, K, nodes) + np.sum(gam * np.exp(-1j * np.outer(k, om)), axis=1)
+    c = np.concatenate([np.conj(half[:0:-1]), half])
     c[K] = c[K].real
     if c[K].real <= 0:
         raise MeasureError(f"total mass {c[K].real} is not positive at t={t}")
@@ -283,8 +294,7 @@ def validate(m: Measure, t: float, nodes: int = 256) -> list[Diagnostic]:
                 )
     total = float(sum(gam))
     if m.ac.kind != "none":
-        thetas = m.ac.theta0 + 2.0 * math.pi * np.arange(nodes) / nodes
-        dens = np.array([m.ac.density(th, t) for th in thetas])
+        dens = m.ac.density(theta_grid(m.ac.theta0, nodes), t)
         if np.any(dens < 0):
             report.append(Diagnostic("negative_weight", f"AC density negative at t={t}"))
         total += float(np.mean(dens))

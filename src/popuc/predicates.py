@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .expressions import differentiate, evaluate
-from .measures import ANGLE_TOL, Measure, circular_gap
+from .measures import ANGLE_TOL, Measure, circular_gap, theta_grid
 from .paraorthogonal import ZeroSet
 
 __all__ = [
@@ -61,7 +62,8 @@ class MotionContext:
     dgammas: np.ndarray
     domegas: np.ndarray
     t: float
-    f_theta: Callable[[float], float] | None = None
+    # f(theta) = (d/dt weight)/weight, element-wise on an array of angles
+    f_theta: Callable[[np.ndarray], np.ndarray] | None = None
     ac_nodes: np.ndarray = field(default_factory=lambda: np.array([]))
 
     @property
@@ -72,9 +74,9 @@ class MotionContext:
     def phi(self) -> float:
         return float(self.phases[self.tracked_index])
 
-    @property
+    @cached_property
     def f_at_phi(self) -> float:
-        return 0.0 if self.f_theta is None else self.f_theta(self.phi)
+        return 0.0 if self.f_theta is None else float(self.f_theta(self.phi))
 
     def collisions(self) -> list[tuple[int, int]]:
         """(mass index, zero index) pairs closer than the angle tolerance."""
@@ -105,8 +107,11 @@ class MotionContext:
         )
 
 
-def _ac_log_derivative(m: Measure, t: float) -> Callable[[float], float] | None:
-    """f(theta; t) = (d/dt weight)/weight for the AC part, or None if absent."""
+def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """f(theta; t) = (d/dt weight)/weight for the AC part, or None if absent.
+
+    The returned function maps an array of angles to an array of the same
+    shape in one evaluation pass."""
     ac = m.ac
     if ac.kind == "none":
         return None
@@ -116,14 +121,17 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[float], float] | None:
         if s <= 0:
             raise PredicateError(f"AC scale {s} not positive at t={t}")
         value = evaluate(dscale, {"t": t}) / s
-        return lambda theta: value
+        return lambda theta: np.full(np.shape(theta), value)
     dw = differentiate(ac.weight, "t")
 
-    def f(theta: float) -> float:
-        w = evaluate(ac.weight, {"theta": theta, "t": t})
-        if w <= 0:
-            raise PredicateError(f"weight vanishes at theta={theta}")
-        return evaluate(dw, {"theta": theta, "t": t}) / w
+    def f(theta: np.ndarray) -> np.ndarray:
+        bindings = {"theta": theta, "t": t}
+        w = np.broadcast_to(evaluate(ac.weight, bindings), np.shape(theta))
+        vanishing = w <= 0
+        if np.any(vanishing):
+            bad = np.broadcast_to(theta, w.shape)[vanishing]
+            raise PredicateError(f"weight vanishes at theta={float(bad[0])!r}")
+        return evaluate(dw, bindings) / w
 
     return f
 
@@ -145,8 +153,7 @@ def motion_context(
     dom = np.array(
         [evaluate(differentiate(mp.omega, "t"), {"t": t}) for mp in m.masses]
     )
-    theta0 = zs.phases[zs.fixed_index]
-    grid = theta0 + 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    grid = theta_grid(zs.phases[zs.fixed_index], nodes, midpoint=True)
     return MotionContext(
         phases=zs.phases,
         fixed_index=int(zs.fixed_index),
@@ -161,12 +168,13 @@ def motion_context(
     )
 
 
-def s_factor(theta: float, phi: float, theta0: float) -> float:
-    """sin((phi-theta0)/2) / (2 sin((phi-theta)/2) sin((theta0-theta)/2))."""
-    if circular_gap(theta, phi) < POLE_TOL or circular_gap(theta, theta0) < POLE_TOL:
+def s_factor(theta: float | np.ndarray, phi: float, theta0: float) -> float | np.ndarray:
+    """sin((phi-theta0)/2) / (2 sin((phi-theta)/2) sin((theta0-theta)/2)),
+    element-wise over an array ``theta``; a pole at any element raises."""
+    if np.any((circular_gap(theta, phi) < POLE_TOL) | (circular_gap(theta, theta0) < POLE_TOL)):
         raise PredicateError("s-factor pole: theta collides with phi or theta0")
     return math.sin(0.5 * (phi - theta0)) / (
-        2.0 * math.sin(0.5 * (phi - theta)) * math.sin(0.5 * (theta0 - theta))
+        2.0 * np.sin(0.5 * (phi - theta)) * np.sin(0.5 * (theta0 - theta))
     )
 
 
@@ -223,11 +231,17 @@ def w_conjugate(j: int, ctx: MotionContext) -> float:
     return value
 
 
-def w_continuous(theta: float, ctx: MotionContext) -> float:
-    """Density functional s(theta) * (f(theta) - f(phi)) for mixed measures."""
+def w_continuous(
+    theta: float | np.ndarray, ctx: MotionContext, f_values: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Density functional s(theta) * (f(theta) - f(phi)) for mixed measures,
+    element-wise over an array ``theta``.  ``f_values`` are f at ``theta``
+    when the caller has them already."""
     if ctx.f_theta is None:
         return 0.0
-    return s_factor(theta, ctx.phi, ctx.theta0) * (ctx.f_theta(theta) - ctx.f_at_phi)
+    if f_values is None:
+        f_values = ctx.f_theta(theta)
+    return s_factor(theta, ctx.phi, ctx.theta0) * (f_values - ctx.f_at_phi)
 
 
 def w_mixed(j: int, ctx: MotionContext) -> float:
@@ -279,11 +293,8 @@ def _inconclusive(ctx: MotionContext, theorem: str, flags: list[str]) -> Verdict
     )
 
 
-def _f_monotone(ctx: MotionContext) -> tuple[bool, bool]:
-    """(nondecreasing, nonincreasing) of f across the sorted node grid."""
-    if ctx.f_theta is None:
-        return True, True
-    values = np.array([ctx.f_theta(th) for th in ctx.ac_nodes])
+def _f_monotone(values: np.ndarray) -> tuple[bool, bool]:
+    """(nondecreasing, nonincreasing) of f values across the sorted node grid."""
     tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
     diffs = np.diff(values)
     return bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))
@@ -314,16 +325,14 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
     wc_min = wc_max = 0.0
     nondecreasing = nonincreasing = True
     if theorem == "t23" and ctx.f_theta is not None:
-        usable = [
-            th
-            for th in ctx.ac_nodes
-            if circular_gap(th, ctx.phi) > 1e-9 and circular_gap(th, ctx.theta0) > 1e-9
-        ]
-        wc = np.array([w_continuous(th, ctx) for th in usable])
+        nodes = ctx.ac_nodes
+        f_nodes = ctx.f_theta(nodes)
+        usable = (circular_gap(nodes, ctx.phi) > 1e-9) & (circular_gap(nodes, ctx.theta0) > 1e-9)
+        wc = w_continuous(nodes[usable], ctx, f_nodes[usable])
         if len(wc):
             wc_min = float(np.min(wc))
             wc_max = float(np.max(wc))
-        nondecreasing, nonincreasing = _f_monotone(ctx)
+        nondecreasing, nonincreasing = _f_monotone(f_nodes)
         if not nondecreasing:
             flags.append("f_not_nondecreasing")
 

@@ -18,7 +18,9 @@ from .dynamics import (
     SweepConfig, TrackingError, ZeroPolicy, balance_check, fd_velocity, solve_at, sweep
 )
 from .expressions import differentiate, evaluate, parse
-from .measures import ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments
+from .measures import (
+    ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments, theta_grid
+)
 from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, reversed_poly
 from .paraorthogonal import (
     RootFindingError, build_popuc, deflate, fix_zero_param, zeros_on_circle
@@ -405,7 +407,7 @@ def check_identities() -> CheckResult:
     d2 = deflate(deflate(coeffs, xi), zeta)
     pref = 1j * (zeta - xi)
     nodes = 2048
-    thetas = math.pi / 2 + 2 * math.pi * (np.arange(nodes) + 0.5) / nodes
+    thetas = theta_grid(math.pi / 2, nodes, midpoint=True)
     zsn = np.exp(1j * thetas)
     integrand = (pref * zsn * polyval(d2, zsn) * np.conj(polyval(coeffs, zsn))).real
     ac_part = float(np.mean(integrand * (1 - 0.4)))

@@ -204,3 +204,27 @@ def test_quad_nodes_env_override(tmp_path, monkeypatch):
     assert main(["moments", "--config", path, "--order", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["c"]["1"] == pytest.approx([0.25, 0.0], abs=1e-10)
+
+
+def test_nodes_zero_is_rejected_not_defaulted(tmp_path):
+    path = _write(
+        tmp_path,
+        "custom.json",
+        {"measure": {"ac": {"kind": "custom", "w": "1 + cos(theta)/2"}, "masses": []}},
+    )
+    assert main(["moments", "--config", path, "--nodes", "0"]) == 2
+
+
+def test_too_few_nodes_rejected_for_lebesgue(tmp_path, mixed_config):
+    out = str(tmp_path / "x")
+    assert main(["moments", "--config", mixed_config, "--nodes", "8", "--out", out]) == 2
+    assert main(["opuc", "--config", mixed_config, "--nodes", "8", "--out", out]) == 2
+    assert main(["zeros", "--config", mixed_config, "--b", "1,0", "--nodes", "8", "--out", out]) == 2
+    assert main(["sweep", "--config", mixed_config, "--fix-zero", "0,1", "--nodes", "8", "--out", out]) == 2
+
+
+def test_non_integer_node_env_exits_2(tmp_path, mixed_config, monkeypatch):
+    monkeypatch.setenv("POPUC_QUAD_NODES", "abc")
+    out = str(tmp_path / "x")
+    assert main(["moments", "--config", mixed_config, "--out", out]) == 2
+    assert main(["sweep", "--config", mixed_config, "--fix-zero", "0,1", "--out", out]) == 2

@@ -166,3 +166,23 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
     monkeypatch.setattr(dynamics, "verdict", broken_verdict)
     with pytest.raises(ZeroDivisionError):
         sweep_verdicts(cfg, traj)
+
+
+def test_weight_vanishing_at_a_verdict_node_gives_error_entry():
+    # the weight's double zero sits on the first midpoint node after the
+    # pinned zero at pi/2 (verdicts use 512 midpoint nodes)
+    m = Measure.of(
+        ACWeight.custom("(1 + t)*(1 - cos(theta - pi/2 - pi/512))"), [MassPoint.of("t", "2*pi/3")]
+    )
+    cfg = SweepConfig(m, 5, 0.5, 0.6, 3, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=256)
+    entries = sweep_verdicts(cfg, sweep(cfg))
+    errors = [item["error"] for entry in entries for item in entry["verdicts"] if "error" in item]
+    assert len(errors) == 3 * 4
+    assert all("weight vanishes" in err for err in errors)
+
+
+def test_sweep_config_needs_sixteen_nodes():
+    pol = ZeroPolicy.fixed_b(1.0 + 0j)
+    with pytest.raises(ValueError):
+        SweepConfig(MIXED, 4, 0.0, 1.0, 11, pol, nodes=8)
+    assert SweepConfig(MIXED, 4, 0.0, 1.0, 11, pol, nodes=16).nodes == 16

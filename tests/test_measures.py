@@ -1,8 +1,12 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from popuc.expressions import evaluate
 
 from popuc.measures import (
     ACWeight,
@@ -60,9 +64,43 @@ def test_bernstein_szego_moments_are_geometric():
 def test_bernstein_szego_closed_form_matches_quadrature():
     lam = 0.5 + 0.3j
     w = ACWeight.bernstein_szego(lam)
+    quad = quadrature_moment(w, 0.0, 4, nodes=2048)
     for k in range(5):
-        quad = quadrature_moment(w, 0.0, k, nodes=2048)
-        assert quad == pytest.approx(lam**k, abs=1e-12)
+        assert quad[k] == pytest.approx(lam**k, abs=1e-12)
+
+
+def _trapezoid_reference(w, t, K, nodes):
+    """c_0..c_K by the trapezoid rule, one scalar density evaluation per node
+    and a direct sum per order; e^{-ik theta_j} = e^{-ik theta0} e^{-2 pi i (jk mod N)/N}
+    keeps the phases exact for large k."""
+    vals = [evaluate(w.weight, {"theta": w.theta0 + 2 * math.pi * j / nodes, "t": t}) for j in range(nodes)]
+    return np.array([
+        cmath.exp(-1j * k * w.theta0)
+        * sum(v * cmath.exp(-2j * math.pi * (j * k % nodes) / nodes) for j, v in enumerate(vals))
+        / nodes
+        for k in range(K + 1)
+    ])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.floats(0.1, 2.0),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 1.0),
+    st.floats(0.5, 5.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([16, 32, 64]),
+    st.integers(0, 200),
+)
+def test_fft_moments_match_trapezoid_reference(a, beta, c, theta0, t, nodes, K):
+    # a von Mises bump plus a squared sine in theta and t; K >= nodes aliases
+    w = ACWeight.custom(
+        f"exp({a!r}*cos(theta - {beta!r})) + {c!r}*sin(2*theta + t)*sin(2*theta + t)", theta0
+    )
+    ms = moments(Measure.of(w), t, K, nodes)
+    ref = _trapezoid_reference(w, t, K, nodes)
+    assert np.max(np.abs(ms.c[K:] - ref)) <= 1e-13 * ref[0].real
+    assert np.array_equal(ms.c[:K], np.conj(ms.c[K + 1:][::-1]))
 
 
 def test_custom_weight_quadrature():

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from popuc.dynamics import ZeroPolicy, solve_at
+from popuc.expressions import Neg
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import (
     DegenerateMeasureError,
@@ -221,3 +223,45 @@ def test_popuc_zeros_for_two_b_strictly_interlace(case, arg_b, delta):
     labels = np.repeat([0, 1], n + 1)[np.argsort(merged)]
     assert np.all(labels[1:] != labels[:-1])
     assert np.all(np.diff(np.sort(merged)) > 0)
+
+
+def _popuc_zeros(m, n, b):
+    p = build_popuc(gram_opuc(moments(m, 0.0, n + 1), n)[n], b)
+    return p, zeros_on_circle(p)
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi))
+def test_popuc_is_self_reversed_up_to_minus_b(case, arg_b):
+    # P = z Q_n - conj(b) Q_n* has P* = Q_n* - b z Q_n = -b P
+    m, n = case
+    b = np.exp(1j * arg_b)
+    p, _ = _popuc_zeros(m, n, b)
+    coeffs = p.poly.coeffs
+    assert np.linalg.norm(reversed_poly(coeffs) + b * coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi))
+def test_popuc_zeros_are_unimodular_and_simple(case, arg_b):
+    m, n = case
+    _, zs = _popuc_zeros(m, n, np.exp(1j * arg_b))
+    assert len(zs) == n + 1
+    assert zs.min_gap > 0
+    assert zs.pre_projection_deviation <= 1e-9
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi))
+def test_conjugate_measure_and_b_conjugate_the_zeros(case, arg_b):
+    # mu(-theta) has masses at -omega_j and, for Bernstein-Szego, conj(lambda)
+    m, n = case
+    mirrored = Measure.of(
+        replace(m.ac, lam=np.conj(m.ac.lam)),
+        [MassPoint(mp.gamma, Neg(mp.omega)) for mp in m.masses],
+    )
+    b = np.exp(1j * arg_b)
+    _, zs = _popuc_zeros(m, n, b)
+    _, conj_zs = _popuc_zeros(mirrored, n, np.conj(b))
+    for phase in -zs.phases:
+        assert np.min(np.abs(np.angle(np.exp(1j * (conj_zs.phases - phase))))) <= 1e-9

@@ -1,12 +1,15 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from popuc.dynamics import ZeroPolicy, solve_at
+from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap
 from popuc.predicates import (
+    NONNEG_TOL,
+    STRICT_TOL,
     MotionContext,
     PredicateError,
     motion_context,
@@ -19,6 +22,7 @@ from popuc.predicates import (
     w_discrete,
     w_mixed,
 )
+from popuc.scenarios import scenario_config
 
 
 def _context(phases, fixed, tracked, gammas=(), omegas=(), dgammas=(), domegas=(), f=None):
@@ -123,7 +127,7 @@ def test_w_mixed_reduces_to_discrete_without_ac():
 
 
 def test_w_continuous_vanishes_for_constant_f():
-    ctx = _context([0.5, 2.0], fixed=0, tracked=1, f=lambda th: 0.25)
+    ctx = _context([0.5, 2.0], fixed=0, tracked=1, f=lambda th: np.full(np.shape(th), 0.25))
     assert w_continuous(4.0, ctx) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -204,7 +208,7 @@ def test_verdict_t23_requires_monotone_f():
     ctx = _context(
         [0.5, 2.0], fixed=0, tracked=1,
         gammas=[1.0], omegas=[4.0], dgammas=[2.0], domegas=[0.0],
-        f=math.cos,  # not monotone over the period
+        f=np.cos,  # not monotone over the period
     )
     rep = verdict(ctx, "t23")
     assert rep.verdict != "CCW"
@@ -227,3 +231,88 @@ def test_report_json_round_trip():
     assert obj["theorem"] == "t21"
     assert isinstance(obj["w_masses"], list)
     assert obj["tracked_phase"] == pytest.approx(2.0)
+
+
+def _scalar_t23_verdict(ctx):
+    """Reference t23 verdict: f and s evaluated node by node on scalars.
+
+    Returns (label, flags, w_continuous_min, w_continuous_max, scale)."""
+    if ctx.collisions():
+        return "Inconclusive", ("collision",), 0.0, 0.0, 0.0
+    try:
+        w_masses = np.array([w_mixed(j, ctx) for j in range(len(ctx.gammas))])
+    except PredicateError:
+        return "Inconclusive", ("pole",), 0.0, 0.0, 0.0
+    phi, theta0 = ctx.phi, ctx.theta0
+
+    def f(theta):
+        return float(ctx.f_theta(float(theta)))
+
+    def s(theta):
+        return math.sin(0.5 * (phi - theta0)) / (
+            2.0 * math.sin(0.5 * (phi - theta)) * math.sin(0.5 * (theta0 - theta))
+        )
+
+    f_phi = f(phi)
+    wc = [
+        s(th) * (f(th) - f_phi)
+        for th in ctx.ac_nodes
+        if circular_gap(th, phi) > 1e-9 and circular_gap(th, theta0) > 1e-9
+    ]
+    wc_min, wc_max = (min(wc), max(wc)) if wc else (0.0, 0.0)
+    values = np.array([f(th) for th in ctx.ac_nodes])
+    tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
+    nondecreasing = all(b - a >= -tol for a, b in zip(values, values[1:]))
+    nonincreasing = all(b - a <= tol for a, b in zip(values, values[1:]))
+    flags = [] if nondecreasing else ["f_not_nondecreasing"]
+    scale = float(np.max(np.abs(w_masses), initial=0.0)) + max(abs(wc_min), abs(wc_max))
+    if np.all(np.abs(w_masses) <= NONNEG_TOL) and max(abs(wc_min), abs(wc_max)) <= NONNEG_TOL:
+        label = "Stationary"
+    elif (
+        np.all(w_masses >= -NONNEG_TOL * scale)
+        and (max(w_masses, default=0.0) > STRICT_TOL * scale or wc_max > STRICT_TOL * scale)
+        and nondecreasing
+    ):
+        label = "CCW"
+    elif (
+        np.all(w_masses <= NONNEG_TOL * scale)
+        and (min(w_masses, default=0.0) < -STRICT_TOL * scale or wc_min < -STRICT_TOL * scale)
+        and nonincreasing
+    ):
+        label = "CW"
+        flags.append("mirrored")
+    else:
+        label = "Inconclusive"
+    return label, tuple(flags), wc_min, wc_max, scale
+
+
+CUSTOM_WEIGHTS = {
+    # the Bernstein-Szego weight with lambda = -i/3 as an expression whose
+    # scale grows with t: f is constant in theta
+    "custom_scale": "(1 - 1/9)*(1 + 0.5*t)/(1 - 2/3*cos(theta - pi/2) + 1/9)",
+    # f = cos(theta - 1), not monotone
+    "custom_cos": "exp(t*cos(theta - 1))",
+}
+
+
+@pytest.mark.parametrize("name", ["bs_mass_gamma", "bs_mass_omega", *CUSTOM_WEIGHTS])
+def test_array_t23_verdict_matches_scalar_reference(name):
+    if name in CUSTOM_WEIGHTS:
+        m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS[name]), [MassPoint.of("t", "2*pi/3")])
+        cfg = SweepConfig(m, 5, 0.5, 1.0, 4, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=1024)
+    else:
+        cfg = replace(scenario_config(name), steps=20)
+    traj = sweep(cfg)
+    checked = 0
+    for t, zs in zip(traj.ts, traj.zero_sets):
+        for k in range(len(zs)):
+            if k == zs.fixed_index:
+                continue
+            ctx = motion_context(cfg.measure, zs.with_markers(zs.fixed_index, k), float(t))
+            rep = verdict(ctx, "t23")
+            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
+            assert (rep.verdict, rep.flags) == (label, flags)
+            assert abs(rep.w_continuous_min - wc_min) <= 1e-12 * scale
+            assert abs(rep.w_continuous_max - wc_max) <= 1e-12 * scale
+            checked += 1
+    assert checked == len(traj.ts) * (cfg.degree - 1)
