@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .expressions import Expr, evaluate, free_vars, parse, to_source
+from .expressions import Expr, differentiate, evaluate, free_vars, parse, to_source
 
 __all__ = [
     "MassPoint",
@@ -80,6 +81,11 @@ class MassPoint:
     def of(cls, gamma: Expr | str | float, omega: Expr | str | float) -> "MassPoint":
         return cls(_as_expr(gamma), _as_expr(omega))
 
+    @cached_property
+    def d_dt(self) -> tuple[Expr, Expr]:
+        """(d gamma/dt, d omega/dt), differentiated once per mass."""
+        return differentiate(self.gamma, "t"), differentiate(self.omega, "t")
+
 
 @dataclass(frozen=True)
 class ACWeight:
@@ -123,6 +129,12 @@ class ACWeight:
     @classmethod
     def custom(cls, weight: Expr | str, theta0: float = 0.0) -> "ACWeight":
         return cls("custom", weight=_as_expr(weight), theta0=theta0)
+
+    @cached_property
+    def d_dt(self) -> Expr | None:
+        """d/dt of the scale (the weight for ``custom``; None for ``none``), built once."""
+        expr = self.weight if self.kind == "custom" else self.scale
+        return None if expr is None else differentiate(expr, "t")
 
     def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
         """The density w(theta; t) against dtheta/2pi, as an array of the

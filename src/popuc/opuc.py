@@ -31,13 +31,19 @@ class DegenerateMeasureError(ValueError):
 
 
 def polyval(coeffs: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
-    """Horner evaluation of an ascending coefficient array."""
-    result = np.zeros_like(np.asarray(z, dtype=complex))
-    for c in np.asarray(coeffs)[::-1]:
-        result = result * z + c
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return complex(result)
-    return result
+    """Value at ``z`` (a complex for a 0-d ``z``) of an ascending coefficient array
+    or of each row of a stack of them: the coefficients times one table of powers
+    of ``z``, filled by doubling (rows k..2k-1 are rows 0..k-1 times z^k)."""
+    z = np.asarray(z, dtype=complex)
+    n = np.shape(coeffs)[-1]
+    table = np.empty((n, z.size), dtype=complex)
+    table[:1] = 1.0
+    k, z_k = 1, z.reshape(-1)
+    while k < n:
+        np.multiply(table[: min(k, n - k)], z_k, out=table[k : 2 * k])
+        k, z_k = 2 * k, z_k * z_k
+    result = (coeffs @ table).reshape(np.shape(coeffs)[:-1] + z.shape)
+    return complex(result) if result.ndim == 0 else result
 
 
 @dataclass(frozen=True)

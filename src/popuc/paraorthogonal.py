@@ -1,9 +1,9 @@
 """POPUC construction and unit-circle zero finding.
 
 P(z) = z Q_n(z) - conj(b) Q_n*(z) with |b| = 1.  All zeros of a valid
-POPUC lie on the unit circle and are simple; they are located by
-Aberth-Ehrlich simultaneous iteration with a Newton polish, then projected
-to exact modulus one.
+POPUC lie on the unit circle and are simple; they are located by Aberth-
+Ehrlich iteration (P and P' from one table of powers per sweep) with a Newton
+polish, projected to modulus one and sorted into [theta_ref, theta_ref + 2 pi).
 """
 from __future__ import annotations
 
@@ -28,6 +28,9 @@ __all__ = [
 UNIMODULAR_TOL = 1e-12
 MODULUS_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
+WRAP_TOL = 1e-12
+MAX_SWEEPS = 200  # Aberth-Ehrlich sweep cap
+STEP_TOL = 1e-14  # the sweeps end once every step is below STEP_TOL * max(1, max|z|)
 
 
 class RootFindingError(RuntimeError):
@@ -104,31 +107,28 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     """
     if abs(abs(xi) - 1.0) > UNIMODULAR_TOL:
         raise ValueError(f"|xi| = {abs(xi)} is off the unit circle")
-    qs = polyval(reversed_poly(q.coeffs), xi)
+    q_xi, qs = polyval(np.stack([q.coeffs, reversed_poly(q.coeffs)]), xi)
     if abs(qs) < 1e-14:
         raise ValueError("reversed polynomial vanishes at xi (degenerate input)")
-    b = np.conj(xi) * np.conj(q(xi)) / np.conj(qs)
+    b = np.conj(xi) * np.conj(q_xi) / np.conj(qs)
     return complex(b / abs(b))
 
 
-def aberth_roots(
-    coeffs: np.ndarray, max_sweeps: int = 200, tol: float = 1e-14
-) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of the polynomial by Aberth-Ehrlich simultaneous iteration.
 
     Initial guesses sit equispaced on the unit circle, offset by half a slot
-    (ideal for zeros that are themselves on the circle).
+    (ideal for zeros that are themselves on the circle).  P and P', padded
+    to one length and stacked, come from one table of powers per sweep.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
     if m < 1:
         return np.array([], dtype=complex)
-    deriv = coeffs[1:] * np.arange(1, m + 1)
+    pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m))
-    scale = np.max(np.abs(coeffs))
-    for _ in range(max_sweeps):
-        p = polyval(coeffs, z)
-        dp = polyval(deriv, z)
+    for _ in range(MAX_SWEEPS):
+        p, dp = polyval(pair, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
         diff = z[:, None] - z[None, :]
@@ -137,15 +137,14 @@ def aberth_roots(
         denom = 1.0 - ratio * repulsion
         step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
         z = z - step
-        if np.max(np.abs(step)) < tol * max(1.0, np.max(np.abs(z))):
+        if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
             break
     else:
-        if np.max(np.abs(polyval(coeffs, z))) > 1e-8 * scale:
+        if np.max(np.abs(polyval(coeffs, z))) > 1e-8 * np.max(np.abs(coeffs)):
             raise RootFindingError("Aberth-Ehrlich iteration did not converge")
     # Newton polish
     for _ in range(3):
-        p = polyval(coeffs, z)
-        dp = polyval(deriv, z)
+        p, dp = polyval(pair, z)
         z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
     return z
 
@@ -164,11 +163,10 @@ def zeros_on_circle(p: PopucInstance, theta_ref: float = -math.pi) -> ZeroSet:
         raise RootFindingError(
             f"root modulus deviates {deviation:.3e} from 1; input is not a POPUC"
         )
-    phases = np.angle(roots)
-    # reduce into [theta_ref, theta_ref + 2 pi)
-    phases = theta_ref + np.mod(phases - theta_ref, 2.0 * math.pi)
-    order = np.argsort(phases)
-    phases = phases[order]
+    # reduce into [theta_ref, theta_ref + 2 pi); a zero less than WRAP_TOL below
+    # theta_ref + 2 pi is the zero at theta_ref (a pinned xi found an ulp low)
+    offsets = np.mod(np.angle(roots) - theta_ref, 2.0 * math.pi)
+    phases = theta_ref + np.sort(np.where(offsets > 2.0 * math.pi - WRAP_TOL, 0.0, offsets))
     scale = float(np.max(np.abs(coeffs)))
     residuals = np.abs(polyval(coeffs, np.exp(1j * phases)))
     if np.max(residuals) > RESIDUAL_TOL * scale:

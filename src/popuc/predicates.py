@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expressions import differentiate, evaluate
+from .expressions import evaluate
 from .measures import ANGLE_TOL, Measure, circular_gap, theta_grid
 from .paraorthogonal import ZeroSet
 
@@ -116,13 +116,11 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarra
     if ac.kind == "none":
         return None
     if ac.kind in ("lebesgue", "bernstein_szego"):
-        dscale = differentiate(ac.scale, "t")
         s = evaluate(ac.scale, {"t": t})
         if s <= 0:
             raise PredicateError(f"AC scale {s} not positive at t={t}")
-        value = evaluate(dscale, {"t": t}) / s
+        value = evaluate(ac.d_dt, {"t": t}) / s
         return lambda theta: np.full(np.shape(theta), value)
-    dw = differentiate(ac.weight, "t")
 
     def f(theta: np.ndarray) -> np.ndarray:
         bindings = {"theta": theta, "t": t}
@@ -131,7 +129,7 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarra
         if np.any(vanishing):
             bad = np.broadcast_to(theta, w.shape)[vanishing]
             raise PredicateError(f"weight vanishes at theta={float(bad[0])!r}")
-        return evaluate(dw, bindings) / w
+        return evaluate(ac.d_dt, bindings) / w
 
     return f
 
@@ -142,17 +140,13 @@ def motion_context(
     """Assemble a :class:`MotionContext` from a measure and a marked zero set.
 
     Mass derivative data comes from exact symbolic differentiation of the
-    gamma/omega expressions.
+    gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
     """
     if zs.fixed_index is None or zs.tracked_index is None:
         raise PredicateError("zero set must carry fixed and tracked markers")
     gam, om = m.mass_values(t)
-    dgam = np.array(
-        [evaluate(differentiate(mp.gamma, "t"), {"t": t}) for mp in m.masses]
-    )
-    dom = np.array(
-        [evaluate(differentiate(mp.omega, "t"), {"t": t}) for mp in m.masses]
-    )
+    dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
+    dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
     grid = theta_grid(zs.phases[zs.fixed_index], nodes, midpoint=True)
     return MotionContext(
         phases=zs.phases,

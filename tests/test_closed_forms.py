@@ -7,7 +7,8 @@ import pytest
 from popuc.closed_forms import bs_mass_opuc, lebesgue_mass_popuc, w0_bs, w0_lebesgue
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import gram_opuc
-from popuc.paraorthogonal import build_popuc, zeros_on_circle
+from popuc.dynamics import ZeroPolicy, solve_at
+from popuc.paraorthogonal import build_popuc, fix_zero_param, zeros_on_circle
 
 
 def test_bs_mass_gamma_zero_reduces_to_pure_bs():
@@ -30,6 +31,22 @@ def test_bs_mass_matches_pipeline():
         fam = gram_opuc(moments(m, 0.0, n + 2), n)
         oracle = bs_mass_opuc(n, lam, gamma, omega)
         assert np.max(np.abs(fam[n].coeffs - oracle.coeffs)) < 1e-10
+
+
+@pytest.mark.parametrize("degree", [40, 80, 120])
+def test_high_degree_zeros_are_zeros_of_the_closed_form(degree):
+    # the gates of verify's zeros check, on the closed-form POPUC
+    lam, gamma, omega, xi = 0.4 * cmath.exp(2.1j), 0.7, 2.5, 1j
+    m = Measure.of(ACWeight.bernstein_szego(lam), [MassPoint.of(gamma, omega)])
+    zs = solve_at(m, degree, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
+    q = bs_mass_opuc(degree - 1, lam, gamma, omega)
+    oracle = build_popuc(q, fix_zero_param(q, xi)).poly.coeffs
+    residual = np.abs(np.polyval(oracle[::-1], zs.zeros)) / np.max(np.abs(oracle))
+    assert len(zs) == degree
+    assert np.max(residual) <= 1e-9
+    assert zs.pre_projection_deviation <= 1e-9
+    assert zs.min_gap > 1e-6
+    assert zs.fixed_index == 0 and abs(zs.phases[0] - math.pi / 2) <= 1e-12
 
 
 def test_bs_mass_rejects_bad_inputs():

@@ -65,6 +65,14 @@ def test_solve_at_marks_fixed_zero():
     assert zs.fixed_index == 0
 
 
+def test_pinned_zero_found_below_arg_xi_is_index_zero():
+    # the computed pinned zero used to sit an ulp below arg xi and wrap to index 7
+    m = Measure.of(ACWeight.lebesgue("1"), [])
+    zs = solve_at(m, 8, ZeroPolicy.fixed_xi(cmath.exp(-1j * math.pi / 12)), 0.0).zero_set
+    assert zs.fixed_index == 0
+    assert abs(zs.phases[0] + math.pi / 12) <= 1e-12
+
+
 def test_solve_at_fixed_b_has_no_marker():
     st = solve_at(DISCRETE, 4, ZeroPolicy.fixed_b(1.0 + 0j), 0.0)
     assert st.zero_set.fixed_index is None

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -58,6 +59,46 @@ def test_polyval_horner():
     assert polyval(coeffs, z) == pytest.approx(1 - 2 * z + 3 * z * z)
     zz = np.array([1.0, 1j])
     assert np.allclose(polyval(coeffs, zz), 1 - 2 * zz + 3 * zz * zz)
+
+
+def _horner(coeffs, z):
+    result = 0j
+    for c in coeffs[::-1]:
+        result = result * z + c
+    return result
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 130),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.95, 1.05),
+)
+def test_polyval_matches_horner(degree, seed, arg, radius):
+    # both roundoff errors are below 2 (degree + 1) eps sum |c_k| |z|^k
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    z = radius * cmath.exp(1j * arg)
+    bound = 4 * (degree + 1) * np.finfo(float).eps * _horner(np.abs(coeffs), abs(z)).real
+    assert abs(polyval(coeffs, z) - _horner(coeffs, z)) <= bound
+
+
+def test_polyval_shapes():
+    coeffs = np.array([1.0, -2.0, 3.0, 0.5j])
+    for z in (0.3 + 0.8j, 2.0, 1, np.complex128(1j), np.array(0.5 - 0.5j)):
+        value = polyval(coeffs, z)
+        assert type(value) is complex
+        assert value == pytest.approx(_horner(coeffs, complex(z)), abs=1e-14)
+    zz = np.exp(1j * np.linspace(0, 6, 24)).reshape(2, 3, 4)
+    values = polyval(coeffs, zz)
+    assert values.shape == zz.shape
+    assert np.allclose(values, np.vectorize(lambda z: _horner(coeffs, z))(zz), atol=1e-14)
+    # each row of a coefficient stack is evaluated on its own
+    stack = polyval(np.stack([coeffs, 2 * coeffs]), zz)
+    assert stack.shape == (2,) + zz.shape
+    assert np.array_equal(stack[0], values)
+    assert polyval([], zz).shape == zz.shape
 
 
 def test_reversed_poly_on_circle():
@@ -265,3 +306,14 @@ def test_conjugate_measure_and_b_conjugate_the_zeros(case, arg_b):
     _, conj_zs = _popuc_zeros(mirrored, n, np.conj(b))
     for phase in -zs.phases:
         assert np.min(np.abs(np.angle(np.exp(1j * (conj_zs.phases - phase))))) <= 1e-9
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(-math.pi, math.pi))
+def test_pinned_zero_is_index_zero_at_arg_xi(case, arg_xi):
+    # the fixed_xi window starts at arg xi, so the pinned zero never wraps to the end
+    m, n = case
+    xi = cmath.exp(1j * arg_xi)
+    zs = solve_at(m, n + 1, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
+    assert zs.fixed_index == 0
+    assert abs(zs.phases[0] - cmath.phase(xi)) <= 1e-12

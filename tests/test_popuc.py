@@ -111,6 +111,19 @@ def test_aberth_on_known_roots():
     assert np.max(np.abs(roots - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 99, 119, 120])
+def test_aberth_recovers_roots_of_unimodular_c(n):
+    # z^n - c with |c| = 1: the n-th roots of c; every coefficient but two is zero
+    c = cmath.exp(1j * (0.3 + n))
+    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs[0], coeffs[n] = -c, 1.0
+    roots = aberth_roots(coeffs)
+    expected = np.exp(1j * (cmath.phase(c) + 2 * math.pi * np.arange(n)) / n)
+    dist = np.abs(roots[:, None] - expected[None, :])
+    assert np.max(np.min(dist, axis=0)) <= 1e-13
+    assert len(set(np.argmin(dist, axis=1).tolist())) == n
+
+
 def test_zeros_match_bisection_oracle():
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -134,6 +147,22 @@ def test_zero_set_window_and_sorting():
     assert np.all(zs.phases < ref + 2 * math.pi)
     assert np.all(np.diff(zs.phases) > 0)
     assert len(zs) == 5
+
+
+def test_zero_just_below_window_start_is_the_zero_at_theta_ref():
+    # z^8 - conj(b): a window starting a few ulps above a zero's computed
+    # phase puts that zero first at theta_ref, not last at theta_ref + 2 pi
+    p = build_popuc(MonicPoly(np.array([0, 0, 0, 0, 0, 0, 0, 1.0])), cmath.exp(0.4j))
+    for raw in np.angle(aberth_roots(p.poly.coeffs)):
+        for ulps in (1, 3, 64):
+            ref = raw + ulps * np.spacing(abs(raw))
+            zs = zeros_on_circle(p, theta_ref=ref)
+            assert zs.phases[0] == ref
+            assert np.all(np.diff(zs.phases) > 0.5)
+            assert zs.phases[-1] < ref + 2 * math.pi
+        # a zero further below the start than roundoff stays at the end of the window
+        zs = zeros_on_circle(p, theta_ref=raw + 1e-9)
+        assert zs.phases[-1] == pytest.approx(raw + 2 * math.pi, abs=1e-14)
 
 
 def test_zero_set_helpers():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from popuc import measures
 from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap
 from popuc.predicates import (
@@ -142,6 +143,22 @@ def test_motion_context_from_pipeline():
     assert ctx.dgammas[0] == pytest.approx(1.0)
     assert ctx.domegas[0] == pytest.approx(0.0)
     # f = d/dt log(1-t) at t = 0.4
+    assert ctx.f_at_phi == pytest.approx(-1.0 / 0.6, abs=1e-12)
+
+
+def test_motion_context_differentiates_each_expression_once(monkeypatch):
+    calls = []
+    real = measures.differentiate
+    monkeypatch.setattr(measures, "differentiate", lambda e, v: calls.append(e) or real(e, v))
+    m = Measure.of(
+        ACWeight.lebesgue("1 - t"), [MassPoint.of("t", "0"), MassPoint.of("0.5", "2 + 0.3*t")]
+    )
+    zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
+    for tracked in (1, 2, 3):
+        ctx = motion_context(m, zs.with_markers(zs.fixed_index, tracked), 0.4)
+    # d/dt of two gammas, two omegas and the Lebesgue scale, once each
+    assert len(calls) == 5
+    assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
     assert ctx.f_at_phi == pytest.approx(-1.0 / 0.6, abs=1e-12)
 
 
