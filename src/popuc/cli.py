@@ -25,10 +25,11 @@ from .dynamics import (
     sweep_verdicts,
 )
 from .expressions import ExprError
-from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, moments, validate
+from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, moments
 from .opuc import DegenerateMeasureError, gram_opuc
 from .paraorthogonal import RootFindingError
-from .scenarios import SCENARIOS, scenario_config, scenario_json
+from .predicates import THEOREMS
+from .scenarios import SCENARIOS, scenario_json
 from .verify import CHECKS, run_checks
 
 EXIT_OK = 0
@@ -77,7 +78,7 @@ def _load_config(args) -> SweepConfig:
     with open(args.config) as fh:
         obj = json.load(fh)
     measure = Measure.from_json(obj["measure"])
-    degree = int(args.degree or obj.get("degree", 5))
+    degree = int(args.degree if args.degree is not None else obj.get("degree", 5))
     grid = obj.get("grid", {})
     if args.grid:
         start_s, stop_s, steps_s = args.grid.split(":")
@@ -114,14 +115,7 @@ def _dump_json(obj, out: str | None) -> None:
 
 
 def cmd_moments(args) -> int:
-    m = _load_measure(args.config)
-    nodes = _nodes(args)
-    diags = validate(m, args.t)
-    if diags:
-        for d in diags:
-            print(f"validation: {d.code}: {d.message}", file=sys.stderr)
-        return EXIT_CONFIG
-    ms = moments(m, args.t, args.order, nodes)
+    ms = moments(_load_measure(args.config), args.t, args.order, _nodes(args))
     payload = {
         "t": args.t,
         "K": args.order,
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--b", type=_complex_pair, default=None, metavar="RE,IM")
     p.add_argument("--fix-zero", type=_complex_pair, default=None, metavar="RE,IM")
-    p.add_argument("--theorem", choices=["t21", "t22", "t23"], default=None)
+    p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--verdicts-out", default=None, help="verdict JSON path")
     p.set_defaults(func=cmd_sweep)
 

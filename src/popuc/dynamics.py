@@ -32,13 +32,12 @@ from .paraorthogonal import (
     zeros_on_circle,
 )
 from .predicates import (
+    THEOREMS,
     PredicateError,
     VerdictReport,
+    mass_functionals,
     motion_context,
     verdict,
-    w_conjugate,
-    w_discrete,
-    w_mixed,
 )
 
 __all__ = [
@@ -105,6 +104,8 @@ class SweepConfig:
             raise ValueError("POPUC degree must be at least 2")
         if self.nodes < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {self.nodes}")
+        if self.theorem not in THEOREMS:
+            raise ValueError(f"unknown theorem selector {self.theorem!r}")
         spacing = abs(self.t_stop - self.t_start) / (self.steps - 1)
         if self.h > spacing / 2:
             raise ValueError("finite-difference step h must be <= grid spacing / 2")
@@ -125,37 +126,24 @@ class PipelineState:
 
 
 def solve_at(
-    m: Measure,
-    degree: int,
-    policy: ZeroPolicy,
-    t: float,
-    nodes: int = DEFAULT_NODES,
-    moment_order: int | None = None,
+    m: Measure, degree: int, policy: ZeroPolicy, t: float, nodes: int = DEFAULT_NODES
 ) -> PipelineState:
     """Run moments -> OPUC -> b -> POPUC -> zeros at a single t.
 
     Under the fixed_xi policy the zero window starts at the fixed zero's
     phase and ``fixed_index`` is marked (it is always index 0 there).
     """
-    n = degree - 1
-    K = moment_order if moment_order is not None else 2 * degree + 2
-    ms = moments(m, t, K, nodes)
-    family = gram_opuc(ms, n)
-    q = family[n]
+    ms = moments(m, t, 2 * degree + 2, nodes)
+    family = gram_opuc(ms, degree - 1)
+    q = family[degree - 1]
     if policy.kind == "fixed_xi":
-        b = fix_zero_param(q, policy.value)
+        popuc = build_popuc(q, fix_zero_param(q, policy.value))
         theta_ref = cmath.phase(policy.value)
+        zs = zeros_on_circle(popuc, theta_ref)
+        zs = zs.with_markers(fixed_index=zs.nearest_index(theta_ref))
     else:
-        b = policy.value
-        theta_ref = -math.pi
-    p = build_popuc(q, b)
-    if policy.kind == "fixed_xi":
-        popuc = PopucInstance(p.poly, p.b, p.source_degree, policy.value)
-    else:
-        popuc = p
-    zs = zeros_on_circle(popuc, theta_ref)
-    if policy.kind == "fixed_xi":
-        zs = zs.with_markers(fixed_index=zs.nearest_index(cmath.phase(policy.value)))
+        popuc = build_popuc(q, policy.value)
+        zs = zeros_on_circle(popuc)
     return PipelineState(t=t, ms=ms, family=family, popuc=popuc, zero_set=zs)
 
 
@@ -187,12 +175,10 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    perm = np.empty(m, dtype=int)
-    jumps = np.empty(m)
-    for k in range(m):
-        d = np.abs(np.angle(np.exp(1j * (new_set.phases - prev_phases[k]))))
-        perm[k] = int(np.argmin(d))
-        jumps[k] = d[perm[k]]
+    # d[k, i]: circular distance from chain k to new zero i
+    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
+    perm = np.argmin(d, axis=1)
+    jumps = d[np.arange(m), perm]
     if len(set(perm.tolist())) != m:
         raise TrackingError(f"ambiguous zero matching at t={t}")
     if np.max(jumps) >= min_gap / 2:
@@ -296,9 +282,7 @@ def _ac_quadrature(measure: Measure, t: float, integrand, nodes: int) -> float:
     return float(np.sum(integrand(thetas) * measure.ac.density(thetas, t))) / nodes
 
 
-def _c_integral(
-    measure: Measure, ms: MomentSequence, popuc: PopucInstance, zeta: complex
-) -> float:
+def _c_integral(ms: MomentSequence, popuc: PopucInstance, zeta: complex) -> float:
     """C-type integral int |P/(e^{i theta} - zeta)|^2 dmu over the full measure."""
     d = deflate(popuc.poly.coeffs, zeta)
     return float(inner_product(d, d, ms).real)
@@ -337,15 +321,12 @@ def balance_check(
     zeta = complex(np.exp(1j * ctx.phi))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
-
+    rhs = float(np.sum(mass_functionals(ctx, theorem) * pvals_at_masses))
+    C = _c_integral(state.ms, p, zeta)
     if theorem == "t22":
-        C = _c_integral(m, state.ms, p, zeta) + _c_integral(m, state.ms, p, np.conj(zeta))
-        w = np.array([w_conjugate(j, ctx) for j in range(len(ctx.gammas))])
-        rhs = 2.0 * math.sin(ctx.phi) * float(np.sum(w * pvals_at_masses))
+        C += _c_integral(state.ms, p, np.conj(zeta))
+        rhs *= 2.0 * math.sin(ctx.phi)
     elif theorem == "t23":
-        C = _c_integral(m, state.ms, p, zeta)
-        w = np.array([w_mixed(j, ctx) for j in range(len(ctx.gammas))])
-        rhs = float(np.sum(w * pvals_at_masses))
         xi = complex(np.exp(1j * ctx.theta0))
         # s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] with
         # D2 = P/((z-xi)(z-zeta)); smooth through both poles
@@ -358,10 +339,6 @@ def balance_check(
             return s_p2 * (ctx.f_theta(th) - ctx.f_at_phi)
 
         rhs += _ac_quadrature(m, t, integrand, min(nodes, 2048))
-    else:
-        C = _c_integral(m, state.ms, p, zeta)
-        w = np.array([w_discrete(j, ctx) for j in range(len(ctx.gammas))])
-        rhs = float(np.sum(w * pvals_at_masses))
 
     dphi = tracked_velocity(m, degree, policy, t, ctx.phi, h, nodes)
     lhs = C * dphi

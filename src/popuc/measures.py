@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .expressions import Expr, differentiate, evaluate, free_vars, parse, to_source
+from .expressions import Expr, differentiate, evaluate, parse, to_source
 
 __all__ = [
     "MassPoint",
@@ -25,7 +25,6 @@ __all__ = [
     "MeasureError",
     "moments",
     "quadrature_moment",
-    "validate",
     "circular_gap",
     "theta_grid",
     "DEFAULT_NODES",
@@ -242,31 +241,38 @@ def quadrature_moment(w: ACWeight, t: float, K: int, nodes: int = DEFAULT_NODES)
     starting at ``w.theta0``, and every value comes from one FFT:
     c_k = e^{-ik theta0} fft(w)[k mod nodes] / nodes.  Orders k >= nodes alias
     exactly as the trapezoid rule aliases them.  For smooth periodic
-    integrands the convergence is spectral.
+    integrands the convergence is spectral.  A non-finite or negative value
+    at any node raises :class:`MeasureError`.
     """
     thetas = theta_grid(w.theta0, nodes)
     vals = w.density(thetas, t)
     if not np.all(np.isfinite(vals)):
         raise MeasureError("weight evaluates non-finite at a quadrature node")
+    if np.any(vals < 0):
+        raise MeasureError(f"weight is negative at a quadrature node at t={t}")
     k = np.arange(K + 1)
     return np.fft.fft(vals)[k % nodes] * np.exp(-1j * k * w.theta0) / nodes
 
 
 def _ac_moments(ac: ACWeight, t: float, K: int, nodes: int) -> np.ndarray:
-    """c_0..c_K of the absolutely continuous part."""
+    """c_0..c_K of the absolutely continuous part; a density negative
+    anywhere (for the closed forms, a negative scale) is rejected."""
     if ac.kind == "custom":
         return quadrature_moment(ac, t, K, nodes)
-    c = np.zeros(K + 1, dtype=complex)
-    if ac.kind == "lebesgue":
-        c[0] = evaluate(ac.scale, {"t": t})
-    elif ac.kind == "bernstein_szego":
-        # geometric moments of the Poisson-kernel (squared-modulus) weight
-        c[:] = evaluate(ac.scale, {"t": t}) * ac.lam ** np.arange(K + 1)
-    return c
+    if ac.kind == "none":
+        return np.zeros(K + 1, dtype=complex)
+    s = evaluate(ac.scale, {"t": t})
+    if s < 0:
+        raise MeasureError(f"AC density is negative: scale {s} at t={t}")
+    # geometric moments of the Poisson-kernel (squared-modulus) weight;
+    # lebesgue is its lam = 0 case, with c_0 = s and c_k = 0 for k > 0
+    return s * ac.lam ** np.arange(K + 1)
 
 
 def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentSequence:
-    """Moments c_k, k = -K..K, of ``m`` at parameter value ``t``."""
+    """Moments c_k, k = -K..K, of ``m`` at parameter value ``t``.  This is the
+    one admissibility check: a negative or coincident mass, a negative density
+    or a total mass that is not positive raises :class:`MeasureError`."""
     if K < 0:
         raise MeasureError("K must be nonnegative")
     gam, om = m.mass_values(t)
@@ -277,39 +283,3 @@ def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentS
     if c[K].real <= 0:
         raise MeasureError(f"total mass {c[K].real} is not positive at t={t}")
     return MomentSequence(t=t, K=K, c=c)
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-
-
-def validate(m: Measure, t: float, nodes: int = 256) -> list[Diagnostic]:
-    """Pure report of measure defects at ``t``: negative weights, coincident
-    masses, negative AC density at quadrature nodes, vanishing total mass."""
-    report: list[Diagnostic] = []
-    gam = []
-    om = []
-    for idx, mass in enumerate(m.masses):
-        g = evaluate(mass.gamma, {"t": t})
-        w = evaluate(mass.omega, {"t": t})
-        gam.append(g)
-        om.append(w)
-        if g < 0:
-            report.append(Diagnostic("negative_mass", f"gamma_{idx}({t}) = {g} < 0"))
-    for i in range(len(om)):
-        for j in range(i + 1, len(om)):
-            if circular_gap(om[i], om[j]) < ANGLE_TOL:
-                report.append(
-                    Diagnostic("coincident_masses", f"masses {i} and {j} coincide at t={t}")
-                )
-    total = float(sum(gam))
-    if m.ac.kind != "none":
-        dens = m.ac.density(theta_grid(m.ac.theta0, nodes), t)
-        if np.any(dens < 0):
-            report.append(Diagnostic("negative_weight", f"AC density negative at t={t}"))
-        total += float(np.mean(dens))
-    if total <= 0:
-        report.append(Diagnostic("vanishing_mass", f"total mass {total} at t={t}"))
-    return report

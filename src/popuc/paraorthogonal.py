@@ -43,8 +43,6 @@ class PopucInstance:
 
     poly: MonicPoly
     b: complex
-    source_degree: int
-    fixed_xi: complex | None = None
 
     @property
     def degree(self) -> int:
@@ -96,7 +94,7 @@ def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
     """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1: the Szego step with b for alpha_n."""
     if abs(abs(b) - 1.0) > UNIMODULAR_TOL:
         raise ValueError(f"|b| = {abs(b)} is off the unit circle")
-    return PopucInstance(MonicPoly(szego_step(q.coeffs, np.conj(b))), complex(b), q.degree)
+    return PopucInstance(MonicPoly(szego_step(q.coeffs, np.conj(b))), complex(b))
 
 
 def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
@@ -127,13 +125,14 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
         return np.array([], dtype=complex)
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m))
+    diff = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
     for _ in range(MAX_SWEEPS):
         p, dp = polyval(pair, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        diff = z[:, None] - z[None, :]
+        np.subtract(z[:, None], z[None, :], out=diff)
         np.fill_diagonal(diff, np.inf)
-        repulsion = np.sum(1.0 / diff, axis=1)
+        repulsion = np.sum(np.divide(1.0, diff, out=diff), axis=1)
         denom = 1.0 - ratio * repulsion
         step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
         z = z - step

@@ -37,6 +37,8 @@ __all__ = [
     "w_conjugate",
     "w_continuous",
     "w_mixed",
+    "THEOREMS",
+    "mass_functionals",
     "verdict",
 ]
 
@@ -86,25 +88,6 @@ class MotionContext:
                 if circular_gap(om, ph) < ANGLE_TOL:
                     hits.append((j, k))
         return hits
-
-    def flipped(self) -> "MotionContext":
-        """Same configuration with every derivative input sign-flipped."""
-        flipped_f = None
-        if self.f_theta is not None:
-            original = self.f_theta
-            flipped_f = lambda theta: -original(theta)  # noqa: E731
-        return MotionContext(
-            phases=self.phases,
-            fixed_index=self.fixed_index,
-            tracked_index=self.tracked_index,
-            gammas=self.gammas,
-            omegas=self.omegas,
-            dgammas=-self.dgammas,
-            domegas=-self.domegas,
-            t=self.t,
-            f_theta=flipped_f,
-            ac_nodes=self.ac_nodes,
-        )
 
 
 def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarray] | None:
@@ -247,6 +230,19 @@ def w_mixed(j: int, ctx: MotionContext) -> float:
     return value
 
 
+# the per-mass functional W_j of each regime
+_FUNCTIONALS = {"t21": w_discrete, "t22": w_conjugate, "t23": w_mixed}
+THEOREMS = tuple(_FUNCTIONALS)
+
+
+def mass_functionals(ctx: MotionContext, theorem: str) -> np.ndarray:
+    """W_j of the ``theorem``'s regime for every mass, as an array."""
+    if theorem not in _FUNCTIONALS:
+        raise ValueError(f"unknown theorem selector {theorem!r}")
+    functional = _FUNCTIONALS[theorem]
+    return np.array([functional(j, ctx) for j in range(len(ctx.gammas))])
+
+
 @dataclass(frozen=True)
 class VerdictReport:
     verdict: str  # CCW | CW | Stationary | Inconclusive
@@ -299,7 +295,7 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
     Inconclusive, with a ``mirrored`` flag when the clockwise (sign-flipped)
     criterion fired.
     """
-    if theorem not in ("t21", "t22", "t23"):
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
     flags: list[str] = []
     if ctx.collisions():
@@ -310,9 +306,8 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
         if not (0.0 < phi < math.pi) or abs(phi + partner) > 1e-8:
             return _inconclusive(ctx, theorem, ["non_conjugate_pair"])
 
-    functional = {"t21": w_discrete, "t22": w_conjugate, "t23": w_mixed}[theorem]
     try:
-        w_masses = np.array([functional(j, ctx) for j in range(len(ctx.gammas))])
+        w_masses = mass_functionals(ctx, theorem)
     except PredicateError:
         return _inconclusive(ctx, theorem, ["pole"])
 

@@ -17,13 +17,13 @@ from .closed_forms import bs_mass_opuc, lebesgue_mass_popuc, w0_bs, w0_lebesgue
 from .dynamics import (
     SweepConfig, TrackingError, ZeroPolicy, balance_check, fd_velocity, solve_at, sweep
 )
-from .expressions import differentiate, evaluate, parse
+from .expressions import ExprError, differentiate, evaluate
 from .measures import (
     ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments, theta_grid
 )
 from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, reversed_poly
 from .paraorthogonal import (
-    RootFindingError, build_popuc, deflate, fix_zero_param, zeros_on_circle
+    RootFindingError, build_popuc, deflate, zeros_on_circle
 )
 from .predicates import PredicateError, motion_context, s_factor, s_sum
 from .scenarios import scenario_config
@@ -80,11 +80,9 @@ def check_zero_quality() -> CheckResult:
             continue
         degree = int(rng.integers(2, max_deg + 1))
         b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        ms = moments(m, 0.0, 2 * degree + 2, nodes=1024)
-        fam = gram_opuc(ms, degree - 1)
-        p = build_popuc(fam[degree - 1], b)
-        zs = zeros_on_circle(p)
-        scale = float(np.max(np.abs(p.poly.coeffs)))
+        st = solve_at(m, degree, ZeroPolicy.fixed_b(b), 0.0, nodes=1024)
+        zs = st.zero_set
+        scale = float(np.max(np.abs(st.popuc.poly.coeffs)))
         worst_dev = max(worst_dev, zs.pre_projection_deviation)
         worst_res = max(worst_res, float(np.max(zs.residuals)) / scale)
         worst_gap = min(worst_gap, zs.min_gap)
@@ -454,7 +452,7 @@ def check_expressions() -> CheckResult:
             h = 1e-6
             fd = (evaluate(e, {"t": t + h}) - evaluate(e, {"t": t - h})) / (2 * h)
             sym = evaluate(d, {"t": t})
-        except Exception:
+        except ExprError:
             continue
         err = abs(sym - fd) / (1.0 + abs(sym))
         if not math.isfinite(err) or abs(fd) > 1e6:

@@ -4,6 +4,9 @@ Each test runs the corresponding named check from :mod:`popuc.verify`
 (deterministic, fixed seeds) and prints a single pass/fail line with the
 measured figure of merit, so the full gate is readable from pytest -s output.
 """
+import re
+from pathlib import Path
+
 import pytest
 
 from popuc.verify import CHECKS, run_checks
@@ -34,3 +37,16 @@ def test_acceptance(name, summary, capsys):
 
 def test_every_criterion_has_a_check():
     assert {name for name, _ in CRITERIA} == set(CHECKS)
+
+
+def test_no_catch_all_except_in_library():
+    # a catch-all handler can hide a defect as an ordinary result
+    src = Path(__file__).resolve().parent.parent / "src" / "popuc"
+    catch_all = re.compile(r"^\s*except\s*(:|\(?\s*(Exception|BaseException)\b)")
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if catch_all.match(line)
+    ]
+    assert hits == []

@@ -228,3 +228,44 @@ def test_non_integer_node_env_exits_2(tmp_path, mixed_config, monkeypatch):
     out = str(tmp_path / "x")
     assert main(["moments", "--config", mixed_config, "--out", out]) == 2
     assert main(["sweep", "--config", mixed_config, "--fix-zero", "0,1", "--out", out]) == 2
+
+
+@pytest.mark.parametrize(
+    "ac",
+    [{"kind": "lebesgue", "scale": "-0.2"}, {"kind": "custom", "w": "cos(theta)"}],
+    ids=["negative_lebesgue_scale", "negative_custom_weight"],
+)
+def test_negative_density_exits_2_from_every_command(tmp_path, ac, capsys):
+    path = _write(
+        tmp_path,
+        "negative.json",
+        {
+            "measure": {"ac": ac, "masses": [{"gamma": "1", "omega": "0.5"}]},
+            "degree": 3,
+            "grid": {"start": 0.0, "stop": 1.0, "steps": 5},
+        },
+    )
+    out = str(tmp_path / "x")
+    assert main(["moments", "--config", path, "--nodes", "64", "--out", out]) == 2
+    assert main(["opuc", "--config", path, "--nodes", "64", "--degree", "2", "--out", out]) == 2
+    assert main(["zeros", "--config", path, "--nodes", "64", "--degree", "3", "--b", "1,0", "--out", out]) == 2
+    assert main(["sweep", "--config", path, "--nodes", "64", "--b", "1,0", "--out", out]) == 2
+    assert "numerical failure" not in capsys.readouterr().err
+
+
+def test_sweep_degree_zero_is_rejected_not_defaulted(tmp_path, mixed_config):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", mixed_config, "--degree", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_config_with_unknown_theorem_exits_2(tmp_path, mixed_config):
+    obj = json.loads(open(mixed_config).read())
+    obj["theorem"] = "t99"
+    path = _write(tmp_path, "t99.json", obj)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+    verdicts = tmp_path / "v.json"
+    assert main(["sweep", "--config", path, "--out", str(out), "--verdicts-out", str(verdicts)]) == 2
+    assert not out.exists() and not verdicts.exists()

@@ -82,7 +82,7 @@ def test_lebesgue_mass_popuc_zeros_on_circle():
     from popuc.paraorthogonal import PopucInstance
 
     p = lebesgue_mass_popuc(4, -1.0 + 0j, 0.6)
-    inst = PopucInstance(p, -1.0 + 0j, 4)
+    inst = PopucInstance(p, -1.0 + 0j)
     zs = zeros_on_circle(inst)
     assert len(zs) == 5
     assert zs.pre_projection_deviation < 1e-9

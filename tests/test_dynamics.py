@@ -50,6 +50,8 @@ def test_sweep_config_validation():
         SweepConfig(DISCRETE, 1, 0.0, 1.0, 10, pol)
     with pytest.raises(ValueError):
         SweepConfig(DISCRETE, 4, 0.0, 1.0, 10, pol, h=0.2)
+    with pytest.raises(ValueError, match="t99"):
+        SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol, theorem="t99")
     cfg = SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol)
     assert len(cfg.grid()) == 11
 
@@ -156,6 +158,14 @@ def test_balance_conjugate():
 def test_balance_requires_fixed_zero_for_t21():
     with pytest.raises(TrackingError):
         balance_check(DISCRETE, 4, ZeroPolicy.fixed_b(1.0 + 0j), 0.1, 1.0, "t21")
+
+
+def test_balance_rejects_unknown_theorem():
+    pol = ZeroPolicy.fixed_xi(cmath.exp(1j * 2.0))
+    zs = solve_at(DISCRETE, 4, pol, 0.1).zero_set
+    k = (zs.fixed_index + 1) % len(zs)
+    with pytest.raises(ValueError, match="t99"):
+        balance_check(DISCRETE, 4, pol, 0.1, zs.phases[k], "t99")
 
 
 def test_stationary_scenario_sweep():

@@ -16,7 +16,6 @@ from popuc.measures import (
     circular_gap,
     moments,
     quadrature_moment,
-    validate,
 )
 
 
@@ -175,17 +174,34 @@ def test_json_round_trip():
     assert np.allclose(ms1.c, ms2.c)
 
 
-def test_validate_reports_defects():
-    m = Measure.of(
-        ACWeight.custom("cos(theta)"),  # goes negative
-        [MassPoint.of("t", "1.0"), MassPoint.of(1.0, "1.0")],
-    )
-    codes = {d.code for d in validate(m, -1.0)}
-    assert "negative_mass" in codes
-    assert "coincident_masses" in codes
-    assert "negative_weight" in codes
+@pytest.mark.parametrize(
+    "measure, match",
+    [
+        (Measure.of(ACWeight.lebesgue(1.0), [MassPoint.of("t", "1.0")]), "negative mass"),
+        (
+            Measure.of(ACWeight.lebesgue(1.0), [MassPoint.of(1.0, "1.0"), MassPoint.of(1.0, "1.0")]),
+            "coincident",
+        ),
+        (Measure.of(ACWeight.custom("cos(theta)"), [MassPoint.of(1.0, "1.0")]), "negative"),
+        (Measure.of(ACWeight.lebesgue("0.2*t"), [MassPoint.of(1.0, "1.0")]), "negative"),
+        (Measure.of(ACWeight.bernstein_szego(0.3j, "2*t"), [MassPoint.of(3.0, "1.0")]), "negative"),
+        (Measure.of(ACWeight.lebesgue("1 + t")), "total mass"),
+    ],
+    ids=[
+        "negative_mass",
+        "coincident_masses",
+        "negative_custom_density",
+        "negative_lebesgue_scale",
+        "negative_bernstein_szego_scale",
+        "vanishing_mass",
+    ],
+)
+def test_moments_rejects_inadmissible_measure(measure, match):
+    with pytest.raises(MeasureError, match=match):
+        moments(measure, -1.0, 4, nodes=256)
 
 
-def test_validate_clean_measure():
-    m = Measure.of(ACWeight.lebesgue(1.0), [MassPoint.of(0.5, 1.0)])
-    assert validate(m, 0.0) == []
+def test_moments_accepts_clean_measure():
+    # a density that touches zero is admissible
+    m = Measure.of(ACWeight.custom("1 - cos(theta)"), [MassPoint.of(0.5, 1.0)])
+    assert moments(m, 0.0, 4, nodes=256)[0] == pytest.approx(1.5, abs=1e-12)

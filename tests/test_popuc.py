@@ -184,7 +184,7 @@ def test_non_popuc_input_raises():
     p_coeffs = np.array([1.5, -3.5, 1.0], dtype=complex)
     from popuc.paraorthogonal import PopucInstance
 
-    inst = PopucInstance(MonicPoly(p_coeffs), 1.0 + 0j, 1)
+    inst = PopucInstance(MonicPoly(p_coeffs), 1.0 + 0j)
     with pytest.raises(RootFindingError):
         zeros_on_circle(inst)
 

@@ -177,7 +177,7 @@ def test_verdict_ccw_and_mirror():
     rep = verdict(ctx, "t21")
     assert rep.verdict == "CCW"
     assert not rep.mirrored
-    mirror = verdict(ctx.flipped(), "t21")
+    mirror = verdict(replace(ctx, dgammas=-ctx.dgammas, domegas=-ctx.domegas), "t21")
     assert mirror.verdict == "CW"
     assert mirror.mirrored
     assert "mirrored" in mirror.flags
