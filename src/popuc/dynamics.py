@@ -126,12 +126,15 @@ class PipelineState:
 
 
 def solve_at(
-    m: Measure, degree: int, policy: ZeroPolicy, t: float, nodes: int = DEFAULT_NODES
+    m: Measure, degree: int, policy: ZeroPolicy, t: float, nodes: int = DEFAULT_NODES,
+    start: np.ndarray | None = None,
 ) -> PipelineState:
     """Run moments -> OPUC -> b -> POPUC -> zeros at a single t.
 
     Under the fixed_xi policy the zero window starts at the fixed zero's
     phase and ``fixed_index`` is marked (it is always index 0 there).
+    ``start`` seeds the zero finder (e.g. with the zeros at a nearby t);
+    without it the search starts cold.
     """
     ms = moments(m, t, 2 * degree + 2, nodes)
     family = gram_opuc(ms, degree - 1)
@@ -139,11 +142,11 @@ def solve_at(
     if policy.kind == "fixed_xi":
         popuc = build_popuc(q, fix_zero_param(q, policy.value))
         theta_ref = cmath.phase(policy.value)
-        zs = zeros_on_circle(popuc, theta_ref)
+        zs = zeros_on_circle(popuc, theta_ref, start)
         zs = zs.with_markers(fixed_index=zs.nearest_index(theta_ref))
     else:
         popuc = build_popuc(q, policy.value)
-        zs = zeros_on_circle(popuc)
+        zs = zeros_on_circle(popuc, start=start)
     return PipelineState(t=t, ms=ms, family=family, popuc=popuc, zero_set=zs)
 
 
@@ -190,30 +193,31 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
 
 
 def sweep(cfg: SweepConfig) -> Trajectory:
-    """Track all zeros of the POPUC across the t grid."""
+    """Track all zeros of the POPUC across the t grid.
+
+    Each grid point after the first starts its zero search from the zeros at
+    the previous point, and is matched to the chains before the next is solved.
+    """
     ts = cfg.grid()
-    states = [solve_at(cfg.measure, cfg.degree, cfg.policy, t, cfg.nodes) for t in ts]
-    zero_sets = [st.zero_set for st in states]
-    m = len(zero_sets[0])
-    chains = np.zeros((len(ts), m))
-    chains[0] = zero_sets[0].phases
-    current = zero_sets[0].phases.copy()
+    zs = solve_at(cfg.measure, cfg.degree, cfg.policy, ts[0], cfg.nodes).zero_set
+    zero_sets = [zs]
+    chains = np.zeros((len(ts), len(zs)))
+    chains[0] = current = zs.phases
     max_jump = 0.0
-    fixed_chain = zero_sets[0].fixed_index
     for i in range(1, len(ts)):
-        prev_gap = zero_sets[i - 1].min_gap
-        perm = _match(current, zero_sets[i], prev_gap, ts[i])
-        matched = zero_sets[i].phases[perm]
+        zs = solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros).zero_set
+        matched = zs.phases[_match(current, zs, zero_sets[-1].min_gap, ts[i])]
         delta = np.angle(np.exp(1j * (matched - current)))
         max_jump = max(max_jump, float(np.max(np.abs(delta))))
         chains[i] = chains[i - 1] + delta
         current = matched
+        zero_sets.append(zs)
     return Trajectory(
         ts=ts,
         zero_sets=tuple(zero_sets),
         chains=chains,
         match_quality=max_jump,
-        fixed_chain=fixed_chain,
+        fixed_chain=zero_sets[0].fixed_index,
     )
 
 

@@ -112,19 +112,25 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     return complex(b / abs(b))
 
 
-def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
+def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """All roots of the polynomial by Aberth-Ehrlich simultaneous iteration.
 
-    Initial guesses sit equispaced on the unit circle, offset by half a slot
-    (ideal for zeros that are themselves on the circle).  P and P', padded
-    to one length and stacked, come from one table of powers per sweep.
+    ``start`` holds one finite initial guess per root, e.g. the zeros of a
+    nearby polynomial; by default the guesses sit equispaced on the unit
+    circle, offset by half a slot (ideal for zeros that are themselves on the
+    circle).  P and P', padded to one length and stacked, come from one table
+    of powers per sweep.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        if start.shape != (m,) or not np.all(np.isfinite(start)):
+            raise ValueError(f"start must hold {m} finite initial guesses")
     if m < 1:
         return np.array([], dtype=complex)
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
-    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m))
+    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
     diff = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
     for _ in range(MAX_SWEEPS):
         p, dp = polyval(pair, z)
@@ -148,15 +154,18 @@ def aberth_roots(coeffs: np.ndarray) -> np.ndarray:
     return z
 
 
-def zeros_on_circle(p: PopucInstance, theta_ref: float = -math.pi) -> ZeroSet:
+def zeros_on_circle(
+    p: PopucInstance, theta_ref: float = -math.pi, start: np.ndarray | None = None
+) -> ZeroSet:
     """Locate all zeros of a POPUC, project them to the circle, sort phases.
 
+    ``start`` (initial guesses, one per zero) is passed to :func:`aberth_roots`.
     Raises :class:`RootFindingError` when a root strays further than 1e-6
     from the circle before projection (the input was not a POPUC) or when a
     projected residual exceeds 1e-9 * max|coeff|.
     """
     coeffs = p.poly.coeffs
-    roots = aberth_roots(coeffs)
+    roots = aberth_roots(coeffs, start)
     deviation = float(np.max(np.abs(np.abs(roots) - 1.0)))
     if deviation > MODULUS_TOL:
         raise RootFindingError(

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ from popuc.dynamics import (
     tracked_velocity,
 )
 from popuc.measures import ACWeight, MassPoint, Measure
-from popuc.scenarios import scenario_config
+from popuc.scenarios import SCENARIOS, scenario_config
 
 DISCRETE = Measure.of(
     ACWeight.none(),
@@ -204,3 +205,65 @@ def test_sweep_config_needs_sixteen_nodes():
     with pytest.raises(ValueError):
         SweepConfig(MIXED, 4, 0.0, 1.0, 11, pol, nodes=8)
     assert SweepConfig(MIXED, 4, 0.0, 1.0, 11, pol, nodes=16).nodes == 16
+
+
+def _high_degree_config(degree):
+    measure = Measure.of(
+        ACWeight.bernstein_szego(complex(0.0, -1.0 / 3.0)), [MassPoint.of("t", "2*pi/3")]
+    )
+    return SweepConfig(measure, degree, 0.5, 1.0, 3, ZeroPolicy.fixed_xi(1j))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [scenario_config(name) for name in SCENARIOS] + [_high_degree_config(d) for d in (40, 80, 120)],
+)
+def test_warm_started_sweep_matches_cold_solves(cfg):
+    traj = sweep(cfg)
+    for t, zs in zip(traj.ts, traj.zero_sets):
+        cold = solve_at(cfg.measure, cfg.degree, cfg.policy, t, cfg.nodes).zero_set
+        assert np.max(np.abs(zs.phases - cold.phases)) <= 1e-13
+        if cfg.policy.kind == "fixed_xi":
+            assert zs.fixed_index == 0
+            assert abs(zs.phases[0] - cmath.phase(cfg.policy.value)) <= 1e-13
+
+
+def _record_solve_starts(monkeypatch):
+    """Wrap dynamics.solve_at; return the list of ``start`` arguments it receives."""
+    starts = []
+    original = dynamics.solve_at
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        starts.append(signature.bind(*args, **kwargs).arguments.get("start"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_at", recording)
+    return starts
+
+
+def test_sweep_starts_each_point_from_the_previous_zeros(monkeypatch):
+    starts = _record_solve_starts(monkeypatch)
+    traj = sweep(scenario_config("bs_mass_gamma"))
+    assert len(starts) == len(traj.ts)
+    assert starts[0] is None
+    for start, prev in zip(starts[1:], traj.zero_sets):
+        assert np.array_equal(start, prev.zeros)
+
+
+def test_balance_check_solves_cold(monkeypatch):
+    pol = ZeroPolicy.fixed_xi(cmath.exp(1j * 2.0))
+    zs = solve_at(DISCRETE, 4, pol, 0.1).zero_set
+    starts = _record_solve_starts(monkeypatch)
+    balance_check(DISCRETE, 4, pol, 0.1, zs.phases[(zs.fixed_index + 1) % len(zs)], "t21")
+    assert starts and all(start is None for start in starts)
+
+
+def test_sweep_stops_at_the_first_point_that_fails_to_match(monkeypatch):
+    # the mass at t^4 outruns the grid between its second and third points
+    m = Measure.of(ACWeight.lebesgue("1"), [MassPoint.of("2", "t*t*t*t")])
+    cfg = SweepConfig(m, 4, 0.5, 2.0, 5, ZeroPolicy.fixed_b(1))
+    starts = _record_solve_starts(monkeypatch)
+    with pytest.raises(TrackingError, match="at t=1.25; refine the grid"):
+        sweep(cfg)
+    assert len(starts) == 3

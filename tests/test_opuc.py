@@ -317,3 +317,21 @@ def test_pinned_zero_is_index_zero_at_arg_xi(case, arg_xi):
     zs = solve_at(m, n + 1, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
     assert zs.fixed_index == 0
     assert abs(zs.phases[0] - cmath.phase(xi)) <= 1e-12
+
+
+@settings(deadline=None)
+@given(
+    admissible_measures(),
+    st.sampled_from(["fixed_b", "fixed_xi"]),
+    st.floats(-math.pi, math.pi),
+    st.integers(0, 2**32 - 1),
+)
+def test_solve_at_from_random_starts_finds_the_cold_zeros(case, kind, arg, seed):
+    # Aberth from any distinct unimodular guesses converges to the same zero set
+    m, n = case
+    policy = ZeroPolicy(kind, cmath.exp(1j * arg))
+    start = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2 * math.pi, n + 1))
+    cold = solve_at(m, n + 1, policy, 0.0).zero_set
+    warm = solve_at(m, n + 1, policy, 0.0, start=start).zero_set
+    assert warm.fixed_index == cold.fixed_index
+    assert np.max(np.abs(warm.phases - cold.phases)) <= 1e-12

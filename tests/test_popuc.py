@@ -111,17 +111,37 @@ def test_aberth_on_known_roots():
     assert np.max(np.abs(roots - expected)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 99, 119, 120])
-def test_aberth_recovers_roots_of_unimodular_c(n):
+def _assert_aberth_finds_roots_of_unimodular_c(n, rotation=None):
     # z^n - c with |c| = 1: the n-th roots of c; every coefficient but two is zero
     c = cmath.exp(1j * (0.3 + n))
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[0], coeffs[n] = -c, 1.0
-    roots = aberth_roots(coeffs)
     expected = np.exp(1j * (cmath.phase(c) + 2 * math.pi * np.arange(n)) / n)
+    start = None if rotation is None else expected * cmath.exp(1j * rotation)
+    roots = aberth_roots(coeffs, start=start)
     dist = np.abs(roots[:, None] - expected[None, :])
     assert np.max(np.min(dist, axis=0)) <= 1e-13
     assert len(set(np.argmin(dist, axis=1).tolist())) == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 99, 119, 120])
+def test_aberth_recovers_roots_of_unimodular_c(n):
+    _assert_aberth_finds_roots_of_unimodular_c(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 50, 99, 119, 120])
+def test_aberth_recovers_roots_of_unimodular_c_from_a_rotated_start(n):
+    # the exact roots turned by a third of a slot: a warm start far from converged
+    _assert_aberth_finds_roots_of_unimodular_c(n, rotation=2 * math.pi / (3 * n))
+
+
+@pytest.mark.parametrize(
+    "start", [np.ones(2), np.ones(4), np.array([1.0, np.nan, -1.0]), np.array([1.0, 1j, np.inf])]
+)
+def test_aberth_start_must_hold_one_finite_guess_per_root(start):
+    coeffs = np.array([1j, -1.0, -1j, 1.0], dtype=complex)
+    with pytest.raises(ValueError, match="3 finite initial guesses"):
+        aberth_roots(coeffs, start=start)
 
 
 def test_zeros_match_bisection_oracle():
