@@ -75,31 +75,22 @@ def _flag_policy(args) -> ZeroPolicy | None:
 
 
 def _load_config(args) -> SweepConfig:
+    """The config file with the command-line flags written over it, so that a
+    flag replaces a bad config value before validation."""
     with open(args.config) as fh:
         obj = json.load(fh)
-    measure = Measure.from_json(obj["measure"])
-    degree = int(args.degree if args.degree is not None else obj.get("degree", 5))
-    grid = obj.get("grid", {})
+    if args.degree is not None:
+        obj["degree"] = args.degree
     if args.grid:
         start_s, stop_s, steps_s = args.grid.split(":")
-        grid = {"start": float(start_s), "stop": float(stop_s), "steps": int(steps_s)}
-    policy_obj = obj.get("policy", {})
+        obj["grid"] = {"start": float(start_s), "stop": float(stop_s), "steps": int(steps_s)}
     policy = _flag_policy(args)
-    if policy is None:
-        value = policy_obj.get("value", [1.0, 0.0])
-        kind = policy_obj.get("kind", "fixed_b")
-        policy = ZeroPolicy(kind, complex(value[0], value[1]))
-    return SweepConfig(
-        measure=measure,
-        degree=degree,
-        t_start=float(grid.get("start", 0.0)),
-        t_stop=float(grid.get("stop", 1.0)),
-        steps=int(grid.get("steps", 10)),
-        policy=policy,
-        h=float(obj.get("h", 1e-5)),
-        theorem=args.theorem or obj.get("theorem", "t21"),
-        nodes=_nodes(args, obj.get("nodes")),
-    )
+    if policy is not None:
+        obj["policy"] = {"kind": policy.kind, "value": [policy.value.real, policy.value.imag]}
+    if args.theorem:
+        obj["theorem"] = args.theorem
+    obj["nodes"] = _nodes(args, obj.get("nodes"))
+    return SweepConfig.from_json(obj)
 
 
 def _write_out(text: str, out: str | None) -> None:

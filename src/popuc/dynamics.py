@@ -24,6 +24,7 @@ from .measures import (
 )
 from .opuc import OpucFamily, gram_opuc, inner_product, polyval
 from .paraorthogonal import (
+    UNIMODULAR_TOL,
     PopucInstance,
     ZeroSet,
     build_popuc,
@@ -73,7 +74,7 @@ class ZeroPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed_xi", "fixed_b"):
             raise ValueError(f"unknown zero policy {self.kind!r}")
-        if abs(abs(self.value) - 1.0) > 1e-9:
+        if abs(abs(self.value) - 1.0) > UNIMODULAR_TOL:
             raise ValueError("policy value must lie on the unit circle")
 
     @classmethod
@@ -93,7 +94,7 @@ class SweepConfig:
     t_stop: float
     steps: int
     policy: ZeroPolicy
-    h: float = 1e-5
+    h: float = 1e-5  # read only by perfbench's verdict oracle, until ROADMAP item 2
     theorem: str = "t21"
     nodes: int = DEFAULT_NODES
 
@@ -106,9 +107,24 @@ class SweepConfig:
             raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {self.nodes}")
         if self.theorem not in THEOREMS:
             raise ValueError(f"unknown theorem selector {self.theorem!r}")
-        spacing = abs(self.t_stop - self.t_start) / (self.steps - 1)
-        if self.h > spacing / 2:
-            raise ValueError("finite-difference step h must be <= grid spacing / 2")
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SweepConfig":
+        """The run config of the documented JSON schema; an absent key takes
+        its default and an unknown key is ignored."""
+        grid = obj.get("grid", {})
+        policy = obj.get("policy", {})
+        re, im = policy.get("value", [1.0, 0.0])
+        return cls(
+            measure=Measure.from_json(obj["measure"]),
+            degree=int(obj.get("degree", 5)),
+            t_start=float(grid.get("start", 0.0)),
+            t_stop=float(grid.get("stop", 1.0)),
+            steps=int(grid.get("steps", 10)),
+            policy=ZeroPolicy(policy.get("kind", "fixed_b"), complex(re, im)),
+            theorem=obj.get("theorem", "t21"),
+            nodes=int(obj.get("nodes", DEFAULT_NODES)),
+        )
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_stop, self.steps)
@@ -265,16 +281,6 @@ class BalanceEntry:
     rhs: float
     mismatch: float
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "C": self.C,
-            "dphi_dt": self.dphi_dt,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "mismatch": self.mismatch,
-        }
-
 
 def _ac_quadrature(measure: Measure, t: float, integrand, nodes: int) -> float:
     """Midpoint-rule integral of integrand(theta) * w(theta; t) over one period,
@@ -321,7 +327,7 @@ def balance_check(
         if tracked == zs.fixed_index:
             raise TrackingError("tracked zero coincides with the fixed zero")
         zs = zs.with_markers(fixed_index=zs.fixed_index, tracked_index=tracked)
-    ctx = motion_context(m, zs, t, nodes=min(nodes, 1024))
+    ctx = motion_context(m, zs, t)
     zeta = complex(np.exp(1j * ctx.phi))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2

@@ -28,7 +28,6 @@ __all__ = [
     "parse",
     "evaluate",
     "differentiate",
-    "free_vars",
     "to_source",
 ]
 
@@ -296,18 +295,6 @@ def _array_call(func: str, arg: np.ndarray) -> np.ndarray:
     if func == "exp" and np.any(np.isinf(value) & np.isfinite(arg)):
         raise EvalError("exp: math range error")
     return value
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_vars(e.operand)
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    return frozenset()
 
 
 # Folding constructors keep derivatives readable (0 + x -> x etc.); this is

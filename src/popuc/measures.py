@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .expressions import Expr, differentiate, evaluate, parse, to_source
+from .expressions import Expr, differentiate, evaluate, parse
 
 __all__ = [
     "MassPoint",
@@ -191,22 +191,6 @@ class Measure:
             MassPoint.of(m["gamma"], m["omega"]) for m in obj.get("masses", ())
         )
         return cls(ac, masses)
-
-    def to_json(self) -> dict:
-        ac_obj: dict = {"kind": self.ac.kind, "theta0": self.ac.theta0}
-        if self.ac.scale is not None:
-            ac_obj["scale"] = to_source(self.ac.scale)
-        if self.ac.kind == "bernstein_szego":
-            ac_obj["lambda"] = [self.ac.lam.real, self.ac.lam.imag]
-        if self.ac.weight is not None:
-            ac_obj["w"] = to_source(self.ac.weight)
-        return {
-            "ac": ac_obj,
-            "masses": [
-                {"gamma": to_source(m.gamma), "omega": to_source(m.omega)}
-                for m in self.masses
-            ],
-        }
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,12 @@ class PopucInstance:
 class ZeroSet:
     """Sorted unit-circle zero phases of a POPUC.
 
-    Phases live in [theta_ref, theta_ref + 2 pi); ``fixed_index`` and
-    ``tracked_index`` designate the pinned zero and the zero under study.
+    Phases ascend within one period window (see :func:`zeros_on_circle`);
+    ``fixed_index`` and ``tracked_index`` designate the pinned zero and the
+    zero under study.
     """
 
     phases: np.ndarray
-    theta_ref: float
     residuals: np.ndarray
     pre_projection_deviation: float
     fixed_index: int | None = None
@@ -183,7 +183,6 @@ def zeros_on_circle(
         )
     zs = ZeroSet(
         phases=phases,
-        theta_ref=theta_ref,
         residuals=residuals,
         pre_projection_deviation=deviation,
     )

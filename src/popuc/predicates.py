@@ -46,6 +46,8 @@ __all__ = [
 NONNEG_TOL = 1e-12
 STRICT_TOL = 1e-10
 POLE_TOL = 1e-12
+# midpoint nodes of the theta grid on which verdicts test the continuous part
+VERDICT_NODES = 512
 
 
 class PredicateError(ValueError):
@@ -117,9 +119,7 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarra
     return f
 
 
-def motion_context(
-    m: Measure, zs: ZeroSet, t: float, nodes: int = 512
-) -> MotionContext:
+def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
     """Assemble a :class:`MotionContext` from a measure and a marked zero set.
 
     Mass derivative data comes from exact symbolic differentiation of the
@@ -130,7 +130,6 @@ def motion_context(
     gam, om = m.mass_values(t)
     dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
     dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
-    grid = theta_grid(zs.phases[zs.fixed_index], nodes, midpoint=True)
     return MotionContext(
         phases=zs.phases,
         fixed_index=int(zs.fixed_index),
@@ -141,7 +140,7 @@ def motion_context(
         domegas=dom,
         t=t,
         f_theta=_ac_log_derivative(m, t),
-        ac_nodes=grid,
+        ac_nodes=theta_grid(zs.phases[zs.fixed_index], VERDICT_NODES, midpoint=True),
     )
 
 

@@ -1,115 +1,72 @@
 """Built-in named scenarios mirroring the worked figure configurations.
 
-Each scenario is a full run configuration (measure, degree, grid, policy,
-theorem) so sweeps and verification need no external files.
+Each scenario is a full run config (measure, degree, grid, policy, theorem)
+in the JSON schema that ``popuc sweep --config`` reads, so sweeps and
+verification need no external files.
 """
 from __future__ import annotations
 
+import copy
+
 from .dynamics import SweepConfig, ZeroPolicy
-from .measures import ACWeight, MassPoint, Measure
 
 __all__ = ["SCENARIOS", "scenario_config", "scenario_json"]
 
-_BS_LAMBDA = complex(0.0, -1.0 / 3.0)
-
-
-def _bs_mass_gamma() -> SweepConfig:
-    """Bernstein-Szego weight plus a mass at 2 pi/3 whose weight is the
-    parameter; the POPUC keeps a zero pinned at i."""
-    measure = Measure.of(
-        ACWeight.bernstein_szego(_BS_LAMBDA),
-        [MassPoint.of("t", "2*pi/3")],
-    )
-    return SweepConfig(
-        measure=measure,
-        degree=5,
-        t_start=0.01,
-        t_stop=5.0,
-        steps=50,
-        policy=ZeroPolicy.fixed_xi(1j),
-        theorem="t23",
-    )
-
-
-def _bs_mass_omega() -> SweepConfig:
-    """Same weight, unit mass whose location angle is the parameter."""
-    measure = Measure.of(
-        ACWeight.bernstein_szego(_BS_LAMBDA),
-        [MassPoint.of("1", "2*pi/3 + t")],
-    )
-    return SweepConfig(
-        measure=measure,
-        degree=5,
-        t_start=0.0,
-        t_stop=0.5,
-        steps=50,
-        policy=ZeroPolicy.fixed_xi(1j),
-        theorem="t23",
-    )
-
-
-def _lebesgue_mass(b: complex = -1.0 + 0.0j) -> SweepConfig:
-    """(1-gamma) Lebesgue plus the mass gamma at angle 0, constant b."""
-    measure = Measure.of(
-        ACWeight.lebesgue("1 - t"),
-        [MassPoint.of("t", "0")],
-    )
-    return SweepConfig(
-        measure=measure,
-        degree=5,
-        t_start=0.1,
-        t_stop=0.9,
-        steps=50,
-        policy=ZeroPolicy.fixed_b(b),
-        theorem="t23",
-    )
-
-
-def _lebesgue_mass_fixed_one() -> SweepConfig:
-    """Same measure with the POPUC zero pinned at 1 (the mass location);
-    every zero then stays put as gamma varies."""
-    measure = Measure.of(
-        ACWeight.lebesgue("1 - t"),
-        [MassPoint.of("t", "0")],
-    )
-    return SweepConfig(
-        measure=measure,
-        degree=5,
-        t_start=0.05,
-        t_stop=0.95,
-        steps=50,
-        policy=ZeroPolicy.fixed_xi(1.0 + 0.0j),
-        theorem="t23",
-    )
-
+_BS = {"kind": "bernstein_szego", "lambda": [0.0, -1 / 3]}
+_LEBESGUE_MASS = {
+    "ac": {"kind": "lebesgue", "scale": "1 - t"},
+    "masses": [{"gamma": "t", "omega": "0"}],
+}
 
 SCENARIOS = {
-    "bs_mass_gamma": _bs_mass_gamma,
-    "bs_mass_omega": _bs_mass_omega,
-    "lebesgue_mass_b": _lebesgue_mass,
-    "lebesgue_mass_fixed_one": _lebesgue_mass_fixed_one,
+    # Bernstein-Szego weight plus a mass at 2 pi/3 whose weight is the
+    # parameter; the POPUC keeps a zero pinned at i
+    "bs_mass_gamma": {
+        "measure": {"ac": _BS, "masses": [{"gamma": "t", "omega": "2*pi/3"}]},
+        "degree": 5,
+        "grid": {"start": 0.01, "stop": 5.0, "steps": 50},
+        "policy": {"kind": "fixed_xi", "value": [0.0, 1.0]},
+        "theorem": "t23",
+    },
+    # same weight, unit mass whose location angle is the parameter
+    "bs_mass_omega": {
+        "measure": {"ac": _BS, "masses": [{"gamma": "1", "omega": "2*pi/3 + t"}]},
+        "degree": 5,
+        "grid": {"start": 0.0, "stop": 0.5, "steps": 50},
+        "policy": {"kind": "fixed_xi", "value": [0.0, 1.0]},
+        "theorem": "t23",
+    },
+    # (1-gamma) Lebesgue plus the mass gamma at angle 0, constant b
+    "lebesgue_mass_b": {
+        "measure": _LEBESGUE_MASS,
+        "degree": 5,
+        "grid": {"start": 0.1, "stop": 0.9, "steps": 50},
+        "policy": {"kind": "fixed_b", "value": [-1.0, 0.0]},
+        "theorem": "t23",
+    },
+    # same measure with the POPUC zero pinned at 1 (the mass location);
+    # every zero then stays put as gamma varies
+    "lebesgue_mass_fixed_one": {
+        "measure": _LEBESGUE_MASS,
+        "degree": 5,
+        "grid": {"start": 0.05, "stop": 0.95, "steps": 50},
+        "policy": {"kind": "fixed_xi", "value": [1.0, 0.0]},
+        "theorem": "t23",
+    },
 }
 
 
-def scenario_config(name: str, b: complex | None = None) -> SweepConfig:
+def scenario_json(name: str, b: complex | None = None) -> dict:
+    """A copy of the scenario's run config; ``b`` replaces its policy with
+    ``fixed_b(b)``."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    if name == "lebesgue_mass_b" and b is not None:
-        return _lebesgue_mass(b)
-    return SCENARIOS[name]()
+    obj = copy.deepcopy(SCENARIOS[name])
+    if b is not None:
+        ZeroPolicy.fixed_b(b)  # an off-circle b is rejected here, as sweep rejects it
+        obj["policy"] = {"kind": "fixed_b", "value": [b.real, b.imag]}
+    return obj
 
 
-def scenario_json(name: str, b: complex | None = None) -> dict:
-    cfg = scenario_config(name, b)
-    return {
-        "measure": cfg.measure.to_json(),
-        "degree": cfg.degree,
-        "grid": {"start": cfg.t_start, "stop": cfg.t_stop, "steps": cfg.steps},
-        "policy": {
-            "kind": cfg.policy.kind,
-            "value": [cfg.policy.value.real, cfg.policy.value.imag],
-        },
-        "theorem": cfg.theorem,
-        "h": cfg.h,
-        "nodes": cfg.nodes,
-    }
+def scenario_config(name: str, b: complex | None = None) -> SweepConfig:
+    return SweepConfig.from_json(scenario_json(name, b))

@@ -75,8 +75,6 @@ def check_zero_quality() -> CheckResult:
         m = _random_measure(rng)
         max_deg = min(12, len(m.masses) if m.ac.kind == "none" else 12)
         if max_deg < 2:
-            max_deg = 2 if m.ac.kind != "none" else len(m.masses)
-        if max_deg < 2:
             continue
         degree = int(rng.integers(2, max_deg + 1))
         b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -198,59 +196,51 @@ def check_balance_mixed() -> CheckResult:
     return _result("balance-mixed", worst <= 1e-4, f"max relative mismatch {worst:.2e}")
 
 
-def _sign_agreement_bs(theta0: float) -> tuple[bool, str]:
-    lam = complex(0, -1.0 / 3.0)
-    omega = 2 * math.pi / 3
-    m = Measure.of(ACWeight.bernstein_szego(lam), [MassPoint.of("t", f"{omega!r}")])
-    cfg = SweepConfig(
-        m, 5, 0.01, 5.0, 50, ZeroPolicy.fixed_xi(cmath.exp(1j * theta0)), theorem="t23"
-    )
-    traj = sweep(cfg)
-    omega_win = theta0 + (omega - theta0) % (2 * math.pi)
+def _sign_agreement(
+    m: Measure, grid: tuple[float, float], theta0: float, split: float,
+    w0: Callable[[float, float], float],
+) -> str:
+    """Sweep ``m`` with the zero pinned at theta0 and compare each zero's
+    velocity with ``w0(phi, t)``: both positive on (theta0, split), both
+    negative on (split, theta0 + 2 pi).  Returns the first disagreement, or ""."""
+    pin = ZeroPolicy.fixed_xi(cmath.exp(1j * theta0))
+    traj = sweep(SweepConfig(m, 5, *grid, 50, pin, theorem="t23"))
     for k in range(traj.n_zeros):
         if k == traj.fixed_chain:
             continue
         v = fd_velocity(traj, k)
-        for i in range(len(traj.ts)):
+        for i, t in enumerate(traj.ts):
             phi = theta0 + (traj.chains[i, k] - theta0) % (2 * math.pi)
-            w0 = w0_bs(phi, theta0, omega_win)
-            if abs(v[i]) <= 1e-8:
-                continue
-            if phi < omega_win and not (v[i] > 0 and w0 > 0):
-                return False, f"zero {k} at t={traj.ts[i]:.3f}: phi in (theta0, omega) but v={v[i]:.2e}, w0={w0:.2e}"
-            if phi > omega_win and not (v[i] < 0 and w0 < 0):
-                return False, f"zero {k} at t={traj.ts[i]:.3f}: phi in (omega, theta0+2pi) but v={v[i]:.2e}, w0={w0:.2e}"
-    return True, ""
+            w = w0(phi, float(t))
+            sign = 1.0 if phi < split else -1.0
+            if abs(v[i]) > 1e-8 and not (sign * v[i] > 0 and sign * w > 0):
+                return f"zero {k} at t={t:.3f}, phi={phi:.3f}: v={v[i]:.2e}, w0={w:.2e}"
+    return ""
 
 
 def check_sign_predictions() -> CheckResult:
     """Sweep velocities agree with the sign of the closed-form W_0 on both arcs."""
     # (a) Bernstein-Szego + mass; two pin angles so both arcs carry zeros
+    omega = 2 * math.pi / 3
+    m = Measure.of(
+        ACWeight.bernstein_szego(complex(0, -1.0 / 3.0)), [MassPoint.of("t", f"{omega!r}")]
+    )
     for theta0 in (math.pi / 2, 5.0):
-        ok, msg = _sign_agreement_bs(theta0)
-        if not ok:
+        omega_win = theta0 + (omega - theta0) % (2 * math.pi)
+        msg = _sign_agreement(
+            m, (0.01, 5.0), theta0, omega_win,
+            lambda phi, t: w0_bs(phi, theta0, omega_win),
+        )
+        if msg:
             return _result("signs", False, f"BS scenario (theta0={theta0}): {msg}")
-    # (b) Lebesgue + mass, theta0 = pi/2
+    # (b) Lebesgue + mass, theta0 = pi/2; the mass at 0 splits the arcs at 2 pi
     theta0 = math.pi / 2
     m = Measure.of(ACWeight.lebesgue("1 - t"), [MassPoint.of("t", "0")])
-    cfg = SweepConfig(
-        m, 5, 0.05, 0.95, 50, ZeroPolicy.fixed_xi(cmath.exp(1j * theta0)), theorem="t23"
+    msg = _sign_agreement(
+        m, (0.05, 0.95), theta0, 2 * math.pi, lambda phi, t: w0_lebesgue(phi, theta0, t)
     )
-    traj = sweep(cfg)
-    for k in range(traj.n_zeros):
-        if k == traj.fixed_chain:
-            continue
-        v = fd_velocity(traj, k)
-        for i in range(len(traj.ts)):
-            phi = theta0 + (traj.chains[i, k] - theta0) % (2 * math.pi)
-            w0 = w0_lebesgue(phi, theta0, float(traj.ts[i]))
-            if abs(v[i]) <= 1e-8:
-                continue
-            expect_ccw = phi < 2 * math.pi
-            if expect_ccw and not (v[i] > 0 and w0 > 0):
-                return _result("signs", False, f"Lebesgue: zero {k} on (theta0, 2pi) has v={v[i]:.2e}, w0={w0:.2e}")
-            if not expect_ccw and not (v[i] < 0 and w0 < 0):
-                return _result("signs", False, f"Lebesgue: zero {k} on (2pi, theta0+2pi) has v={v[i]:.2e}, w0={w0:.2e}")
+    if msg:
+        return _result("signs", False, f"Lebesgue: {msg}")
     return _result("signs", True, "velocity signs match W_0 on both arcs, both scenarios")
 
 

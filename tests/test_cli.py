@@ -269,3 +269,36 @@ def test_sweep_config_with_unknown_theorem_exits_2(tmp_path, mixed_config):
     verdicts = tmp_path / "v.json"
     assert main(["sweep", "--config", path, "--out", str(out), "--verdicts-out", str(verdicts)]) == 2
     assert not out.exists() and not verdicts.exists()
+
+
+def test_flags_override_bad_config_values_before_validation(tmp_path, mixed_config):
+    obj = json.loads(open(mixed_config).read())
+    out = str(tmp_path / "s.csv")
+    low_degree = _write(tmp_path, "degree1.json", dict(obj, degree=1))
+    assert main(["sweep", "--config", low_degree, "--out", out]) == 2
+    assert main(["sweep", "--config", low_degree, "--degree", "5", "--out", out]) == 0
+    few_nodes = _write(tmp_path, "nodes8.json", dict(obj, nodes=8))
+    assert main(["sweep", "--config", few_nodes, "--out", out]) == 2
+    assert main(["sweep", "--config", few_nodes, "--nodes", "64", "--out", out]) == 0
+
+
+def test_sweep_nodes_precedence(tmp_path, monkeypatch):
+    obj = {
+        "measure": {"ac": {"kind": "custom", "w": "exp(cos(theta - t))"}, "masses": []},
+        "degree": 4,
+        "grid": {"start": 0.0, "stop": 0.2, "steps": 3},
+        "policy": {"kind": "fixed_xi", "value": [0.0, 1.0]},
+    }
+    path = _write(tmp_path, "custom.json", obj)
+    flag, env = tmp_path / "flag.csv", tmp_path / "env.csv"
+    assert main(["sweep", "--config", path, "--nodes", "256", "--out", str(flag)]) == 0
+    monkeypatch.setenv("POPUC_QUAD_NODES", "256")
+    assert main(["sweep", "--config", path, "--out", str(env)]) == 0
+    assert env.read_bytes() == flag.read_bytes()
+    # the config's value beats the environment, and a flag beats both
+    monkeypatch.setenv("POPUC_QUAD_NODES", "10")
+    assert main(["sweep", "--config", path, "--out", str(env)]) == 2
+    configured = _write(tmp_path, "nodes256.json", dict(obj, nodes=256))
+    assert main(["sweep", "--config", configured, "--out", str(env)]) == 0
+    assert env.read_bytes() == flag.read_bytes()
+    assert main(["sweep", "--config", configured, "--nodes", "8", "--out", str(env)]) == 2

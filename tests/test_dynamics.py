@@ -49,12 +49,26 @@ def test_sweep_config_validation():
         SweepConfig(DISCRETE, 4, 0.0, 1.0, 2, pol)
     with pytest.raises(ValueError):
         SweepConfig(DISCRETE, 1, 0.0, 1.0, 10, pol)
-    with pytest.raises(ValueError):
-        SweepConfig(DISCRETE, 4, 0.0, 1.0, 10, pol, h=0.2)
+    # h is not validated against the grid: no sweep reads it
+    assert SweepConfig(DISCRETE, 4, 0.0, 1.0, 10, pol, h=0.2).h == 0.2
     with pytest.raises(ValueError, match="t99"):
         SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol, theorem="t99")
     cfg = SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol)
     assert len(cfg.grid()) == 11
+
+
+def test_zero_policy_rejects_what_build_popuc_rejects():
+    # a value 5e-10 off the circle used to pass the policy and fail every solve
+    for make in (ZeroPolicy.fixed_b, ZeroPolicy.fixed_xi):
+        with pytest.raises(ValueError):
+            make(1.0 + 5e-10)
+
+
+def test_fine_grid_sweeps_with_the_default_h():
+    # spacing 1e-5 is below 2 h; such a config used to be rejected
+    cfg = SweepConfig(MIXED, 5, 0.0, 0.01, 1001, ZeroPolicy.fixed_b(1))
+    traj = sweep(cfg)
+    assert traj.chains.shape == (1001, 5)
 
 
 def test_solve_at_marks_fixed_zero():

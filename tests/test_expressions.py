@@ -15,7 +15,6 @@ from popuc.expressions import (
     Var,
     differentiate,
     evaluate,
-    free_vars,
     parse,
     to_source,
 )
@@ -29,10 +28,6 @@ def test_parse_arithmetic_of_literals():
     e = parse("2*pi/3 + t/4")
     assert evaluate(e, {"t": 0.0}) == pytest.approx(2 * math.pi / 3, abs=1e-12)
     assert evaluate(e, {"t": 1.0}) == pytest.approx(2 * math.pi / 3 + 0.25, abs=1e-12)
-
-
-def test_parse_free_variables():
-    assert free_vars(parse("sin(theta - t)")) == {"theta", "t"}
 
 
 def test_precedence_and_associativity():

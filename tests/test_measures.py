@@ -164,7 +164,12 @@ def test_json_round_trip():
         ACWeight.bernstein_szego(0.0 - 1 / 3 * 1j, scale="1 + t"),
         [MassPoint.of("t", "2*pi/3")],
     )
-    again = Measure.from_json(json.loads(json.dumps(m.to_json())))
+    obj = {
+        "ac": {"kind": "bernstein_szego", "lambda": [0.0, -1 / 3], "scale": "1 + t"},
+        "masses": [{"gamma": "t", "omega": "2*pi/3"}],
+    }
+    again = Measure.from_json(json.loads(json.dumps(obj)))
+    assert again == m
     t = 0.7
     g1, o1 = m.mass_values(t)
     g2, o2 = again.mass_values(t)

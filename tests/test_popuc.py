@@ -188,7 +188,6 @@ def test_zero_just_below_window_start_is_the_zero_at_theta_ref():
 def test_zero_set_helpers():
     zs = ZeroSet(
         phases=np.array([0.1, 1.0, 2.5]),
-        theta_ref=0.0,
         residuals=np.zeros(3),
         pre_projection_deviation=0.0,
     )
