@@ -203,6 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int, default=None, help="quadrature node count (at least 16)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
+    def add_policy(p):
+        policy = p.add_mutually_exclusive_group()
+        policy.add_argument("--b", type=_complex_pair, default=None, metavar="RE,IM")
+        policy.add_argument("--fix-zero", type=_complex_pair, default=None, metavar="RE,IM")
+
     p = sub.add_parser("moments", help="trigonometric moments c_{-K..K}")
     add_common(p)
     p.add_argument("--t", type=float, default=0.0)
@@ -219,16 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--degree", type=int, default=5, help="POPUC degree n+1")
-    p.add_argument("--b", type=_complex_pair, default=None, metavar="RE,IM")
-    p.add_argument("--fix-zero", type=_complex_pair, default=None, metavar="RE,IM")
+    add_policy(p)
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("sweep", help="trajectory CSV (+ verdict JSON) over a t grid")
     add_common(p)
     p.add_argument("--grid", default=None, metavar="START:STOP:STEPS")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--b", type=_complex_pair, default=None, metavar="RE,IM")
-    p.add_argument("--fix-zero", type=_complex_pair, default=None, metavar="RE,IM")
+    add_policy(p)
     p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--verdicts-out", default=None, help="verdict JSON path")
     p.set_defaults(func=cmd_sweep)

@@ -7,8 +7,7 @@ matched by nearest circular phase and chained into continuous trajectories.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .predicates import (
     VerdictReport,
     mass_functionals,
     motion_context,
+    reference_index,
     verdict,
 )
 
@@ -74,7 +74,7 @@ class ZeroPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed_xi", "fixed_b"):
             raise ValueError(f"unknown zero policy {self.kind!r}")
-        if abs(abs(self.value) - 1.0) > UNIMODULAR_TOL:
+        if not abs(abs(self.value) - 1.0) <= UNIMODULAR_TOL:
             raise ValueError("policy value must lie on the unit circle")
 
     @classmethod
@@ -159,7 +159,7 @@ def solve_at(
         popuc = build_popuc(q, fix_zero_param(q, policy.value))
         theta_ref = cmath.phase(policy.value)
         zs = zeros_on_circle(popuc, theta_ref, start)
-        zs = zs.with_markers(fixed_index=zs.nearest_index(theta_ref))
+        zs = replace(zs, fixed_index=zs.nearest_index(theta_ref))
     else:
         popuc = build_popuc(q, policy.value)
         zs = zeros_on_circle(popuc, start=start)
@@ -308,7 +308,8 @@ def balance_check(
     h: float = 1e-5,
     nodes: int = DEFAULT_NODES,
 ) -> BalanceEntry:
-    """Evaluate the balance identity at one t for the zero nearest ``tracked_phi``.
+    """Evaluate the balance identity at one t for the zero nearest ``tracked_phi``,
+    measured against its :func:`~popuc.predicates.reference_index`.
 
     The left side multiplies C(t) by a finite-difference velocity from fresh
     solves at t +- h; the right side is computed from the motion functionals,
@@ -317,17 +318,10 @@ def balance_check(
     state = solve_at(m, degree, policy, t, nodes)
     zs = state.zero_set
     tracked = zs.nearest_index(tracked_phi)
-    if theorem == "t22":
-        # conjugate partner of the tracked zero plays the reference role
-        partner = zs.nearest_index(-zs.phases[tracked])
-        zs = zs.with_markers(fixed_index=partner, tracked_index=tracked)
-    else:
-        if zs.fixed_index is None:
-            raise TrackingError("balance check needs a fixed zero (fixed_xi policy)")
-        if tracked == zs.fixed_index:
-            raise TrackingError("tracked zero coincides with the fixed zero")
-        zs = zs.with_markers(fixed_index=zs.fixed_index, tracked_index=tracked)
-    ctx = motion_context(m, zs, t)
+    reference = reference_index(zs, tracked, theorem)
+    if reference is None:
+        raise TrackingError(f"the tracked zero has no {theorem} reference zero")
+    ctx = motion_context(m, zs, reference, tracked, t)
     zeta = complex(np.exp(1j * ctx.phi))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
@@ -335,7 +329,6 @@ def balance_check(
     C = _c_integral(state.ms, p, zeta)
     if theorem == "t22":
         C += _c_integral(state.ms, p, np.conj(zeta))
-        rhs *= 2.0 * math.sin(ctx.phi)
     elif theorem == "t23":
         xi = complex(np.exp(1j * ctx.theta0))
         # s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] with
@@ -359,18 +352,18 @@ def balance_check(
 def sweep_verdicts(
     cfg: SweepConfig, traj: Trajectory
 ) -> list[dict]:
-    """Per-grid-point verdicts for every non-fixed zero chain."""
+    """Per-grid-point verdicts for every zero that has a reference zero."""
     out = []
     for i, t in enumerate(traj.ts):
         zs = traj.zero_sets[i]
         entry: dict = {"t": float(t), "verdicts": []}
         for k in range(len(zs)):
-            if zs.fixed_index is None or k == zs.fixed_index:
+            reference = reference_index(zs, k, cfg.theorem)
+            if reference is None:
                 continue
-            marked = zs.with_markers(fixed_index=zs.fixed_index, tracked_index=k)
             try:
                 rep: VerdictReport = verdict(
-                    motion_context(cfg.measure, marked, float(t)), cfg.theorem
+                    motion_context(cfg.measure, zs, reference, k, float(t)), cfg.theorem
                 )
             except (PredicateError, MeasureError, ExprError) as exc:
                 # a collision mid-sweep degrades gracefully

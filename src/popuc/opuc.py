@@ -56,7 +56,7 @@ class MonicPoly:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.ndim != 1 or len(coeffs) == 0:
             raise ValueError("coefficient array must be one-dimensional and non-empty")
-        if abs(coeffs[-1] - 1.0) > 1e-9:
+        if not abs(coeffs[-1] - 1.0) <= 1e-9:
             raise ValueError(f"leading coefficient {coeffs[-1]} is not 1")
         coeffs = coeffs.copy()
         coeffs[-1] = 1.0

@@ -8,7 +8,7 @@ polish, projected to modulus one and sorted into [theta_ref, theta_ref + 2 pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,15 +57,13 @@ class ZeroSet:
     """Sorted unit-circle zero phases of a POPUC.
 
     Phases ascend within one period window (see :func:`zeros_on_circle`);
-    ``fixed_index`` and ``tracked_index`` designate the pinned zero and the
-    zero under study.
+    ``fixed_index`` designates the pinned zero, if there is one.
     """
 
     phases: np.ndarray
     residuals: np.ndarray
     pre_projection_deviation: float
     fixed_index: int | None = None
-    tracked_index: int | None = None
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -84,15 +82,10 @@ class ZeroSet:
         d = np.abs(np.angle(np.exp(1j * (self.phases - phase))))
         return int(np.argmin(d))
 
-    def with_markers(
-        self, fixed_index: int | None = None, tracked_index: int | None = None
-    ) -> "ZeroSet":
-        return replace(self, fixed_index=fixed_index, tracked_index=tracked_index)
-
 
 def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
     """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1: the Szego step with b for alpha_n."""
-    if abs(abs(b) - 1.0) > UNIMODULAR_TOL:
+    if not abs(abs(b) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|b| = {abs(b)} is off the unit circle")
     return PopucInstance(MonicPoly(szego_step(q.coeffs, np.conj(b))), complex(b))
 
@@ -103,10 +96,10 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     b = conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)); on the circle
     |Q_n*| = |Q_n| so |b| = 1 up to roundoff, and it is renormalized exactly.
     """
-    if abs(abs(xi) - 1.0) > UNIMODULAR_TOL:
+    if not abs(abs(xi) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|xi| = {abs(xi)} is off the unit circle")
     q_xi, qs = polyval(np.stack([q.coeffs, reversed_poly(q.coeffs)]), xi)
-    if abs(qs) < 1e-14:
+    if not abs(qs) >= 1e-14:
         raise ValueError("reversed polynomial vanishes at xi (degenerate input)")
     b = np.conj(xi) * np.conj(q_xi) / np.conj(qs)
     return complex(b / abs(b))
@@ -145,7 +138,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
         if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
             break
     else:
-        if np.max(np.abs(polyval(coeffs, z))) > 1e-8 * np.max(np.abs(coeffs)):
+        if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
             raise RootFindingError("Aberth-Ehrlich iteration did not converge")
     # Newton polish
     for _ in range(3):
@@ -167,7 +160,7 @@ def zeros_on_circle(
     coeffs = p.poly.coeffs
     roots = aberth_roots(coeffs, start)
     deviation = float(np.max(np.abs(np.abs(roots) - 1.0)))
-    if deviation > MODULUS_TOL:
+    if not deviation <= MODULUS_TOL:
         raise RootFindingError(
             f"root modulus deviates {deviation:.3e} from 1; input is not a POPUC"
         )
@@ -177,7 +170,7 @@ def zeros_on_circle(
     phases = theta_ref + np.sort(np.where(offsets > 2.0 * math.pi - WRAP_TOL, 0.0, offsets))
     scale = float(np.max(np.abs(coeffs)))
     residuals = np.abs(polyval(coeffs, np.exp(1j * phases)))
-    if np.max(residuals) > RESIDUAL_TOL * scale:
+    if not np.max(residuals) <= RESIDUAL_TOL * scale:
         raise RootFindingError(
             f"projected residual {np.max(residuals):.3e} exceeds tolerance"
         )
@@ -186,7 +179,7 @@ def zeros_on_circle(
         residuals=residuals,
         pre_projection_deviation=deviation,
     )
-    if zs.min_gap <= 0:
+    if not zs.min_gap > 0:
         raise RootFindingError("coincident zeros; POPUC zeros must be simple")
     return zs
 

@@ -3,11 +3,14 @@
 Three regimes are supported:
 
   - ``t21``: purely discrete measures (per-mass functionals W_j);
-  - ``t22``: a tracked pair of complex-conjugate zeros (functionals W~_j);
+  - ``t22``: a tracked pair of complex-conjugate zeros: the t21 functionals
+    measured against the conjugate partner, W_j = 2 sin(phi) W~_j, because
+    s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi);
   - ``t23``: mixed measures (W_j with a continuous correction, plus the
     density functional W(theta) and the monotonicity of
     f(theta) = (d/dt weight)/weight).
 
+The reference zero (theta0) is chosen in one place, :func:`reference_index`.
 A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
 returned together with the supporting numbers.
 """
@@ -28,13 +31,11 @@ __all__ = [
     "MotionContext",
     "VerdictReport",
     "PredicateError",
+    "reference_index",
     "motion_context",
     "s_factor",
     "s_sum",
-    "s_conj",
-    "s_sum_conj",
     "w_discrete",
-    "w_conjugate",
     "w_continuous",
     "w_mixed",
     "THEOREMS",
@@ -59,7 +60,7 @@ class MotionContext:
     """Zero configuration plus measure derivative data at one parameter value."""
 
     phases: np.ndarray
-    fixed_index: int
+    fixed_index: int  # the reference zero theta0 (see reference_index)
     tracked_index: int
     gammas: np.ndarray
     omegas: np.ndarray
@@ -119,28 +120,37 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarra
     return f
 
 
-def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
-    """Assemble a :class:`MotionContext` from a measure and a marked zero set.
+def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
+    """Index of the zero that zero ``tracked`` is measured against: its
+    conjugate partner under t22, else the pinned zero; None when there is no
+    such zero or it is the tracked zero itself."""
+    ref = zs.nearest_index(-zs.phases[tracked]) if theorem == "t22" else zs.fixed_index
+    return None if ref == tracked else ref
+
+
+def motion_context(
+    m: Measure, zs: ZeroSet, reference: int, tracked: int, t: float
+) -> MotionContext:
+    """Assemble a :class:`MotionContext` for zero ``tracked`` of ``zs``
+    measured against zero ``reference``.
 
     Mass derivative data comes from exact symbolic differentiation of the
     gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
     """
-    if zs.fixed_index is None or zs.tracked_index is None:
-        raise PredicateError("zero set must carry fixed and tracked markers")
     gam, om = m.mass_values(t)
     dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
     dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
     return MotionContext(
         phases=zs.phases,
-        fixed_index=int(zs.fixed_index),
-        tracked_index=int(zs.tracked_index),
+        fixed_index=int(reference),
+        tracked_index=int(tracked),
         gammas=gam,
         omegas=om,
         dgammas=dgam,
         domegas=dom,
         t=t,
         f_theta=_ac_log_derivative(m, t),
-        ac_nodes=theta_grid(zs.phases[zs.fixed_index], VERDICT_NODES, midpoint=True),
+        ac_nodes=theta_grid(zs.phases[reference], VERDICT_NODES, midpoint=True),
     )
 
 
@@ -155,7 +165,7 @@ def s_factor(theta: float | np.ndarray, phi: float, theta0: float) -> float | np
 
 
 def s_sum(theta: float, ctx: MotionContext) -> float:
-    """Cotangent sum over all zeros; the fixed and tracked terms weigh 1/2."""
+    """Cotangent sum over all zeros; the reference and tracked terms weigh 1/2."""
     total = 0.0
     for k, ph in enumerate(ctx.phases):
         if circular_gap(theta, ph) < POLE_TOL:
@@ -165,45 +175,12 @@ def s_sum(theta: float, ctx: MotionContext) -> float:
     return total
 
 
-def s_conj(theta: float, phi: float) -> float:
-    """Conjugate-pair variant: 1 / (2 (cos(phi) - cos(theta)))."""
-    den = math.cos(phi) - math.cos(theta)
-    if abs(den) < POLE_TOL:
-        raise PredicateError("conjugate s-factor pole: cos(theta) = cos(phi)")
-    return 0.5 / den
-
-
-def s_sum_conj(theta: float, ctx: MotionContext) -> float:
-    """sin(theta)/(cos(theta)-cos(phi)) plus cotangents over the other zeros."""
-    phi = ctx.phi
-    den = math.cos(theta) - math.cos(phi)
-    if abs(den) < POLE_TOL:
-        raise PredicateError("conjugate sum pole: cos(theta) = cos(phi)")
-    total = math.sin(theta) / den
-    for k, ph in enumerate(ctx.phases):
-        if k in (ctx.fixed_index, ctx.tracked_index):
-            continue
-        if circular_gap(theta, ph) < POLE_TOL:
-            raise PredicateError("cotangent pole: theta collides with a zero")
-        total += 1.0 / math.tan(0.5 * (ph - theta))
-    return total
-
-
 def w_discrete(j: int, ctx: MotionContext) -> float:
     """Per-mass functional for purely discrete measures."""
     s = s_factor(ctx.omegas[j], ctx.phi, ctx.theta0)
     value = s * ctx.dgammas[j]
     if ctx.domegas[j] != 0.0:
         value -= ctx.gammas[j] * s * s_sum(ctx.omegas[j], ctx) * ctx.domegas[j]
-    return value
-
-
-def w_conjugate(j: int, ctx: MotionContext) -> float:
-    """Per-mass functional when the tracked pair is complex-conjugate."""
-    st = s_conj(ctx.omegas[j], ctx.phi)
-    value = st * ctx.dgammas[j]
-    if ctx.domegas[j] != 0.0:
-        value -= ctx.gammas[j] * st * s_sum_conj(ctx.omegas[j], ctx) * ctx.domegas[j]
     return value
 
 
@@ -230,7 +207,7 @@ def w_mixed(j: int, ctx: MotionContext) -> float:
 
 
 # the per-mass functional W_j of each regime
-_FUNCTIONALS = {"t21": w_discrete, "t22": w_conjugate, "t23": w_mixed}
+_FUNCTIONALS = {"t21": w_discrete, "t22": w_discrete, "t23": w_mixed}
 THEOREMS = tuple(_FUNCTIONALS)
 
 
@@ -299,11 +276,8 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
     flags: list[str] = []
     if ctx.collisions():
         return _inconclusive(ctx, theorem, ["collision"])
-    if theorem == "t22":
-        phi = math.remainder(ctx.phi, 2.0 * math.pi)
-        partner = math.remainder(ctx.phases[ctx.fixed_index], 2.0 * math.pi)
-        if not (0.0 < phi < math.pi) or abs(phi + partner) > 1e-8:
-            return _inconclusive(ctx, theorem, ["non_conjugate_pair"])
+    if theorem == "t22" and not abs(math.remainder(ctx.phi + ctx.theta0, 2.0 * math.pi)) <= 1e-8:
+        return _inconclusive(ctx, theorem, ["non_conjugate_pair"])
 
     try:
         w_masses = mass_functionals(ctx, theorem)

@@ -25,7 +25,7 @@ from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, rev
 from .paraorthogonal import (
     RootFindingError, build_popuc, deflate, zeros_on_circle
 )
-from .predicates import PredicateError, motion_context, s_factor, s_sum
+from .predicates import PredicateError, motion_context, reference_index, s_factor, s_sum
 from .scenarios import scenario_config
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
@@ -272,10 +272,9 @@ def check_conjugate_pair() -> CheckResult:
         if len(tracked) != 1:
             return _result("conjugate", False, f"expected one pair zero in (0, pi) at t={t}")
         k = tracked[0]
-        partner = zs.nearest_index(-zs.phases[k])
+        partner = reference_index(zs, k, "t22")
         worst_sym = max(worst_sym, abs(zs.phases[k] + zs.phases[partner]))
-        marked = zs.with_markers(fixed_index=partner, tracked_index=k)
-        rep = _verdict(motion_context(m, marked, float(t)), "t22")
+        rep = _verdict(motion_context(m, zs, partner, k, float(t)), "t22")
         be = balance_check(m, 4, pol, float(t), zs.phases[k], "t22", h=1e-5)
         if rep.verdict == "CCW" and be.dphi_dt <= 1e-8:
             return _result("conjugate", False, f"CCW verdict but velocity {be.dphi_dt:.2e} at t={t}")

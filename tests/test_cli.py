@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -96,6 +97,20 @@ def test_zeros_needs_policy(tmp_path, mixed_config):
     assert main(["zeros", "--config", mixed_config]) == 2
 
 
+def test_nan_policy_value_exits_2(mixed_config, capsys):
+    assert main(["zeros", "--config", mixed_config, "--b", "nan,0"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["sweep", "--config", mixed_config, "--fix-zero", "nan,0"]) == 2
+    assert "unit circle" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["zeros", "sweep"])
+def test_b_and_fix_zero_are_exclusive(mixed_config, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", mixed_config, "--b", "1,0", "--fix-zero", "0,1"])
+    assert exc.value.code == 2
+
+
 def test_zeros_rejects_degree_below_one(mixed_config):
     assert main(["zeros", "--config", mixed_config, "--degree", "0", "--b", "1,0"]) == 2
 
@@ -116,6 +131,41 @@ def test_sweep_csv_and_verdicts(tmp_path, mixed_config):
     verdicts = json.loads(verd_out.read_text())
     assert len(verdicts) == 9
     assert all(len(entry["verdicts"]) == 4 for entry in verdicts)
+
+
+def test_t22_sweep_labels_both_zeros_of_each_pair(tmp_path):
+    masses = [
+        {"gamma": "0.5 + 0.2*t", "omega": "1.0"},
+        {"gamma": "0.5 + 0.2*t", "omega": "-1.0"},
+        {"gamma": "0.8 - 0.1*t", "omega": "2.2"},
+        {"gamma": "0.8 - 0.1*t", "omega": "-2.2"},
+    ]
+    config = _write(tmp_path, "conjugate.json", {
+        "measure": {"masses": masses},
+        "degree": 4,
+        "grid": {"start": -0.5, "stop": 0.5, "steps": 11},
+        "policy": {"kind": "fixed_b", "value": [1.0, 0.0]},
+        "theorem": "t22",
+    })
+    csv_out, verd_out = tmp_path / "traj.csv", tmp_path / "verd.json"
+    code = main(
+        ["sweep", "--config", config, "--out", str(csv_out), "--verdicts-out", str(verd_out)]
+    )
+    assert code == 0
+    rows = list(csv.DictReader(csv_out.open()))
+    verdicts = json.loads(verd_out.read_text())
+    assert len(verdicts) == 11
+    for entry in verdicts:
+        here = [r for r in rows if float(r["t"]) == pytest.approx(entry["t"], abs=1e-12)]
+        off_axis = [r for r in here if abs(math.sin(float(r["phase"]))) > 1e-6]
+        assert len(entry["verdicts"]) == len(off_axis) == 2
+        for item in entry["verdicts"]:
+            phi = item["tracked_phase"]
+            row = min(here, key=lambda r: abs(math.remainder(float(r["phase"]) - phi, 2 * math.pi)))
+            velocity = float(row["velocity"])
+            assert abs(velocity) > 1e-6
+            assert item["verdict"] == ("CCW" if velocity > 0 else "CW")
+        assert {item["verdict"] for item in entry["verdicts"]} == {"CCW", "CW"}
 
 
 def test_sweep_deterministic(tmp_path, mixed_config):

@@ -168,6 +168,21 @@ def test_balance_conjugate():
     tracked = [k for k, p in enumerate(zs.phases) if 1e-6 < p < math.pi - 1e-6][0]
     be = balance_check(m, 4, pol, 0.0, zs.phases[tracked], "t22")
     assert be.mismatch < 1e-4
+    # the lower zero of the pair, measured against the upper one, moves the other way
+    lower = balance_check(m, 4, pol, 0.0, -zs.phases[tracked], "t22")
+    assert lower.mismatch < 1e-4
+    assert lower.dphi_dt == pytest.approx(-be.dphi_dt, rel=1e-6)
+    # the self-conjugate zeros at 0 and pi have no partner
+    for phi in (0.0, math.pi):
+        with pytest.raises(TrackingError):
+            balance_check(m, 4, pol, 0.0, phi, "t22")
+
+
+def test_zero_policy_rejects_nan():
+    for kind in ("fixed_xi", "fixed_b"):
+        for value in (complex(math.nan, 0.0), complex(1.0, math.nan)):
+            with pytest.raises(ValueError):
+                ZeroPolicy(kind, value)
 
 
 def test_balance_requires_fixed_zero_for_t21():

@@ -194,8 +194,6 @@ def test_zero_set_helpers():
     assert zs.nearest_index(1.05) == 1
     assert zs.nearest_index(0.1 + 2 * math.pi) == 0
     assert zs.min_gap == pytest.approx(0.9)
-    marked = zs.with_markers(fixed_index=0, tracked_index=2)
-    assert marked.fixed_index == 0 and marked.tracked_index == 2
 
 
 def test_non_popuc_input_raises():
@@ -205,6 +203,22 @@ def test_non_popuc_input_raises():
 
     inst = PopucInstance(MonicPoly(p_coeffs), 1.0 + 0j)
     with pytest.raises(RootFindingError):
+        zeros_on_circle(inst)
+
+
+def test_nan_fails_every_guard():
+    from popuc.paraorthogonal import PopucInstance
+
+    q = MonicPoly(np.array([0.3, 1.0], dtype=complex))
+    nan = complex(math.nan, 0.0)
+    with pytest.raises(ValueError):
+        build_popuc(q, nan)
+    with pytest.raises(ValueError):
+        fix_zero_param(q, nan)
+    with pytest.raises(ValueError):
+        MonicPoly(np.array([0.5, math.nan], dtype=complex))
+    inst = PopucInstance(MonicPoly(np.array([math.nan, 0.0, 1.0], dtype=complex)), 1.0 + 0j)
+    with np.errstate(invalid="ignore"), pytest.raises(RootFindingError):
         zeros_on_circle(inst)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from popuc import measures
-from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep
+from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap
 from popuc.predicates import (
     NONNEG_TOL,
@@ -14,10 +14,9 @@ from popuc.predicates import (
     MotionContext,
     PredicateError,
     motion_context,
-    s_conj,
+    reference_index,
     s_factor,
     s_sum,
-    s_sum_conj,
     verdict,
     w_continuous,
     w_discrete,
@@ -85,21 +84,6 @@ def test_s_sum_half_weights():
     assert s_sum(theta, ctx) == pytest.approx(expected, abs=1e-13)
 
 
-def test_s_conj_exact_value():
-    # 1 / (2 (cos(pi/3) - cos(pi/2))) = 1
-    assert s_conj(math.pi / 2, math.pi / 3) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_s_sum_conj_structure():
-    phases = np.array([-1.2, -0.4, 0.4, 1.2, 2.5])
-    ctx = _context(phases, fixed=1, tracked=2)  # conjugate pair +-0.4
-    theta = 3.0
-    expected = math.sin(theta) / (math.cos(theta) - math.cos(0.4))
-    for k in (0, 3, 4):
-        expected += 1.0 / math.tan(0.5 * (phases[k] - theta))
-    assert s_sum_conj(theta, ctx) == pytest.approx(expected, abs=1e-13)
-
-
 def test_w_discrete_pure_gamma_term():
     ctx = _context(
         [0.5, 2.0], fixed=0, tracked=1,
@@ -137,7 +121,7 @@ def test_motion_context_from_pipeline():
     pol = ZeroPolicy.fixed_xi(cmath.exp(1j * math.pi / 2))
     zs = solve_at(m, 5, pol, 0.4, nodes=512).zero_set
     tracked = (zs.fixed_index + 2) % len(zs)
-    ctx = motion_context(m, zs.with_markers(zs.fixed_index, tracked), 0.4)
+    ctx = motion_context(m, zs, zs.fixed_index, tracked, 0.4)
     assert ctx.theta0 == pytest.approx(math.pi / 2, abs=1e-9)
     assert ctx.gammas[0] == pytest.approx(0.4)
     assert ctx.dgammas[0] == pytest.approx(1.0)
@@ -155,18 +139,84 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
     )
     zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
     for tracked in (1, 2, 3):
-        ctx = motion_context(m, zs.with_markers(zs.fixed_index, tracked), 0.4)
+        ctx = motion_context(m, zs, zs.fixed_index, tracked, 0.4)
     # d/dt of two gammas, two omegas and the Lebesgue scale, once each
     assert len(calls) == 5
     assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
     assert ctx.f_at_phi == pytest.approx(-1.0 / 0.6, abs=1e-12)
 
 
-def test_motion_context_requires_markers():
-    m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, 0.5), MassPoint.of(1.0, 2.0)])
-    zs = solve_at(m, 2, ZeroPolicy.fixed_b(1 + 0j), 0.0).zero_set
-    with pytest.raises(PredicateError):
-        motion_context(m, zs, 0.0)
+# a conjugate-symmetric measure: masses at +-omega with equal weights
+CONJUGATE = Measure.of(
+    ACWeight.none(),
+    [
+        MassPoint.of("0.5 + 0.2*t", "1.0"),
+        MassPoint.of("0.5 + 0.2*t", "-1.0"),
+        MassPoint.of("0.8 - 0.1*t", "2.2"),
+        MassPoint.of("0.8 - 0.1*t", "-2.2"),
+    ],
+)
+# the same with moving masses, so that the cotangent sum enters W_j
+CONJUGATE_MOVING = Measure.of(
+    ACWeight.none(),
+    [
+        MassPoint.of("0.5 + 0.2*t", "1.0 + 0.1*t"),
+        MassPoint.of("0.5 + 0.2*t", "-1.0 - 0.1*t"),
+        MassPoint.of("0.8 - 0.1*t", "2.2 - 0.05*t"),
+        MassPoint.of("0.8 - 0.1*t", "-2.2 + 0.05*t"),
+    ],
+)
+
+
+def test_reference_index():
+    pinned = solve_at(CONJUGATE, 4, ZeroPolicy.fixed_xi(cmath.exp(0.5j)), 0.0).zero_set
+    for theorem in ("t21", "t23"):
+        assert reference_index(pinned, 2, theorem) == pinned.fixed_index == 0
+        assert reference_index(pinned, 0, theorem) is None
+    zs = solve_at(CONJUGATE, 4, ZeroPolicy.fixed_b(1 + 0j), 0.0).zero_set
+    for k in range(len(zs)):
+        assert reference_index(zs, k, "t21") is None
+        assert reference_index(zs, k, "t23") is None
+    # b = 1 and a symmetric measure: zeros at pi, -phi, 0 and phi
+    lower, upper = (k for k, p in enumerate(zs.phases) if abs(math.sin(p)) > 1e-6)
+    assert zs.phases[lower] == pytest.approx(-zs.phases[upper], abs=1e-12)
+    assert reference_index(zs, lower, "t22") == upper
+    assert reference_index(zs, upper, "t22") == lower
+    assert reference_index(zs, zs.nearest_index(0.0), "t22") is None
+    assert reference_index(zs, zs.nearest_index(math.pi), "t22") is None
+
+
+def _w_tilde(j: int, ctx: MotionContext) -> float:
+    """The paper's conjugate-pair functional W~_j, written out: with
+    s~(theta, phi) = 1 / (2 (cos phi - cos theta)) and the sum
+    sin(theta) / (cos(theta) - cos(phi)) plus cotangents over the other zeros,
+    W~_j = s~ gamma_j' - gamma_j s~ sum omega_j'."""
+    phi, theta = ctx.phi, ctx.omegas[j]
+    s_conj = 0.5 / (math.cos(phi) - math.cos(theta))
+    s_sum_conj = math.sin(theta) / (math.cos(theta) - math.cos(phi))
+    for k, ph in enumerate(ctx.phases):
+        if k not in (ctx.fixed_index, ctx.tracked_index):
+            s_sum_conj += 1.0 / math.tan(0.5 * (ph - theta))
+    return s_conj * ctx.dgammas[j] - ctx.gammas[j] * s_conj * s_sum_conj * ctx.domegas[j]
+
+
+@pytest.mark.parametrize("m", [CONJUGATE, CONJUGATE_MOVING], ids=["fixed", "moving"])
+def test_t22_functionals_are_the_conjugate_pair_functionals(m):
+    # W_j measured against the conjugate partner is 2 sin(phi) W~_j
+    cfg = SweepConfig(m, 4, -0.5, 0.5, 11, ZeroPolicy.fixed_b(1 + 0j), theorem="t22")
+    traj = sweep(cfg)
+    checked = 0
+    for entry, zs in zip(sweep_verdicts(cfg, traj), traj.zero_sets):
+        for item in entry["verdicts"]:
+            k = item["zero_index"]
+            ctx = motion_context(m, zs, reference_index(zs, k, "t22"), k, entry["t"])
+            expected = 2.0 * math.sin(ctx.phi) * np.array(
+                [_w_tilde(j, ctx) for j in range(len(ctx.gammas))]
+            )
+            w = np.array(item["w_masses"])
+            assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
+            checked += 1
+    assert checked == 2 * len(traj.ts)
 
 
 def test_verdict_ccw_and_mirror():
@@ -325,7 +375,7 @@ def test_array_t23_verdict_matches_scalar_reference(name):
         for k in range(len(zs)):
             if k == zs.fixed_index:
                 continue
-            ctx = motion_context(cfg.measure, zs.with_markers(zs.fixed_index, k), float(t))
+            ctx = motion_context(cfg.measure, zs, zs.fixed_index, k, float(t))
             rep = verdict(ctx, "t23")
             label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
             assert (rep.verdict, rep.flags) == (label, flags)
