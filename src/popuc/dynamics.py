@@ -329,7 +329,7 @@ def balance_check(
     C = _c_integral(state.ms, p, zeta)
     if theorem == "t22":
         C += _c_integral(state.ms, p, np.conj(zeta))
-    elif theorem == "t23":
+    elif theorem == "t23" and ctx.f_varies:  # else the integrand is exactly zero
         xi = complex(np.exp(1j * ctx.theta0))
         # s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] with
         # D2 = P/((z-xi)(z-zeta)); smooth through both poles
@@ -352,19 +352,24 @@ def balance_check(
 def sweep_verdicts(
     cfg: SweepConfig, traj: Trajectory
 ) -> list[dict]:
-    """Per-grid-point verdicts for every zero that has a reference zero."""
+    """Per-grid-point verdicts for every zero that has a reference zero.
+
+    The measure's part of the motion context is built once per grid point and
+    shared by its zeros."""
     out = []
     for i, t in enumerate(traj.ts):
         zs = traj.zero_sets[i]
         entry: dict = {"t": float(t), "verdicts": []}
+        base = None
         for k in range(len(zs)):
             reference = reference_index(zs, k, cfg.theorem)
             if reference is None:
                 continue
             try:
-                rep: VerdictReport = verdict(
-                    motion_context(cfg.measure, zs, reference, k, float(t)), cfg.theorem
-                )
+                if base is None:
+                    base = motion_context(cfg.measure, zs, reference, k, float(t))
+                ctx = replace(base, fixed_index=reference, tracked_index=k)
+                rep: VerdictReport = verdict(ctx, cfg.theorem)
             except (PredicateError, MeasureError, ExprError) as exc:
                 # a collision mid-sweep degrades gracefully
                 entry["verdicts"].append({"zero_index": k, "error": str(exc)})

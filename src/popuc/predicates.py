@@ -8,7 +8,9 @@ Three regimes are supported:
     s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi);
   - ``t23``: mixed measures (W_j with a continuous correction, plus the
     density functional W(theta) and the monotonicity of
-    f(theta) = (d/dt weight)/weight).
+    f(theta) = (d/dt weight)/weight).  Only a ``custom`` weight's f can
+    depend on theta; for the others W(theta) is exactly zero, so the verdict
+    tests no continuous part (``MotionContext.f_varies``).
 
 The reference zero (theta0) is chosen in one place, :func:`reference_index`.
 A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
@@ -17,7 +19,7 @@ returned together with the supporting numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -69,7 +71,9 @@ class MotionContext:
     t: float
     # f(theta) = (d/dt weight)/weight, element-wise on an array of angles
     f_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    ac_nodes: np.ndarray = field(default_factory=lambda: np.array([]))
+    # False when f is constant in theta: then s(theta)(f(theta) - f(phi)) is
+    # exactly zero, and verdicts and balance checks skip the continuous part
+    f_varies: bool = True
 
     @property
     def theta0(self) -> float:
@@ -78,6 +82,11 @@ class MotionContext:
     @property
     def phi(self) -> float:
         return float(self.phases[self.tracked_index])
+
+    @cached_property
+    def ac_nodes(self) -> np.ndarray:
+        """Midpoint nodes from theta0 on which verdicts test the continuous part."""
+        return theta_grid(self.theta0, VERDICT_NODES, midpoint=True)
 
     @cached_property
     def f_at_phi(self) -> float:
@@ -150,7 +159,7 @@ def motion_context(
         domegas=dom,
         t=t,
         f_theta=_ac_log_derivative(m, t),
-        ac_nodes=theta_grid(zs.phases[reference], VERDICT_NODES, midpoint=True),
+        f_varies=m.ac.kind == "custom",
     )
 
 
@@ -286,7 +295,7 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
 
     wc_min = wc_max = 0.0
     nondecreasing = nonincreasing = True
-    if theorem == "t23" and ctx.f_theta is not None:
+    if theorem == "t23" and ctx.f_theta is not None and ctx.f_varies:
         nodes = ctx.ac_nodes
         f_nodes = ctx.f_theta(nodes)
         usable = (circular_gap(nodes, ctx.phi) > 1e-9) & (circular_gap(nodes, ctx.theta0) > 1e-9)

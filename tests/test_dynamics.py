@@ -18,7 +18,10 @@ from popuc.dynamics import (
     sweep_verdicts,
     tracked_velocity,
 )
-from popuc.measures import ACWeight, MassPoint, Measure
+from popuc.measures import ACWeight, MassPoint, Measure, theta_grid
+from popuc.opuc import polyval
+from popuc.paraorthogonal import deflate
+from popuc.predicates import motion_context
 from popuc.scenarios import SCENARIOS, scenario_config
 
 DISCRETE = Measure.of(
@@ -227,6 +230,69 @@ def test_weight_vanishing_at_a_verdict_node_gives_error_entry():
     errors = [item["error"] for entry in entries for item in entry["verdicts"] if "error" in item]
     assert len(errors) == 3 * 4
     assert all("weight vanishes" in err for err in errors)
+
+
+def test_shared_context_error_reaches_every_zero_at_its_grid_point():
+    # the AC scale t vanishes at t = 0, where the motion context cannot be built
+    m = Measure.of(ACWeight.lebesgue("t"), [MassPoint.of("1", w) for w in ("0.5", "2.5", "4.5")])
+    cfg = SweepConfig(m, 3, 0.0, 1.0, 5, ZeroPolicy.fixed_xi(1j), theorem="t23")
+    entries = sweep_verdicts(cfg, sweep(cfg))
+    error = "AC scale 0.0 not positive at t=0.0"
+    assert entries[0]["verdicts"] == [{"zero_index": k, "error": error} for k in (1, 2)]
+    assert [item["zero_index"] for item in entries[1]["verdicts"]] == [1, 2]
+    assert all("verdict" in item for item in entries[1]["verdicts"])
+
+
+def _old_t23_ac_integral(m, state, ctx, nodes=2048):
+    """The t23 AC integral of the balance identity, computed in full."""
+    p = state.popuc.poly.coeffs
+    zeta, xi = complex(np.exp(1j * ctx.phi)), complex(np.exp(1j * ctx.theta0))
+    d2 = deflate(deflate(p, xi), zeta)
+    thetas = theta_grid(m.ac.theta0, nodes, midpoint=True)
+    z = np.exp(1j * thetas)
+    s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p, z))).real
+    integrand = s_p2 * (ctx.f_theta(thetas) - ctx.f_at_phi)
+    return float(np.sum(integrand * m.ac.density(thetas, state.t))) / nodes
+
+
+@pytest.mark.parametrize("m", [MIXED, scenario_config("bs_mass_gamma").measure])
+def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
+    pol = ZeroPolicy.fixed_xi(1j)
+    state = solve_at(m, 5, pol, 0.4)
+    zs = state.zero_set
+    for k in range(len(zs)):
+        if k == zs.fixed_index:
+            continue
+        ctx = motion_context(m, zs, zs.fixed_index, k, 0.4)
+        assert not ctx.f_varies
+        assert _old_t23_ac_integral(m, state, ctx) == 0.0
+        assert balance_check(m, 5, pol, 0.4, ctx.phi, "t23").mismatch < 1e-4
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "m", [MIXED, Measure.of(ACWeight.custom("exp(t*cos(theta - 1))"), [MassPoint.of("t", "0")])]
+)
+def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
+    pol = ZeroPolicy.fixed_xi(1j)
+    t, h, nodes = 0.4, 1e-5, 1024
+    zs = solve_at(m, 5, pol, t, nodes).zero_set
+    phi = zs.phases[(zs.fixed_index + 2) % len(zs)]
+    calls = _count_calls(monkeypatch, ACWeight, "density")
+    for s in (t, t - h, t + h):
+        solve_at(m, 5, pol, s, nodes)
+    solves = len(calls)
+    calls.clear()
+    balance_check(m, 5, pol, t, phi, "t23", h, nodes)
+    # a theta-independent f needs no density at all; a varying one needs it
+    # once for the AC integral, beyond the three solves
+    assert len(calls) == (solves + 1 if m.ac.kind == "custom" else 0)
 
 
 def test_sweep_config_needs_sixteen_nodes():

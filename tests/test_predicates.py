@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from popuc import measures
+from popuc import measures, predicates
 from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap
 from popuc.predicates import (
@@ -36,7 +36,6 @@ def _context(phases, fixed, tracked, gammas=(), omegas=(), dgammas=(), domegas=(
         domegas=np.asarray(domegas, dtype=float),
         t=0.0,
         f_theta=f,
-        ac_nodes=np.linspace(0.01, 2 * math.pi - 0.01, 64),
     )
 
 
@@ -362,11 +361,14 @@ CUSTOM_WEIGHTS = {
 }
 
 
-@pytest.mark.parametrize("name", ["bs_mass_gamma", "bs_mass_omega", *CUSTOM_WEIGHTS])
+@pytest.mark.parametrize("name", ["bs_mass_gamma", "bs_mass_omega", "lebesgue", *CUSTOM_WEIGHTS])
 def test_array_t23_verdict_matches_scalar_reference(name):
     if name in CUSTOM_WEIGHTS:
         m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS[name]), [MassPoint.of("t", "2*pi/3")])
         cfg = SweepConfig(m, 5, 0.5, 1.0, 4, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=1024)
+    elif name == "lebesgue":
+        m = Measure.of(ACWeight.lebesgue("1 - t"), [MassPoint.of("t", "2*pi/3")])
+        cfg = SweepConfig(m, 5, 0.1, 0.9, 9, ZeroPolicy.fixed_xi(1j), theorem="t23")
     else:
         cfg = replace(scenario_config(name), steps=20)
     traj = sweep(cfg)
@@ -376,6 +378,8 @@ def test_array_t23_verdict_matches_scalar_reference(name):
             if k == zs.fixed_index:
                 continue
             ctx = motion_context(cfg.measure, zs, zs.fixed_index, k, float(t))
+            # no collision, so the reference runs its whole node-by-node pass
+            assert not ctx.collisions()
             rep = verdict(ctx, "t23")
             label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
             assert (rep.verdict, rep.flags) == (label, flags)
@@ -383,3 +387,23 @@ def test_array_t23_verdict_matches_scalar_reference(name):
             assert abs(rep.w_continuous_max - wc_max) <= 1e-12 * scale
             checked += 1
     assert checked == len(traj.ts) * (cfg.degree - 1)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_t23_verdict_runs_the_continuous_pass_only_when_f_varies(monkeypatch, custom):
+    cfg = replace(scenario_config("bs_mass_gamma"), steps=5)
+    if custom:
+        m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]), [MassPoint.of("t", "2*pi/3")])
+        cfg = replace(cfg, measure=m, t_start=0.5, t_stop=1.0, nodes=1024)
+    traj = sweep(cfg)
+    calls = _count_calls(monkeypatch, predicates, "w_continuous")
+    entries = sweep_verdicts(cfg, traj)
+    assert sum(len(entry["verdicts"]) for entry in entries) == 5 * 4
+    assert (len(calls) > 0) == custom
