@@ -232,7 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, metavar="START:STOP:STEPS")
     p.add_argument("--degree", type=int, default=None)
     add_policy(p)
-    p.add_argument("--theorem", choices=THEOREMS, default=None)
+    p.add_argument(
+        "--theorem", choices=THEOREMS, default=None,
+        help="reference zero: the pinned zero (t21, t23; one computation) or the "
+        "conjugate partner (t22); the measure decides the continuous terms",
+    )
     p.add_argument("--verdicts-out", default=None, help="verdict JSON path")
     p.set_defaults(func=cmd_sweep)
 
@@ -263,7 +267,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

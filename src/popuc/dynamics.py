@@ -86,6 +86,13 @@ class ZeroPolicy:
         return cls("fixed_b", complex(b))
 
 
+def _known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
+    """``obj``, once no key of it lies outside ``keys``."""
+    if set(obj) - set(keys):
+        raise ValueError(f"unknown {where} key(s) {sorted(set(obj) - set(keys))}")
+    return obj
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     measure: Measure
@@ -101,6 +108,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.steps < 3:
             raise ValueError("grid too small: need steps >= 3")
+        if self.t_start == self.t_stop:
+            raise ValueError(f"empty grid interval: start = stop = {self.t_start}")
         if self.degree < 2:
             raise ValueError("POPUC degree must be at least 2")
         if self.nodes < MIN_NODES:
@@ -111,9 +120,11 @@ class SweepConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
         """The run config of the documented JSON schema; an absent key takes
-        its default and an unknown key is ignored."""
-        grid = obj.get("grid", {})
-        policy = obj.get("policy", {})
+        its default, an unknown (say, misspelt) key raises ValueError, and the
+        retired top-level ``h`` is ignored."""
+        _known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes", "h"))
+        grid = _known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
+        policy = _known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
         re, im = policy.get("value", [1.0, 0.0])
         return cls(
             measure=Measure.from_json(obj["measure"]),
@@ -271,7 +282,8 @@ class BalanceEntry:
     """One evaluation of the velocity balance identity.
 
     lhs = C(t) * dphi/dt with dphi/dt by central finite difference;
-    rhs is the theorem's weighted sum/integral of motion functionals.
+    rhs is the |P|^2-weighted sum of the per-mass functionals, plus the
+    density functional's integral when f depends on theta.
     """
 
     t: float
@@ -280,16 +292,6 @@ class BalanceEntry:
     lhs: float
     rhs: float
     mismatch: float
-
-
-def _ac_quadrature(measure: Measure, t: float, integrand, nodes: int) -> float:
-    """Midpoint-rule integral of integrand(theta) * w(theta; t) over one period,
-    against dtheta/2pi; zero when there is no AC part.  ``integrand`` maps
-    the array of nodes to an array of values."""
-    if measure.ac.kind == "none":
-        return 0.0
-    thetas = theta_grid(measure.ac.theta0, nodes, midpoint=True)
-    return float(np.sum(integrand(thetas) * measure.ac.density(thetas, t))) / nodes
 
 
 def _c_integral(ms: MomentSequence, popuc: PopucInstance, zeta: complex) -> float:
@@ -325,23 +327,21 @@ def balance_check(
     zeta = complex(np.exp(1j * ctx.phi))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
-    rhs = float(np.sum(mass_functionals(ctx, theorem) * pvals_at_masses))
+    rhs = float(np.sum(mass_functionals(ctx) * pvals_at_masses))
     C = _c_integral(state.ms, p, zeta)
     if theorem == "t22":
         C += _c_integral(state.ms, p, np.conj(zeta))
-    elif theorem == "t23" and ctx.f_varies:  # else the integrand is exactly zero
+    if ctx.f_theta is not None:  # else the AC integrand is exactly zero
         xi = complex(np.exp(1j * ctx.theta0))
-        # s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] with
+        # midpoint rule for int s(theta)|P|^2 (f(theta) - f(phi)) w(theta) dtheta/2pi,
+        # with s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] and
         # D2 = P/((z-xi)(z-zeta)); smooth through both poles
         d2 = deflate(deflate(p.poly.coeffs, xi), zeta)
-        pref = 1j * (zeta - xi)
-
-        def integrand(th: np.ndarray) -> np.ndarray:
-            z = np.exp(1j * th)
-            s_p2 = (pref * z * polyval(d2, z) * np.conj(polyval(p.poly.coeffs, z))).real
-            return s_p2 * (ctx.f_theta(th) - ctx.f_at_phi)
-
-        rhs += _ac_quadrature(m, t, integrand, min(nodes, 2048))
+        n = min(nodes, 2048)
+        th = theta_grid(m.ac.theta0, n, midpoint=True)
+        z = np.exp(1j * th)
+        s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p.poly.coeffs, z))).real
+        rhs += float(np.sum(s_p2 * (ctx.f_theta(th) - ctx.f_at_phi) * m.ac.density(th, t))) / n
 
     dphi = tracked_velocity(m, degree, policy, t, ctx.phi, h, nodes)
     lhs = C * dphi

@@ -1,18 +1,15 @@
 """Motion functionals and verdicts for the tracked POPUC zero.
 
-Three regimes are supported:
+The measure decides the continuous terms.  With f(theta) = (d/dt weight)/weight,
+the per-mass functional W_j (:func:`w_mass`) gains -gamma_j s f(phi) when the
+AC part moves, and verdicts also test the density functional
+W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f when f can
+depend on theta (a ``custom`` weight; for the others W(theta) is exactly zero).
 
-  - ``t21``: purely discrete measures (per-mass functionals W_j);
-  - ``t22``: a tracked pair of complex-conjugate zeros: the t21 functionals
-    measured against the conjugate partner, W_j = 2 sin(phi) W~_j, because
-    s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi);
-  - ``t23``: mixed measures (W_j with a continuous correction, plus the
-    density functional W(theta) and the monotonicity of
-    f(theta) = (d/dt weight)/weight).  Only a ``custom`` weight's f can
-    depend on theta; for the others W(theta) is exactly zero, so the verdict
-    tests no continuous part (``MotionContext.f_varies``).
-
-The reference zero (theta0) is chosen in one place, :func:`reference_index`.
+The regime (``theorem``) only picks the reference zero theta0, in
+:func:`reference_index`: the pinned zero under ``t21`` and ``t23`` (one
+computation under two names), the conjugate partner under ``t22``, where
+W_j = 2 sin(phi) W~_j because s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi).
 A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
 returned together with the supporting numbers.
 """
@@ -37,9 +34,8 @@ __all__ = [
     "motion_context",
     "s_factor",
     "s_sum",
-    "w_discrete",
+    "w_mass",
     "w_continuous",
-    "w_mixed",
     "THEOREMS",
     "mass_functionals",
     "verdict",
@@ -69,11 +65,11 @@ class MotionContext:
     dgammas: np.ndarray
     domegas: np.ndarray
     t: float
-    # f(theta) = (d/dt weight)/weight, element-wise on an array of angles
+    # f(theta) = (d/dt weight)/weight, element-wise on an array of angles, for
+    # a weight whose f can depend on theta; else None and f is f_const (zero
+    # without an AC part), so verdicts and balance checks skip the density term
     f_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    # False when f is constant in theta: then s(theta)(f(theta) - f(phi)) is
-    # exactly zero, and verdicts and balance checks skip the continuous part
-    f_varies: bool = True
+    f_const: float = 0.0
 
     @property
     def theta0(self) -> float:
@@ -90,7 +86,7 @@ class MotionContext:
 
     @cached_property
     def f_at_phi(self) -> float:
-        return 0.0 if self.f_theta is None else float(self.f_theta(self.phi))
+        return self.f_const if self.f_theta is None else float(self.f_theta(self.phi))
 
     def collisions(self) -> list[tuple[int, int]]:
         """(mass index, zero index) pairs closer than the angle tolerance."""
@@ -102,20 +98,18 @@ class MotionContext:
         return hits
 
 
-def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarray] | None:
-    """f(theta; t) = (d/dt weight)/weight for the AC part, or None if absent.
-
-    The returned function maps an array of angles to an array of the same
-    shape in one evaluation pass."""
+def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
+    """(f_theta, f_const) of f(theta; t) = (d/dt weight)/weight for the AC part:
+    f_theta, for a ``custom`` weight only, maps an array of angles to an array
+    in one evaluation pass; the other weights have a constant f."""
     ac = m.ac
     if ac.kind == "none":
-        return None
+        return None, 0.0
     if ac.kind in ("lebesgue", "bernstein_szego"):
         s = evaluate(ac.scale, {"t": t})
         if s <= 0:
             raise PredicateError(f"AC scale {s} not positive at t={t}")
-        value = evaluate(ac.d_dt, {"t": t}) / s
-        return lambda theta: np.full(np.shape(theta), value)
+        return None, evaluate(ac.d_dt, {"t": t}) / s
 
     def f(theta: np.ndarray) -> np.ndarray:
         bindings = {"theta": theta, "t": t}
@@ -126,13 +120,15 @@ def _ac_log_derivative(m: Measure, t: float) -> Callable[[np.ndarray], np.ndarra
             raise PredicateError(f"weight vanishes at theta={float(bad[0])!r}")
         return evaluate(ac.d_dt, bindings) / w
 
-    return f
+    return f, 0.0
 
 
 def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
     """Index of the zero that zero ``tracked`` is measured against: its
     conjugate partner under t22, else the pinned zero; None when there is no
     such zero or it is the tracked zero itself."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem selector {theorem!r}")
     ref = zs.nearest_index(-zs.phases[tracked]) if theorem == "t22" else zs.fixed_index
     return None if ref == tracked else ref
 
@@ -149,6 +145,7 @@ def motion_context(
     gam, om = m.mass_values(t)
     dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
     dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
+    f_theta, f_const = _ac_log_derivative(m, t)
     return MotionContext(
         phases=zs.phases,
         fixed_index=int(reference),
@@ -158,8 +155,8 @@ def motion_context(
         dgammas=dgam,
         domegas=dom,
         t=t,
-        f_theta=_ac_log_derivative(m, t),
-        f_varies=m.ac.kind == "custom",
+        f_theta=f_theta,
+        f_const=f_const,
     )
 
 
@@ -184,12 +181,16 @@ def s_sum(theta: float, ctx: MotionContext) -> float:
     return total
 
 
-def w_discrete(j: int, ctx: MotionContext) -> float:
-    """Per-mass functional for purely discrete measures."""
+def w_mass(j: int, ctx: MotionContext) -> float:
+    """W_j = s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s and the
+    cotangent sum S at omega_j."""
     s = s_factor(ctx.omegas[j], ctx.phi, ctx.theta0)
     value = s * ctx.dgammas[j]
     if ctx.domegas[j] != 0.0:
         value -= ctx.gammas[j] * s * s_sum(ctx.omegas[j], ctx) * ctx.domegas[j]
+    f_phi = ctx.f_at_phi
+    if f_phi != 0.0:
+        value -= ctx.gammas[j] * s * f_phi
     return value
 
 
@@ -206,26 +207,13 @@ def w_continuous(
     return s_factor(theta, ctx.phi, ctx.theta0) * (f_values - ctx.f_at_phi)
 
 
-def w_mixed(j: int, ctx: MotionContext) -> float:
-    """Discrete functional with the continuous-part correction term."""
-    value = w_discrete(j, ctx)
-    f_phi = ctx.f_at_phi
-    if f_phi != 0.0:
-        value -= ctx.gammas[j] * s_factor(ctx.omegas[j], ctx.phi, ctx.theta0) * f_phi
-    return value
+# the regimes; each picks its reference zero in reference_index
+THEOREMS = ("t21", "t22", "t23")
 
 
-# the per-mass functional W_j of each regime
-_FUNCTIONALS = {"t21": w_discrete, "t22": w_discrete, "t23": w_mixed}
-THEOREMS = tuple(_FUNCTIONALS)
-
-
-def mass_functionals(ctx: MotionContext, theorem: str) -> np.ndarray:
-    """W_j of the ``theorem``'s regime for every mass, as an array."""
-    if theorem not in _FUNCTIONALS:
-        raise ValueError(f"unknown theorem selector {theorem!r}")
-    functional = _FUNCTIONALS[theorem]
-    return np.array([functional(j, ctx) for j in range(len(ctx.gammas))])
+def mass_functionals(ctx: MotionContext) -> np.ndarray:
+    """W_j for every mass, as an array."""
+    return np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
 
 
 @dataclass(frozen=True)
@@ -289,13 +277,13 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
         return _inconclusive(ctx, theorem, ["non_conjugate_pair"])
 
     try:
-        w_masses = mass_functionals(ctx, theorem)
+        w_masses = mass_functionals(ctx)
     except PredicateError:
         return _inconclusive(ctx, theorem, ["pole"])
 
     wc_min = wc_max = 0.0
     nondecreasing = nonincreasing = True
-    if theorem == "t23" and ctx.f_theta is not None and ctx.f_varies:
+    if ctx.f_theta is not None:
         nodes = ctx.ac_nodes
         f_nodes = ctx.f_theta(nodes)
         usable = (circular_gap(nodes, ctx.phi) > 1e-9) & (circular_gap(nodes, ctx.theta0) > 1e-9)
@@ -317,14 +305,14 @@ def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
     elif (
         bool(np.all(w_masses >= -NONNEG_TOL * scale))
         and (float(np.max(w_masses, initial=0.0)) > STRICT_TOL * scale or wc_max > STRICT_TOL * scale)
-        and (theorem != "t23" or nondecreasing)
+        and nondecreasing
     ):
         label = "CCW"
         mirrored = False
     elif (
         bool(np.all(w_masses <= NONNEG_TOL * scale))
         and (float(np.min(w_masses, initial=0.0)) < -STRICT_TOL * scale or wc_min < -STRICT_TOL * scale)
-        and (theorem != "t23" or nonincreasing)
+        and nonincreasing
     ):
         label = "CW"
         mirrored = True

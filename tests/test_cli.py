@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import popuc
 from popuc import verify
 from popuc.cli import main
 from popuc.dynamics import ZeroPolicy, solve_at
@@ -208,6 +213,44 @@ def test_bad_grid_exits_2(tmp_path, mixed_config):
          "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
+
+
+def test_empty_grid_interval_exits_2(tmp_path, mixed_config, capsys):
+    # a zero-width grid would divide by a zero step in the velocities
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", mixed_config, "--grid", "0.5:0.5:5", "--out", str(out)]) == 2
+    assert "empty grid interval" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda obj: obj.update(degre=8), "degre"),
+        (lambda obj: obj["grid"].update(step=50), "step"),
+        (lambda obj: obj["policy"].update(values=[0.0, 1.0]), "values"),
+    ],
+    ids=["top_level", "grid", "policy"],
+)
+def test_misspelt_config_key_exits_2_and_names_it(tmp_path, mixed_config, capsys, edit, key):
+    obj = json.loads(open(mixed_config).read())
+    edit(obj)
+    path = _write(tmp_path, "typo.json", obj)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_popuc_runs_the_cli():
+    src = str(Path(popuc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "popuc", "verify", "--only", "expr"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS" in done.stdout
 
 
 def test_degenerate_measure_exits_3(tmp_path):

@@ -56,6 +56,8 @@ def test_sweep_config_validation():
     assert SweepConfig(DISCRETE, 4, 0.0, 1.0, 10, pol, h=0.2).h == 0.2
     with pytest.raises(ValueError, match="t99"):
         SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol, theorem="t99")
+    with pytest.raises(ValueError, match="empty grid interval"):
+        SweepConfig(DISCRETE, 4, 0.5, 0.5, 5, pol)
     cfg = SweepConfig(DISCRETE, 4, 0.0, 1.0, 11, pol)
     assert len(cfg.grid()) == 11
 
@@ -251,7 +253,7 @@ def _old_t23_ac_integral(m, state, ctx, nodes=2048):
     thetas = theta_grid(m.ac.theta0, nodes, midpoint=True)
     z = np.exp(1j * thetas)
     s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p, z))).real
-    integrand = s_p2 * (ctx.f_theta(thetas) - ctx.f_at_phi)
+    integrand = s_p2 * (ctx.f_const - ctx.f_at_phi)
     return float(np.sum(integrand * m.ac.density(thetas, state.t))) / nodes
 
 
@@ -264,7 +266,7 @@ def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
         if k == zs.fixed_index:
             continue
         ctx = motion_context(m, zs, zs.fixed_index, k, 0.4)
-        assert not ctx.f_varies
+        assert ctx.f_theta is None
         assert _old_t23_ac_integral(m, state, ctx) == 0.0
         assert balance_check(m, 5, pol, 0.4, ctx.phi, "t23").mismatch < 1e-4
 
@@ -293,6 +295,44 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
     # a theta-independent f needs no density at all; a varying one needs it
     # once for the AC integral, beyond the three solves
     assert len(calls) == (solves + 1 if m.ac.kind == "custom" else 0)
+
+
+# the conjugate-symmetric masses of verify's "conjugate" check under three
+# moving AC parts: f constant in theta, and two custom weights whose f is not
+CONJUGATE_MASSES = [
+    MassPoint.of("0.5 + 0.2*t", "1.0"),
+    MassPoint.of("0.5 + 0.2*t", "-1.0"),
+    MassPoint.of("0.8 - 0.1*t", "2.2"),
+    MassPoint.of("0.8 - 0.1*t", "-2.2"),
+]
+MOVING_AC = {
+    "lebesgue": ACWeight.lebesgue("1 - 0.5*t"),
+    "custom_cos": ACWeight.custom("1 + 0.3*t*cos(theta)"),
+    "custom_cos2": ACWeight.custom("(1+0.5*t)*(1.2 + cos(2*theta))"),
+}
+
+
+@pytest.mark.parametrize("ac", MOVING_AC.values(), ids=MOVING_AC)
+def test_balance_takes_the_continuous_terms_in_every_regime(ac):
+    # the AC terms follow from the measure: t21 and t22 balance on a mixed
+    # measure as t23 does
+    m = Measure.of(ac, CONJUGATE_MASSES)
+    worst, checked = 0.0, 0
+    for t in (-0.3, 0.2):
+        pair = ZeroPolicy.fixed_b(1 + 0j)
+        for degree in (4, 6, 8):
+            zs = solve_at(m, degree, pair, t, 1024).zero_set
+            for phi in zs.phases[(zs.phases > 1e-6) & (zs.phases < math.pi - 1e-6)]:
+                worst = max(worst, balance_check(m, degree, pair, t, phi, "t22", nodes=1024).mismatch)
+                checked += 1
+        pin = ZeroPolicy.fixed_xi(1j)
+        zs = solve_at(m, 6, pin, t, 1024).zero_set
+        for k in range(len(zs)):
+            if k != zs.fixed_index:
+                worst = max(worst, balance_check(m, 6, pin, t, zs.phases[k], "t21", nodes=1024).mismatch)
+                checked += 1
+    assert checked == 22
+    assert worst < 1e-4
 
 
 def test_sweep_config_needs_sixteen_nodes():

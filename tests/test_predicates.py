@@ -19,8 +19,7 @@ from popuc.predicates import (
     s_sum,
     verdict,
     w_continuous,
-    w_discrete,
-    w_mixed,
+    w_mass,
 )
 from popuc.scenarios import scenario_config
 
@@ -89,7 +88,7 @@ def test_w_discrete_pure_gamma_term():
         gammas=[1.0], omegas=[4.0], dgammas=[0.7], domegas=[0.0],
     )
     expected = 0.7 * s_factor(4.0, 2.0, 0.5)
-    assert w_discrete(0, ctx) == pytest.approx(expected, abs=1e-13)
+    assert w_mass(0, ctx) == pytest.approx(expected, abs=1e-13)
 
 
 def test_w_discrete_omega_term():
@@ -99,15 +98,21 @@ def test_w_discrete_omega_term():
     )
     s = s_factor(4.0, 2.0, 0.5)
     expected = -1.3 * s * s_sum(4.0, ctx) * 0.2
-    assert w_discrete(0, ctx) == pytest.approx(expected, abs=1e-13)
+    assert w_mass(0, ctx) == pytest.approx(expected, abs=1e-13)
 
 
 def test_w_mixed_reduces_to_discrete_without_ac():
     ctx = _context(
         [0.5, 2.0], fixed=0, tracked=1,
-        gammas=[1.0], omegas=[4.0], dgammas=[0.3], domegas=[0.1],
+        gammas=[1.3], omegas=[4.0], dgammas=[0.3], domegas=[0.1],
     )
-    assert w_mixed(0, ctx) == w_discrete(0, ctx)
+    s = s_factor(4.0, 2.0, 0.5)
+    discrete = s * 0.3 - 1.3 * s * s_sum(4.0, ctx) * 0.1
+    assert w_mass(0, ctx) == pytest.approx(discrete, abs=1e-13)
+    # a moving AC part with f constant in theta adds -gamma s f(phi)
+    moving = replace(ctx, f_const=-0.7)
+    assert moving.f_at_phi == -0.7
+    assert w_mass(0, moving) == pytest.approx(discrete + 1.3 * s * 0.7, abs=1e-13)
 
 
 def test_w_continuous_vanishes_for_constant_f():
@@ -183,6 +188,32 @@ def test_reference_index():
     assert reference_index(zs, upper, "t22") == lower
     assert reference_index(zs, zs.nearest_index(0.0), "t22") is None
     assert reference_index(zs, zs.nearest_index(math.pi), "t22") is None
+
+
+def test_reference_index_rejects_unknown_theorem():
+    zs = solve_at(CONJUGATE, 4, ZeroPolicy.fixed_xi(cmath.exp(0.5j)), 0.0).zero_set
+    with pytest.raises(ValueError, match="t99"):
+        reference_index(zs, 2, "t99")
+
+
+@pytest.mark.parametrize(
+    "ac", [ACWeight.lebesgue("1 - t"), ACWeight.custom("exp(t*cos(theta - 1))")],
+    ids=["lebesgue", "custom_cos"],
+)
+def test_t21_and_t23_verdicts_are_one_computation(ac):
+    # the continuous terms follow from the measure, so the two names for the
+    # pinned-zero regime give the same verdicts on a mixed measure
+    m = Measure.of(ac, [MassPoint.of("t", "2*pi/3")])
+    cfg = SweepConfig(m, 5, 0.1, 0.9, 9, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=1024)
+    traj = sweep(cfg)
+    t23 = sweep_verdicts(cfg, traj)
+    t21 = sweep_verdicts(replace(cfg, theorem="t21"), traj)
+    for theorem, entries in (("t23", t23), ("t21", t21)):
+        for entry in entries:
+            for item in entry["verdicts"]:
+                assert item.pop("theorem") == theorem
+    assert t21 == t23
+    assert sum(len(entry["verdicts"]) for entry in t21) == 9 * 4
 
 
 def _w_tilde(j: int, ctx: MotionContext) -> float:
@@ -306,13 +337,13 @@ def _scalar_t23_verdict(ctx):
     if ctx.collisions():
         return "Inconclusive", ("collision",), 0.0, 0.0, 0.0
     try:
-        w_masses = np.array([w_mixed(j, ctx) for j in range(len(ctx.gammas))])
+        w_masses = np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
     except PredicateError:
         return "Inconclusive", ("pole",), 0.0, 0.0, 0.0
     phi, theta0 = ctx.phi, ctx.theta0
 
     def f(theta):
-        return float(ctx.f_theta(float(theta)))
+        return ctx.f_const if ctx.f_theta is None else float(ctx.f_theta(float(theta)))
 
     def s(theta):
         return math.sin(0.5 * (phi - theta0)) / (

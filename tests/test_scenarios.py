@@ -90,6 +90,9 @@ def test_from_json_fills_defaults():
     )
 
 
-def test_from_json_ignores_unknown_keys_such_as_h():
-    obj = dict(scenario_json("lebesgue_mass_b"), h=0.5, comment="old file")
+def test_from_json_ignores_h_and_rejects_other_unknown_keys():
+    # the retired top-level h still loads; any other unknown key is a typo
+    obj = dict(scenario_json("lebesgue_mass_b"), h=0.5)
     assert SweepConfig.from_json(obj) == REFERENCE["lebesgue_mass_b"]
+    with pytest.raises(ValueError, match="'comment'"):
+        SweepConfig.from_json(dict(obj, comment="old file"))
