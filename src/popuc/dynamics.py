@@ -18,6 +18,7 @@ from .measures import (
     Measure,
     MeasureError,
     MomentSequence,
+    known_keys,
     moments,
     theta_grid,
 )
@@ -34,11 +35,10 @@ from .paraorthogonal import (
 from .predicates import (
     THEOREMS,
     PredicateError,
-    VerdictReport,
     mass_functionals,
     motion_context,
     reference_index,
-    verdict,
+    verdicts_at,
 )
 
 __all__ = [
@@ -86,13 +86,6 @@ class ZeroPolicy:
         return cls("fixed_b", complex(b))
 
 
-def _known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
-    """``obj``, once no key of it lies outside ``keys``."""
-    if set(obj) - set(keys):
-        raise ValueError(f"unknown {where} key(s) {sorted(set(obj) - set(keys))}")
-    return obj
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     measure: Measure
@@ -122,9 +115,9 @@ class SweepConfig:
         """The run config of the documented JSON schema; an absent key takes
         its default, an unknown (say, misspelt) key raises ValueError, and the
         retired top-level ``h`` is ignored."""
-        _known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes", "h"))
-        grid = _known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
-        policy = _known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
+        known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes", "h"))
+        grid = known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
+        policy = known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
         re, im = policy.get("value", [1.0, 0.0])
         return cls(
             measure=Measure.from_json(obj["measure"]),
@@ -352,30 +345,19 @@ def balance_check(
 def sweep_verdicts(
     cfg: SweepConfig, traj: Trajectory
 ) -> list[dict]:
-    """Per-grid-point verdicts for every zero that has a reference zero.
-
-    The measure's part of the motion context is built once per grid point and
-    shared by its zeros."""
+    """Per-grid-point verdicts for every zero that has a reference zero, all
+    zeros of a grid point from one :func:`~popuc.predicates.verdicts_at` pass."""
     out = []
-    for i, t in enumerate(traj.ts):
-        zs = traj.zero_sets[i]
-        entry: dict = {"t": float(t), "verdicts": []}
-        base = None
-        for k in range(len(zs)):
-            reference = reference_index(zs, k, cfg.theorem)
-            if reference is None:
-                continue
-            try:
-                if base is None:
-                    base = motion_context(cfg.measure, zs, reference, k, float(t))
-                ctx = replace(base, fixed_index=reference, tracked_index=k)
-                rep: VerdictReport = verdict(ctx, cfg.theorem)
-            except (PredicateError, MeasureError, ExprError) as exc:
-                # a collision mid-sweep degrades gracefully
-                entry["verdicts"].append({"zero_index": k, "error": str(exc)})
-                continue
-            item = rep.to_json()
-            item["zero_index"] = k
-            entry["verdicts"].append(item)
-        out.append(entry)
+    for t, zs in zip(traj.ts, traj.zero_sets):
+        try:
+            reports = verdicts_at(cfg.measure, zs, float(t), cfg.theorem)
+            items = [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
+        except (PredicateError, MeasureError, ExprError) as exc:
+            # bad measure data at one grid point degrades gracefully: its zeros get the error
+            items = [
+                {"zero_index": k, "error": str(exc)}
+                for k in range(len(zs))
+                if reference_index(zs, k, cfg.theorem) is not None
+            ]
+        out.append({"t": float(t), "verdicts": items})
     return out

@@ -26,6 +26,7 @@ __all__ = [
     "moments",
     "quadrature_moment",
     "circular_gap",
+    "known_keys",
     "theta_grid",
     "DEFAULT_NODES",
     "MIN_NODES",
@@ -59,6 +60,14 @@ def theta_grid(theta0: float, nodes: int, midpoint: bool = False) -> np.ndarray:
     if nodes < MIN_NODES:
         raise MeasureError(f"a theta grid needs at least {MIN_NODES} nodes, got {nodes}")
     return theta0 + 2.0 * math.pi * (np.arange(nodes) + (0.5 if midpoint else 0.0)) / nodes
+
+
+def known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
+    """``obj``, once no key of it lies outside ``keys``; a misspelt key raises
+    ValueError naming it instead of silently taking the default."""
+    if set(obj) - set(keys):
+        raise ValueError(f"unknown {where} key(s) {sorted(set(obj) - set(keys))}")
+    return obj
 
 
 def _as_expr(value: Expr | str | float) -> Expr:
@@ -173,7 +182,12 @@ class Measure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
-        ac_obj = obj.get("ac", {"kind": "none"})
+        """The measure of the documented JSON schema; an unknown key in the
+        measure, its ``ac`` object or a mass raises ValueError."""
+        known_keys(obj, "measure", ("ac", "masses"))
+        ac_obj = known_keys(
+            obj.get("ac", {"kind": "none"}), "ac", ("kind", "scale", "lambda", "w", "theta0")
+        )
         kind = ac_obj.get("kind", "none")
         theta0 = float(ac_obj.get("theta0", 0.0))
         if kind == "none":
@@ -187,10 +201,11 @@ class Measure:
             ac = ACWeight.custom(ac_obj["w"], theta0)
         else:
             raise MeasureError(f"unknown AC kind {kind!r}")
-        masses = tuple(
-            MassPoint.of(m["gamma"], m["omega"]) for m in obj.get("masses", ())
-        )
-        return cls(ac, masses)
+        masses = []
+        for mass in obj.get("masses", ()):
+            known_keys(mass, "mass", ("gamma", "omega"))
+            masses.append(MassPoint.of(mass["gamma"], mass["omega"]))
+        return cls.of(ac, masses)
 
 
 @dataclass(frozen=True)

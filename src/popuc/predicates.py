@@ -1,4 +1,4 @@
-"""Motion functionals and verdicts for the tracked POPUC zero.
+"""Motion functionals and verdicts for the POPUC zeros at one parameter value.
 
 The measure decides the continuous terms.  With f(theta) = (d/dt weight)/weight,
 the per-mass functional W_j (:func:`w_mass`) gains -gamma_j s f(phi) when the
@@ -12,6 +12,14 @@ computation under two names), the conjugate partner under ``t22``, where
 W_j = 2 sin(phi) W~_j because s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi).
 A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
 returned together with the supporting numbers.
+
+All zeros at one parameter value share the masses, f and the zero phases, so
+:func:`verdicts_at` decides every zero in one array pass: the W_j of all zeros
+form one (zeros x masses) table built from one cotangent table, and f is
+evaluated once on the phases and once on the nodes of each reference zero.
+:func:`verdict` and :func:`mass_functionals` are the one-zero case of that
+pass; the scalar :func:`s_factor`, :func:`s_sum` and :func:`w_mass` are its
+reference.
 """
 from __future__ import annotations
 
@@ -39,6 +47,7 @@ __all__ = [
     "THEOREMS",
     "mass_functionals",
     "verdict",
+    "verdicts_at",
 ]
 
 # "nonnegative" slack and "strictly positive" threshold, relative to scale
@@ -80,22 +89,17 @@ class MotionContext:
         return float(self.phases[self.tracked_index])
 
     @cached_property
-    def ac_nodes(self) -> np.ndarray:
-        """Midpoint nodes from theta0 on which verdicts test the continuous part."""
-        return theta_grid(self.theta0, VERDICT_NODES, midpoint=True)
-
-    @cached_property
     def f_at_phi(self) -> float:
         return self.f_const if self.f_theta is None else float(self.f_theta(self.phi))
 
+    @cached_property
+    def mass_gaps(self) -> np.ndarray:
+        """Circular distance from each mass to each zero, (masses x zeros)."""
+        return circular_gap(self.omegas[:, None], self.phases[None, :])
+
     def collisions(self) -> list[tuple[int, int]]:
         """(mass index, zero index) pairs closer than the angle tolerance."""
-        hits = []
-        for j, om in enumerate(self.omegas):
-            for k, ph in enumerate(self.phases):
-                if circular_gap(om, ph) < ANGLE_TOL:
-                    hits.append((j, k))
-        return hits
+        return [(int(j), int(k)) for j, k in zip(*np.nonzero(self.mass_gaps < ANGLE_TOL))]
 
 
 def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
@@ -194,17 +198,43 @@ def w_mass(j: int, ctx: MotionContext) -> float:
     return value
 
 
+def _mass_table(
+    ctx: MotionContext, tracked: np.ndarray, reference: np.ndarray, f_phi: np.ndarray
+) -> np.ndarray:
+    """W_j of :func:`w_mass` as a (rows x masses) table, row i for zero
+    ``tracked[i]`` measured against zero ``reference[i]`` with f(phi) =
+    ``f_phi[i]``, all from one table of the half-angles (phase_l - omega_j)/2.
+    No mass may lie on a zero (see :func:`mass_functionals`)."""
+    angles = 0.5 * (ctx.phases - ctx.omegas[:, None])
+    sines = np.sin(angles)
+    numer = np.sin(0.5 * (ctx.phases[tracked] - ctx.phases[reference]))
+    s = numer[:, None] / (2.0 * sines[:, tracked].T * sines[:, reference].T)
+    w = s * ctx.dgammas
+    moving = ctx.domegas != 0.0
+    if moving.any():
+        cot = 1.0 / np.tan(angles[moving])
+        zeros = np.arange(len(ctx.phases))
+        halved = (zeros == tracked[:, None]) | (zeros == reference[:, None])
+        # the cotangent sums add their terms in zero order, as s_sum does
+        terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot
+        cot_sum = np.cumsum(terms, axis=2)[:, :, -1]
+        w[:, moving] -= ctx.gammas[moving] * s[:, moving] * cot_sum * ctx.domegas[moving]
+    if f_phi.any():
+        w -= np.where(f_phi[:, None] != 0.0, ctx.gammas * s * f_phi[:, None], 0.0)
+    return w
+
+
 def w_continuous(
-    theta: float | np.ndarray, ctx: MotionContext, f_values: np.ndarray | None = None
-) -> float | np.ndarray:
-    """Density functional s(theta) * (f(theta) - f(phi)) for mixed measures,
-    element-wise over an array ``theta``.  ``f_values`` are f at ``theta``
-    when the caller has them already."""
-    if ctx.f_theta is None:
-        return 0.0
-    if f_values is None:
-        f_values = ctx.f_theta(theta)
-    return s_factor(theta, ctx.phi, ctx.theta0) * (f_values - ctx.f_at_phi)
+    nodes: np.ndarray, phis: np.ndarray, theta0: float, f_nodes: np.ndarray, f_phis: np.ndarray
+) -> np.ndarray:
+    """Density functional s(theta) (f(theta) - f(phi)) for mixed measures as a
+    (rows x nodes) table, row i for the tracked phase ``phis[i]`` measured
+    against ``theta0``; f is ``f_nodes`` at the nodes and ``f_phis`` at the
+    phases.  NaN at nodes within 1e-9 of phi or theta0, which verdicts skip."""
+    usable = (circular_gap(nodes, phis[:, None]) > 1e-9) & (circular_gap(nodes, theta0) > 1e-9)
+    den = 2.0 * np.sin(0.5 * (phis[:, None] - nodes)) * np.sin(0.5 * (theta0 - nodes))
+    s = np.sin(0.5 * (phis - theta0))[:, None] / np.where(usable, den, np.nan)
+    return s * (f_nodes - f_phis[:, None])
 
 
 # the regimes; each picks its reference zero in reference_index
@@ -212,8 +242,14 @@ THEOREMS = ("t21", "t22", "t23")
 
 
 def mass_functionals(ctx: MotionContext) -> np.ndarray:
-    """W_j for every mass, as an array."""
-    return np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
+    """W_j for every mass, as an array: the one-row case of the verdict table.
+    A mass on the tracked or reference zero, or a moving mass on any zero,
+    is a pole and raises."""
+    tracked, reference = np.array([ctx.tracked_index]), np.array([ctx.fixed_index])
+    near = ctx.mass_gaps < POLE_TOL
+    if near[:, [ctx.tracked_index, ctx.fixed_index]].any() or near[ctx.domegas != 0.0].any():
+        raise PredicateError("pole: a mass collides with a zero its functional reads")
+    return _mass_table(ctx, tracked, reference, np.array([ctx.f_at_phi]))[0]
 
 
 @dataclass(frozen=True)
@@ -242,17 +278,17 @@ class VerdictReport:
         }
 
 
-def _inconclusive(ctx: MotionContext, theorem: str, flags: list[str]) -> VerdictReport:
+def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> VerdictReport:
     return VerdictReport(
         verdict="Inconclusive",
         theorem=theorem,
         w_masses=np.array([]),
         w_continuous_min=0.0,
         w_continuous_max=0.0,
-        flags=tuple(flags),
+        flags=(flag,),
         mirrored=False,
-        tracked_phase=ctx.phi,
-        fixed_phase=ctx.theta0,
+        tracked_phase=phi,
+        fixed_phase=theta0,
     )
 
 
@@ -263,71 +299,103 @@ def _f_monotone(values: np.ndarray) -> tuple[bool, bool]:
     return bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))
 
 
+def _label(
+    w_min: float, w_max: float, wc_min: float, wc_max: float,
+    nondecreasing: bool, nonincreasing: bool,
+) -> str:
+    """The label from the signs along one row: the extremes of 0 and its
+    W_j, the extremes of its density functional, and the monotonicity of f."""
+    w_abs, wc_abs = max(w_max, -w_min), max(abs(wc_min), abs(wc_max))
+    if w_abs <= NONNEG_TOL and wc_abs <= NONNEG_TOL:
+        return "Stationary"
+    tol, strict = NONNEG_TOL * (w_abs + wc_abs), STRICT_TOL * (w_abs + wc_abs)
+    if w_min >= -tol and (w_max > strict or wc_max > strict) and nondecreasing:
+        return "CCW"
+    if w_max <= tol and (w_min < -strict or wc_min < -strict) and nonincreasing:
+        return "CW"
+    return "Inconclusive"
+
+
+def _verdict_rows(
+    ctx: MotionContext, tracked: list[int], reference: list[int], theorem: str
+) -> list[VerdictReport]:
+    """Verdicts for zero ``tracked[i]`` measured against zero ``reference[i]``,
+    every row from one pass over the tables of :func:`_mass_table` and
+    :func:`w_continuous`; ``ctx`` supplies the phases and measure data only."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem selector {theorem!r}")
+    phis = [float(ctx.phases[k]) for k in tracked]
+    theta0s = [float(ctx.phases[r]) for r in reference]
+    if ctx.collisions():
+        return [_inconclusive(p, r, theorem, "collision") for p, r in zip(phis, theta0s)]
+    reports: list[VerdictReport | None] = [None] * len(tracked)
+    rows = []
+    for i, (phi, theta0) in enumerate(zip(phis, theta0s)):
+        if theorem == "t22" and not abs(math.remainder(phi + theta0, 2.0 * math.pi)) <= 1e-8:
+            reports[i] = _inconclusive(phi, theta0, theorem, "non_conjugate_pair")
+        else:
+            rows.append(i)
+    if not rows:
+        return reports
+    tracked_ok = np.array([tracked[i] for i in rows])
+    reference_ok = np.array([reference[i] for i in rows])
+    phis_ok = ctx.phases[tracked_ok]
+    f_phis = np.full(len(rows), ctx.f_const) if ctx.f_theta is None else ctx.f_theta(phis_ok)
+    w_masses = _mass_table(ctx, tracked_ok, reference_ok, f_phis)
+
+    n = len(rows)
+    wc_min, wc_max = np.zeros(n), np.zeros(n)
+    monotone = np.ones((n, 2), dtype=bool)  # f nondecreasing, nonincreasing
+    if ctx.f_theta is not None:
+        # f on the nodes once per reference zero: once under t21/t23, per partner under t22
+        for ref in dict.fromkeys(reference_ok.tolist()):
+            group = reference_ok == ref
+            theta0 = float(ctx.phases[ref])
+            nodes = theta_grid(theta0, VERDICT_NODES, midpoint=True)
+            f_nodes = ctx.f_theta(nodes)
+            wc = w_continuous(nodes, phis_ok[group], theta0, f_nodes, f_phis[group])
+            wc_min[group] = np.fmin.reduce(wc, axis=1)
+            wc_max[group] = np.fmax.reduce(wc, axis=1)
+            monotone[group] = _f_monotone(f_nodes)
+
+    w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0).tolist()
+    w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0).tolist()
+    wc_min, wc_max, monotone = wc_min.tolist(), wc_max.tolist(), monotone.tolist()
+    for row, i in enumerate(rows):
+        label = _label(w_min[row], w_max[row], wc_min[row], wc_max[row], *monotone[row])
+        flags = [] if monotone[row][0] else ["f_not_nondecreasing"]
+        if label == "CW":
+            flags.append("mirrored")
+        reports[i] = VerdictReport(
+            verdict=label,
+            theorem=theorem,
+            w_masses=w_masses[row],
+            w_continuous_min=wc_min[row],
+            w_continuous_max=wc_max[row],
+            flags=tuple(flags),
+            mirrored=label == "CW",
+            tracked_phase=phis[i],
+            fixed_phase=theta0s[i],
+        )
+    return reports
+
+
 def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
     """Classify the tracked zero's motion as CCW, CW, Stationary, or
     Inconclusive, with a ``mirrored`` flag when the clockwise (sign-flipped)
-    criterion fired.
+    criterion fired: the one-zero case of :func:`verdicts_at`.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem selector {theorem!r}")
-    flags: list[str] = []
-    if ctx.collisions():
-        return _inconclusive(ctx, theorem, ["collision"])
-    if theorem == "t22" and not abs(math.remainder(ctx.phi + ctx.theta0, 2.0 * math.pi)) <= 1e-8:
-        return _inconclusive(ctx, theorem, ["non_conjugate_pair"])
+    return _verdict_rows(ctx, [ctx.tracked_index], [ctx.fixed_index], theorem)[0]
 
-    try:
-        w_masses = mass_functionals(ctx)
-    except PredicateError:
-        return _inconclusive(ctx, theorem, ["pole"])
 
-    wc_min = wc_max = 0.0
-    nondecreasing = nonincreasing = True
-    if ctx.f_theta is not None:
-        nodes = ctx.ac_nodes
-        f_nodes = ctx.f_theta(nodes)
-        usable = (circular_gap(nodes, ctx.phi) > 1e-9) & (circular_gap(nodes, ctx.theta0) > 1e-9)
-        wc = w_continuous(nodes[usable], ctx, f_nodes[usable])
-        if len(wc):
-            wc_min = float(np.min(wc))
-            wc_max = float(np.max(wc))
-        nondecreasing, nonincreasing = _f_monotone(f_nodes)
-        if not nondecreasing:
-            flags.append("f_not_nondecreasing")
-
-    scale = float(np.max(np.abs(w_masses), initial=0.0)) + max(abs(wc_min), abs(wc_max))
-    stationary = bool(np.all(np.abs(w_masses) <= NONNEG_TOL)) and max(
-        abs(wc_min), abs(wc_max)
-    ) <= NONNEG_TOL
-    if stationary:
-        label = "Stationary"
-        mirrored = False
-    elif (
-        bool(np.all(w_masses >= -NONNEG_TOL * scale))
-        and (float(np.max(w_masses, initial=0.0)) > STRICT_TOL * scale or wc_max > STRICT_TOL * scale)
-        and nondecreasing
-    ):
-        label = "CCW"
-        mirrored = False
-    elif (
-        bool(np.all(w_masses <= NONNEG_TOL * scale))
-        and (float(np.min(w_masses, initial=0.0)) < -STRICT_TOL * scale or wc_min < -STRICT_TOL * scale)
-        and nonincreasing
-    ):
-        label = "CW"
-        mirrored = True
-        flags.append("mirrored")
-    else:
-        label = "Inconclusive"
-        mirrored = False
-    return VerdictReport(
-        verdict=label,
-        theorem=theorem,
-        w_masses=w_masses,
-        w_continuous_min=wc_min,
-        w_continuous_max=wc_max,
-        flags=tuple(flags),
-        mirrored=mirrored,
-        tracked_phase=ctx.phi,
-        fixed_phase=ctx.theta0,
-    )
+def verdicts_at(m: Measure, zs: ZeroSet, t: float, theorem: str) -> dict[int, VerdictReport]:
+    """The verdict of every zero of ``zs`` that has a reference zero (see
+    :func:`reference_index`), keyed by zero index in increasing order.  The
+    motion data of ``m`` at ``t`` is built once, and every zero's functionals
+    come from one table pass; an error in either reaches the caller."""
+    rows = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
+    if not rows:
+        return {}
+    first = next(iter(rows))
+    ctx = motion_context(m, zs, rows[first], first, t)
+    return dict(zip(rows, _verdict_rows(ctx, list(rows), list(rows.values()), theorem)))

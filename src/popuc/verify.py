@@ -25,7 +25,7 @@ from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, rev
 from .paraorthogonal import (
     RootFindingError, build_popuc, deflate, zeros_on_circle
 )
-from .predicates import PredicateError, motion_context, reference_index, s_factor, s_sum
+from .predicates import PredicateError, reference_index, s_factor, s_sum, verdicts_at
 from .scenarios import scenario_config
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
@@ -254,8 +254,6 @@ def check_stationary() -> CheckResult:
 
 def check_conjugate_pair() -> CheckResult:
     """Conjugate tracked pair persists and velocity signs match the verdict."""
-    from .predicates import verdict as _verdict
-
     masses = [
         MassPoint.of("0.5 + 0.2*t", "1.0"),
         MassPoint.of("0.5 + 0.2*t", "-1.0"),
@@ -274,7 +272,7 @@ def check_conjugate_pair() -> CheckResult:
         k = tracked[0]
         partner = reference_index(zs, k, "t22")
         worst_sym = max(worst_sym, abs(zs.phases[k] + zs.phases[partner]))
-        rep = _verdict(motion_context(m, zs, partner, k, float(t)), "t22")
+        rep = verdicts_at(m, zs, float(t), "t22")[k]
         be = balance_check(m, 4, pol, float(t), zs.phases[k], "t22", h=1e-5)
         if rep.verdict == "CCW" and be.dphi_dt <= 1e-8:
             return _result("conjugate", False, f"CCW verdict but velocity {be.dphi_dt:.2e} at t={t}")
@@ -401,7 +399,7 @@ def check_identities() -> CheckResult:
     gam, om = m.mass_values(0.4)
     zm = np.exp(1j * om)
     pv = np.abs(polyval(coeffs, zm)) ** 2
-    svals = np.array([s_factor(o, zs.phases[tracked], math.pi / 2) for o in om])
+    svals = s_factor(om, zs.phases[tracked], math.pi / 2)
     mass_part = float(np.sum(gam * svals * pv))
     bracket = ac_part + mass_part
     bracket_scale = abs(ac_part) + abs(mass_part) + 1e-30

@@ -242,6 +242,25 @@ def test_misspelt_config_key_exits_2_and_names_it(tmp_path, mixed_config, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda m: m.update(mass=[]), "mass"),
+        (lambda m: m["ac"].update(scal=m["ac"].pop("scale")), "scal"),
+        (lambda m: m["masses"][0].update(gama=m["masses"][0].pop("gamma")), "gama"),
+    ],
+    ids=["measure", "ac", "mass"],
+)
+def test_misspelt_measure_key_exits_2_and_names_it(tmp_path, mixed_config, capsys, edit, key):
+    # a misspelt key would otherwise take its default: "scal" left the
+    # Lebesgue scale at 1, and moments printed c_0 = 1.5 at t = 0.5
+    obj = json.loads(open(mixed_config).read())
+    edit(obj["measure"])
+    path = _write(tmp_path, "typo.json", obj)
+    assert main(["moments", "--config", path, "--t", "0.5", "--order", "1"]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_python_dash_m_popuc_runs_the_cli():
     src = str(Path(popuc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

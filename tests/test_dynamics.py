@@ -213,10 +213,10 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
     cfg = SweepConfig(MIXED, 5, 0.2, 0.4, 3, ZeroPolicy.fixed_xi(1j), theorem="t23")
     traj = sweep(cfg)
 
-    def broken_verdict(ctx, theorem):
+    def broken_verdicts(m, zs, t, theorem):
         raise ZeroDivisionError("defect in a motion functional")
 
-    monkeypatch.setattr(dynamics, "verdict", broken_verdict)
+    monkeypatch.setattr(dynamics, "verdicts_at", broken_verdicts)
     with pytest.raises(ZeroDivisionError):
         sweep_verdicts(cfg, traj)
 

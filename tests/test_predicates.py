@@ -4,13 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popuc import measures, predicates
-from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts
-from popuc.measures import ACWeight, MassPoint, Measure, circular_gap
+from popuc.dynamics import (
+    SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts, tracked_velocity
+)
+from popuc.measures import ACWeight, MassPoint, Measure, circular_gap, theta_grid
 from popuc.predicates import (
     NONNEG_TOL,
     STRICT_TOL,
+    VERDICT_NODES,
     MotionContext,
     PredicateError,
     motion_context,
@@ -116,8 +120,10 @@ def test_w_mixed_reduces_to_discrete_without_ac():
 
 
 def test_w_continuous_vanishes_for_constant_f():
-    ctx = _context([0.5, 2.0], fixed=0, tracked=1, f=lambda th: np.full(np.shape(th), 0.25))
-    assert w_continuous(4.0, ctx) == pytest.approx(0.0, abs=1e-15)
+    nodes = np.array([4.0, 5.0])
+    table = w_continuous(nodes, np.array([2.0, 3.0]), 0.5, np.full(2, 0.25), np.full(2, 0.25))
+    assert table.shape == (2, 2)
+    assert np.all(table == 0.0)
 
 
 def test_motion_context_from_pipeline():
@@ -351,13 +357,14 @@ def _scalar_t23_verdict(ctx):
         )
 
     f_phi = f(phi)
+    nodes = theta_grid(theta0, VERDICT_NODES, midpoint=True)
     wc = [
         s(th) * (f(th) - f_phi)
-        for th in ctx.ac_nodes
+        for th in nodes
         if circular_gap(th, phi) > 1e-9 and circular_gap(th, theta0) > 1e-9
     ]
     wc_min, wc_max = (min(wc), max(wc)) if wc else (0.0, 0.0)
-    values = np.array([f(th) for th in ctx.ac_nodes])
+    values = np.array([f(th) for th in nodes])
     tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
     nondecreasing = all(b - a >= -tol for a, b in zip(values, values[1:]))
     nonincreasing = all(b - a <= tol for a, b in zip(values, values[1:]))
@@ -438,3 +445,141 @@ def test_t23_verdict_runs_the_continuous_pass_only_when_f_varies(monkeypatch, cu
     entries = sweep_verdicts(cfg, traj)
     assert sum(len(entry["verdicts"]) for entry in entries) == 5 * 4
     assert (len(calls) > 0) == custom
+
+
+# fixed and moving masses together, with a moving Lebesgue part (f constant,
+# not zero) and with a custom weight whose f varies
+MIXED_MOTION = Measure.of(
+    ACWeight.lebesgue("1 - 0.5*t"),
+    [MassPoint.of("0.7", "2*pi/3"), MassPoint.of("0.4 + 0.3*t", "4 - 0.2*t")],
+)
+CUSTOM_MOTION = Measure.of(
+    ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]),
+    [MassPoint.of("0.7", "2*pi/3"), MassPoint.of("0.4 + 0.3*t", "4 - 0.2*t")],
+)
+
+# the weight exp(t cos(theta)) is even in theta, so the measure stays conjugation-symmetric
+CONJUGATE_CUSTOM = Measure.of(ACWeight.custom("exp(t*cos(theta))"), CONJUGATE_MOVING.masses)
+
+
+PASS_CASES = {
+    "bs_mass_gamma": replace(scenario_config("bs_mass_gamma"), steps=12),
+    "bs_mass_omega": replace(scenario_config("bs_mass_omega"), steps=12),
+    "fixed_one": replace(scenario_config("lebesgue_mass_fixed_one"), steps=6),
+    "mixed_motion": SweepConfig(MIXED_MOTION, 6, 0.1, 0.6, 6, ZeroPolicy.fixed_xi(1j)),
+    "custom": SweepConfig(
+        CUSTOM_MOTION, 5, 0.5, 1.0, 4, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=1024
+    ),
+    "t22": SweepConfig(CONJUGATE_MOVING, 4, -0.5, 0.5, 6, ZeroPolicy.fixed_b(1 + 0j), theorem="t22"),
+    "t22_custom": SweepConfig(
+        CONJUGATE_CUSTOM, 4, -0.5, 0.5, 4, ZeroPolicy.fixed_b(1 + 0j), theorem="t22", nodes=1024
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
+    # the one-pass table against the scalar functionals and the one-zero
+    # verdict of a context built for that zero alone
+    cfg = PASS_CASES[name]
+    traj = sweep(cfg)
+    checked = 0
+    for t, zs in zip(traj.ts, traj.zero_sets):
+        reports = predicates.verdicts_at(cfg.measure, zs, float(t), cfg.theorem)
+        expected_rows = [k for k in range(len(zs)) if reference_index(zs, k, cfg.theorem) is not None]
+        assert list(reports) == expected_rows
+        for k, rep in reports.items():
+            ctx = motion_context(cfg.measure, zs, reference_index(zs, k, cfg.theorem), k, float(t))
+            assert rep.to_json() == verdict(ctx, cfg.theorem).to_json()
+            if rep.flags in (("collision",), ("non_conjugate_pair",)):
+                continue
+            scalar = np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
+            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
+            assert np.max(np.abs(rep.w_masses - scalar), initial=0.0) <= 1e-15 * scale
+            assert (rep.verdict, rep.flags) == (label, flags)
+            assert abs(rep.w_continuous_min - wc_min) <= 1e-12 * scale
+            assert abs(rep.w_continuous_max - wc_max) <= 1e-12 * scale
+            checked += 1
+    if name == "fixed_one":
+        assert checked == 0  # the pinned zero sits on the mass: every verdict is a collision
+    else:
+        assert checked >= len(traj.ts) * 2
+
+
+@pytest.mark.parametrize("theorem", ["t23", "t22"])
+def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theorem):
+    cfg = PASS_CASES["custom" if theorem == "t23" else "t22_custom"]
+    traj = sweep(cfg)
+    weight = cfg.measure.ac.weight
+    sizes = []
+    real = predicates.evaluate
+
+    def counting(e, bindings):
+        if e is weight:
+            sizes.append(np.size(bindings["theta"]))
+        return real(e, bindings)
+
+    monkeypatch.setattr(predicates, "evaluate", counting)
+    entries = sweep_verdicts(cfg, traj)
+    rows = [len(entry["verdicts"]) for entry in entries]
+    assert all("verdict" in item for entry in entries for item in entry["verdicts"])
+    if theorem == "t23":
+        # the pinned zero is every zero's reference: one pass on the nodes
+        expected = [4, VERDICT_NODES] * len(traj.ts)
+    else:
+        # each zero of a conjugate pair is the other's reference
+        assert rows == [2] * len(traj.ts)
+        expected = [2, VERDICT_NODES, VERDICT_NODES] * len(traj.ts)
+    assert sizes == expected
+
+
+def test_mass_functionals_poles_match_the_scalar_functionals():
+    # a fixed mass on a zero that is neither tracked nor the reference is no
+    # pole (its cotangent sum is never read); on the tracked zero it is one,
+    # and so is a moving mass on any zero
+    fixed = _context(
+        [0.5, 2.0, 3.5], fixed=0, tracked=1,
+        gammas=[1.0, 0.6], omegas=[3.5, 5.0], dgammas=[0.7, 0.2], domegas=[0.0, 0.1],
+    )
+    expected = [w_mass(j, fixed) for j in range(2)]
+    assert predicates.mass_functionals(fixed).tolist() == expected
+    for ctx in (replace(fixed, omegas=np.array([2.0, 5.0])), replace(fixed, domegas=np.array([0.1, 0.1]))):
+        with pytest.raises(PredicateError):
+            [w_mass(j, ctx) for j in range(2)]
+        with pytest.raises(PredicateError):
+            predicates.mass_functionals(ctx)
+
+
+@st.composite
+def moving_discrete_measures(draw):
+    """(measure, degree): 2-6 masses at least 0.3 apart at t = 0, with affine
+    gamma_j(t) = g_j + g_j' t and omega_j(t) = o_j + o_j' t (|t| <= 1/2 keeps
+    them 0.2 apart and positive), and a degree the support carries."""
+    n_masses = draw(st.integers(2, 6))
+    start = draw(st.floats(0.0, 2 * math.pi))
+    gaps = draw(st.lists(st.floats(0.3, 0.75), min_size=n_masses, max_size=n_masses))
+    gammas = draw(st.lists(st.floats(0.3, 1.5), min_size=n_masses, max_size=n_masses))
+    slopes = draw(st.lists(st.floats(-0.2, 0.2), min_size=n_masses, max_size=n_masses))
+    drifts = draw(st.lists(st.floats(-0.1, 0.1), min_size=n_masses, max_size=n_masses))
+    omegas = start + np.cumsum(gaps)
+    masses = [
+        MassPoint.of(f"{g!r} + {dg!r}*t", f"{float(o)!r} + {do!r}*t")
+        for g, dg, o, do in zip(gammas, slopes, omegas, drifts)
+    ]
+    return Measure.of(ACWeight.none(), masses), draw(st.integers(2, n_masses))
+
+
+@settings(deadline=None, max_examples=100)
+@given(moving_discrete_measures(), st.floats(-0.5, 0.5), st.floats(0.0, 2 * math.pi))
+def test_conclusive_verdicts_have_the_sign_of_the_velocity(case, t, arg_xi):
+    # the paper's discrete theorem: a zero whose W_j share a sign moves that
+    # way; velocities below verify's floor of 1e-8 are not signed
+    m, degree = case
+    policy = ZeroPolicy.fixed_xi(cmath.exp(1j * arg_xi))
+    zs = solve_at(m, degree, policy, t).zero_set
+    for k, rep in predicates.verdicts_at(m, zs, t, "t21").items():
+        if rep.verdict == "Inconclusive":
+            continue
+        v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5)
+        if abs(v) > 1e-8:
+            assert rep.verdict == ("CCW" if v > 0 else "CW"), (k, rep.verdict, v)
