@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -45,15 +44,9 @@ def _complex_pair(text: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
-def _nodes(args, configured=None) -> int:
-    """Quadrature node count: --nodes, else the config file's value, else
-    POPUC_QUAD_NODES, else the default; at least MIN_NODES."""
-    if args.nodes is not None:
-        nodes = args.nodes
-    elif configured is not None:
-        nodes = int(configured)
-    else:
-        nodes = int(os.environ.get("POPUC_QUAD_NODES", DEFAULT_NODES))
+def _nodes(args) -> int:
+    """Quadrature node count: --nodes, else the default; at least MIN_NODES."""
+    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
     return nodes
@@ -89,7 +82,8 @@ def _load_config(args) -> SweepConfig:
         obj["policy"] = {"kind": policy.kind, "value": [policy.value.real, policy.value.imag]}
     if args.theorem:
         obj["theorem"] = args.theorem
-    obj["nodes"] = _nodes(args, obj.get("nodes"))
+    if args.nodes is not None:
+        obj["nodes"] = args.nodes
     return SweepConfig.from_json(obj)
 
 

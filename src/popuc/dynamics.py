@@ -86,6 +86,15 @@ class ZeroPolicy:
         return cls("fixed_b", complex(b))
 
 
+def _json_int(obj: dict, key: str, default: int) -> int:
+    """``obj[key]``, or ``default`` when absent; a value that is not a JSON
+    integer (a float, a string or a bool) raises ValueError naming the key."""
+    value = obj.get(key, default)
+    if type(value) is not int:
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     measure: Measure
@@ -121,13 +130,13 @@ class SweepConfig:
         re, im = policy.get("value", [1.0, 0.0])
         return cls(
             measure=Measure.from_json(obj["measure"]),
-            degree=int(obj.get("degree", 5)),
+            degree=_json_int(obj, "degree", 5),
             t_start=float(grid.get("start", 0.0)),
             t_stop=float(grid.get("stop", 1.0)),
-            steps=int(grid.get("steps", 10)),
+            steps=_json_int(grid, "steps", 10),
             policy=ZeroPolicy(policy.get("kind", "fixed_b"), complex(re, im)),
             theorem=obj.get("theorem", "t21"),
-            nodes=int(obj.get("nodes", DEFAULT_NODES)),
+            nodes=_json_int(obj, "nodes", DEFAULT_NODES),
         )
 
     def grid(self) -> np.ndarray:
@@ -316,27 +325,28 @@ def balance_check(
     reference = reference_index(zs, tracked, theorem)
     if reference is None:
         raise TrackingError(f"the tracked zero has no {theorem} reference zero")
-    ctx = motion_context(m, zs, reference, tracked, t)
-    zeta = complex(np.exp(1j * ctx.phi))
+    ctx = motion_context(m, zs, t)
+    phi = float(zs.phases[tracked])
+    zeta = complex(np.exp(1j * phi))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
-    rhs = float(np.sum(mass_functionals(ctx) * pvals_at_masses))
+    rhs = float(np.sum(mass_functionals(ctx, tracked, reference) * pvals_at_masses))
     C = _c_integral(state.ms, p, zeta)
     if theorem == "t22":
         C += _c_integral(state.ms, p, np.conj(zeta))
     if ctx.f_theta is not None:  # else the AC integrand is exactly zero
-        xi = complex(np.exp(1j * ctx.theta0))
+        xi = complex(np.exp(1j * zs.phases[reference]))
         # midpoint rule for int s(theta)|P|^2 (f(theta) - f(phi)) w(theta) dtheta/2pi,
         # with s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] and
         # D2 = P/((z-xi)(z-zeta)); smooth through both poles
         d2 = deflate(deflate(p.poly.coeffs, xi), zeta)
         n = min(nodes, 2048)
-        th = theta_grid(m.ac.theta0, n, midpoint=True)
+        th = theta_grid(0.0, n, midpoint=True)
         z = np.exp(1j * th)
         s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p.poly.coeffs, z))).real
-        rhs += float(np.sum(s_p2 * (ctx.f_theta(th) - ctx.f_at_phi) * m.ac.density(th, t))) / n
+        rhs += float(np.sum(s_p2 * (ctx.f_theta(th) - ctx.f_theta(phi)) * m.ac.density(th, t))) / n
 
-    dphi = tracked_velocity(m, degree, policy, t, ctx.phi, h, nodes)
+    dphi = tracked_velocity(m, degree, policy, t, phi, h, nodes)
     lhs = C * dphi
     mismatch = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-14)
     return BalanceEntry(t=t, C=C, dphi_dt=dphi, lhs=lhs, rhs=rhs, mismatch=mismatch)

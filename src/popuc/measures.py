@@ -110,7 +110,6 @@ class ACWeight:
     scale: Expr | None = None
     lam: complex = 0j
     weight: Expr | None = None
-    theta0: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("none", "lebesgue", "bernstein_szego", "custom"):
@@ -125,18 +124,16 @@ class ACWeight:
         return cls("none")
 
     @classmethod
-    def lebesgue(cls, scale: Expr | str | float = 1.0, theta0: float = 0.0) -> "ACWeight":
-        return cls("lebesgue", scale=_as_expr(scale), theta0=theta0)
+    def lebesgue(cls, scale: Expr | str | float = 1.0) -> "ACWeight":
+        return cls("lebesgue", scale=_as_expr(scale))
 
     @classmethod
-    def bernstein_szego(
-        cls, lam: complex, scale: Expr | str | float = 1.0, theta0: float = 0.0
-    ) -> "ACWeight":
-        return cls("bernstein_szego", scale=_as_expr(scale), lam=complex(lam), theta0=theta0)
+    def bernstein_szego(cls, lam: complex, scale: Expr | str | float = 1.0) -> "ACWeight":
+        return cls("bernstein_szego", scale=_as_expr(scale), lam=complex(lam))
 
     @classmethod
-    def custom(cls, weight: Expr | str, theta0: float = 0.0) -> "ACWeight":
-        return cls("custom", weight=_as_expr(weight), theta0=theta0)
+    def custom(cls, weight: Expr | str) -> "ACWeight":
+        return cls("custom", weight=_as_expr(weight))
 
     @cached_property
     def d_dt(self) -> Expr | None:
@@ -185,20 +182,17 @@ class Measure:
         """The measure of the documented JSON schema; an unknown key in the
         measure, its ``ac`` object or a mass raises ValueError."""
         known_keys(obj, "measure", ("ac", "masses"))
-        ac_obj = known_keys(
-            obj.get("ac", {"kind": "none"}), "ac", ("kind", "scale", "lambda", "w", "theta0")
-        )
+        ac_obj = known_keys(obj.get("ac", {"kind": "none"}), "ac", ("kind", "scale", "lambda", "w"))
         kind = ac_obj.get("kind", "none")
-        theta0 = float(ac_obj.get("theta0", 0.0))
         if kind == "none":
             ac = ACWeight.none()
         elif kind == "lebesgue":
-            ac = ACWeight.lebesgue(ac_obj.get("scale", "1"), theta0)
+            ac = ACWeight.lebesgue(ac_obj.get("scale", "1"))
         elif kind == "bernstein_szego":
             re, im = ac_obj["lambda"]
-            ac = ACWeight.bernstein_szego(complex(re, im), ac_obj.get("scale", "1"), theta0)
+            ac = ACWeight.bernstein_szego(complex(re, im), ac_obj.get("scale", "1"))
         elif kind == "custom":
-            ac = ACWeight.custom(ac_obj["w"], theta0)
+            ac = ACWeight.custom(ac_obj["w"])
         else:
             raise MeasureError(f"unknown AC kind {kind!r}")
         masses = []
@@ -237,20 +231,19 @@ def quadrature_moment(w: ACWeight, t: float, K: int, nodes: int = DEFAULT_NODES)
     for k = 0..K, as an array.
 
     The density is evaluated once, on ``nodes`` points over one period
-    starting at ``w.theta0``, and every value comes from one FFT:
-    c_k = e^{-ik theta0} fft(w)[k mod nodes] / nodes.  Orders k >= nodes alias
+    starting at 0, and every value comes from one FFT:
+    c_k = fft(w)[k mod nodes] / nodes.  Orders k >= nodes alias
     exactly as the trapezoid rule aliases them.  For smooth periodic
     integrands the convergence is spectral.  A non-finite or negative value
     at any node raises :class:`MeasureError`.
     """
-    thetas = theta_grid(w.theta0, nodes)
+    thetas = theta_grid(0.0, nodes)
     vals = w.density(thetas, t)
     if not np.all(np.isfinite(vals)):
         raise MeasureError("weight evaluates non-finite at a quadrature node")
     if np.any(vals < 0):
         raise MeasureError(f"weight is negative at a quadrature node at t={t}")
-    k = np.arange(K + 1)
-    return np.fft.fft(vals)[k % nodes] * np.exp(-1j * k * w.theta0) / nodes
+    return np.fft.fft(vals)[np.arange(K + 1) % nodes] / nodes
 
 
 def _ac_moments(ac: ACWeight, t: float, K: int, nodes: int) -> np.ndarray:

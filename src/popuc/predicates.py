@@ -13,10 +13,13 @@ W_j = 2 sin(phi) W~_j because s(theta; phi, -phi) = 2 sin(phi) s~(theta, phi).
 A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
 returned together with the supporting numbers.
 
-All zeros at one parameter value share the masses, f and the zero phases, so
-:func:`verdicts_at` decides every zero in one array pass: the W_j of all zeros
-form one (zeros x masses) table built from one cotangent table, and f is
-evaluated once on the phases and once on the nodes of each reference zero.
+All zeros at one parameter value share the masses, f and the zero phases:
+:func:`motion_context` gathers them once per grid point in a
+:class:`MotionContext`, and every functional takes the zero pair it reads,
+the tracked zero and its reference, as arguments.  :func:`verdicts_at`
+decides every zero in one array pass: the W_j of all zeros form one
+(zeros x masses) table built from one cotangent table, and f is evaluated
+once on the phases and once on the nodes of each reference zero.
 :func:`verdict` and :func:`mass_functionals` are the one-zero case of that
 pass; the scalar :func:`s_factor`, :func:`s_sum` and :func:`w_mass` are its
 reference.
@@ -64,11 +67,10 @@ class PredicateError(ValueError):
 
 @dataclass(frozen=True)
 class MotionContext:
-    """Zero configuration plus measure derivative data at one parameter value."""
+    """Zero phases plus the measure's motion data at one parameter value, shared
+    by every zero; the functionals take the zero pair they read as arguments."""
 
     phases: np.ndarray
-    fixed_index: int  # the reference zero theta0 (see reference_index)
-    tracked_index: int
     gammas: np.ndarray
     omegas: np.ndarray
     dgammas: np.ndarray
@@ -80,26 +82,16 @@ class MotionContext:
     f_theta: Callable[[np.ndarray], np.ndarray] | None = None
     f_const: float = 0.0
 
-    @property
-    def theta0(self) -> float:
-        return float(self.phases[self.fixed_index])
-
-    @property
-    def phi(self) -> float:
-        return float(self.phases[self.tracked_index])
-
-    @cached_property
-    def f_at_phi(self) -> float:
-        return self.f_const if self.f_theta is None else float(self.f_theta(self.phi))
+    def f(self, theta: float | np.ndarray) -> np.ndarray:
+        """f at the angles ``theta``, in one evaluation when it depends on theta."""
+        if self.f_theta is None:
+            return np.full(np.shape(theta), self.f_const)
+        return self.f_theta(theta)
 
     @cached_property
     def mass_gaps(self) -> np.ndarray:
         """Circular distance from each mass to each zero, (masses x zeros)."""
         return circular_gap(self.omegas[:, None], self.phases[None, :])
-
-    def collisions(self) -> list[tuple[int, int]]:
-        """(mass index, zero index) pairs closer than the angle tolerance."""
-        return [(int(j), int(k)) for j, k in zip(*np.nonzero(self.mass_gaps < ANGLE_TOL))]
 
 
 def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
@@ -137,11 +129,8 @@ def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
     return None if ref == tracked else ref
 
 
-def motion_context(
-    m: Measure, zs: ZeroSet, reference: int, tracked: int, t: float
-) -> MotionContext:
-    """Assemble a :class:`MotionContext` for zero ``tracked`` of ``zs``
-    measured against zero ``reference``.
+def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
+    """Assemble the :class:`MotionContext` of ``m`` at ``t`` for the zeros ``zs``.
 
     Mass derivative data comes from exact symbolic differentiation of the
     gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
@@ -152,8 +141,6 @@ def motion_context(
     f_theta, f_const = _ac_log_derivative(m, t)
     return MotionContext(
         phases=zs.phases,
-        fixed_index=int(reference),
-        tracked_index=int(tracked),
         gammas=gam,
         omegas=om,
         dgammas=dgam,
@@ -174,25 +161,29 @@ def s_factor(theta: float | np.ndarray, phi: float, theta0: float) -> float | np
     )
 
 
-def s_sum(theta: float, ctx: MotionContext) -> float:
-    """Cotangent sum over all zeros; the reference and tracked terms weigh 1/2."""
+def s_sum(theta: float, phases: np.ndarray, tracked: int, reference: int) -> float:
+    """Cotangent sum over the zeros at ``phases``; the terms of zeros
+    ``tracked`` and ``reference`` weigh 1/2."""
     total = 0.0
-    for k, ph in enumerate(ctx.phases):
+    for k, ph in enumerate(phases):
         if circular_gap(theta, ph) < POLE_TOL:
             raise PredicateError("cotangent pole: theta collides with a zero")
-        weight = 0.5 if k in (ctx.fixed_index, ctx.tracked_index) else 1.0
+        weight = 0.5 if k in (reference, tracked) else 1.0
         total += weight / math.tan(0.5 * (ph - theta))
     return total
 
 
-def w_mass(j: int, ctx: MotionContext) -> float:
-    """W_j = s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s and the
+def w_mass(j: int, ctx: MotionContext, tracked: int, reference: int) -> float:
+    """W_j of zero ``tracked`` measured against zero ``reference``:
+    s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s and the
     cotangent sum S at omega_j."""
-    s = s_factor(ctx.omegas[j], ctx.phi, ctx.theta0)
+    phi = float(ctx.phases[tracked])
+    s = s_factor(ctx.omegas[j], phi, float(ctx.phases[reference]))
     value = s * ctx.dgammas[j]
     if ctx.domegas[j] != 0.0:
-        value -= ctx.gammas[j] * s * s_sum(ctx.omegas[j], ctx) * ctx.domegas[j]
-    f_phi = ctx.f_at_phi
+        cot_sum = s_sum(ctx.omegas[j], ctx.phases, tracked, reference)
+        value -= ctx.gammas[j] * s * cot_sum * ctx.domegas[j]
+    f_phi = float(ctx.f(phi))
     if f_phi != 0.0:
         value -= ctx.gammas[j] * s * f_phi
     return value
@@ -241,15 +232,16 @@ def w_continuous(
 THEOREMS = ("t21", "t22", "t23")
 
 
-def mass_functionals(ctx: MotionContext) -> np.ndarray:
-    """W_j for every mass, as an array: the one-row case of the verdict table.
+def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.ndarray:
+    """W_j for every mass of zero ``tracked`` measured against zero
+    ``reference``, as an array: the one-row case of the verdict table.
     A mass on the tracked or reference zero, or a moving mass on any zero,
     is a pole and raises."""
-    tracked, reference = np.array([ctx.tracked_index]), np.array([ctx.fixed_index])
     near = ctx.mass_gaps < POLE_TOL
-    if near[:, [ctx.tracked_index, ctx.fixed_index]].any() or near[ctx.domegas != 0.0].any():
+    if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         raise PredicateError("pole: a mass collides with a zero its functional reads")
-    return _mass_table(ctx, tracked, reference, np.array([ctx.f_at_phi]))[0]
+    row = np.array([tracked])
+    return _mass_table(ctx, row, np.array([reference]), ctx.f(ctx.phases[row]))[0]
 
 
 @dataclass(frozen=True)
@@ -321,12 +313,12 @@ def _verdict_rows(
 ) -> list[VerdictReport]:
     """Verdicts for zero ``tracked[i]`` measured against zero ``reference[i]``,
     every row from one pass over the tables of :func:`_mass_table` and
-    :func:`w_continuous`; ``ctx`` supplies the phases and measure data only."""
+    :func:`w_continuous`."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
     phis = [float(ctx.phases[k]) for k in tracked]
     theta0s = [float(ctx.phases[r]) for r in reference]
-    if ctx.collisions():
+    if (ctx.mass_gaps < ANGLE_TOL).any():
         return [_inconclusive(p, r, theorem, "collision") for p, r in zip(phis, theta0s)]
     reports: list[VerdictReport | None] = [None] * len(tracked)
     rows = []
@@ -340,7 +332,7 @@ def _verdict_rows(
     tracked_ok = np.array([tracked[i] for i in rows])
     reference_ok = np.array([reference[i] for i in rows])
     phis_ok = ctx.phases[tracked_ok]
-    f_phis = np.full(len(rows), ctx.f_const) if ctx.f_theta is None else ctx.f_theta(phis_ok)
+    f_phis = ctx.f(phis_ok)
     w_masses = _mass_table(ctx, tracked_ok, reference_ok, f_phis)
 
     n = len(rows)
@@ -380,12 +372,13 @@ def _verdict_rows(
     return reports
 
 
-def verdict(ctx: MotionContext, theorem: str = "t21") -> VerdictReport:
-    """Classify the tracked zero's motion as CCW, CW, Stationary, or
-    Inconclusive, with a ``mirrored`` flag when the clockwise (sign-flipped)
-    criterion fired: the one-zero case of :func:`verdicts_at`.
+def verdict(ctx: MotionContext, tracked: int, reference: int, theorem: str) -> VerdictReport:
+    """Classify the motion of zero ``tracked``, measured against zero
+    ``reference``, as CCW, CW, Stationary, or Inconclusive, with a
+    ``mirrored`` flag when the clockwise (sign-flipped) criterion fired: the
+    one-zero case of :func:`verdicts_at`.
     """
-    return _verdict_rows(ctx, [ctx.tracked_index], [ctx.fixed_index], theorem)[0]
+    return _verdict_rows(ctx, [tracked], [reference], theorem)[0]
 
 
 def verdicts_at(m: Measure, zs: ZeroSet, t: float, theorem: str) -> dict[int, VerdictReport]:
@@ -396,6 +389,5 @@ def verdicts_at(m: Measure, zs: ZeroSet, t: float, theorem: str) -> dict[int, Ve
     rows = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
     if not rows:
         return {}
-    first = next(iter(rows))
-    ctx = motion_context(m, zs, rows[first], first, t)
+    ctx = motion_context(m, zs, t)
     return dict(zip(rows, _verdict_rows(ctx, list(rows), list(rows.values()), theorem)))

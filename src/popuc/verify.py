@@ -313,8 +313,7 @@ def check_identities() -> CheckResult:
         theta = rng.uniform(0, 2 * math.pi)
         if np.min([circular_gap(theta, p) for p in phases]) < 1e-2:
             continue
-        ctx = _bare_context(phases, fixed, tracked)
-        lhs = s_sum(theta, ctx)
+        lhs = s_sum(theta, phases, tracked, fixed)
         z = cmath.exp(1j * theta)
         zetas = np.exp(1j * phases)
         rhs = -1j * (
@@ -408,22 +407,6 @@ def check_identities() -> CheckResult:
 
     ok = not failures
     return _result("identities", ok, "; ".join(failures) if failures else "all identities hold")
-
-
-def _bare_context(phases: np.ndarray, fixed: int, tracked: int):
-    from .predicates import MotionContext
-
-    empty = np.array([])
-    return MotionContext(
-        phases=phases,
-        fixed_index=fixed,
-        tracked_index=tracked,
-        gammas=empty,
-        omegas=empty,
-        dgammas=empty,
-        domegas=empty,
-        t=0.0,
-    )
 
 
 def check_expressions() -> CheckResult:

@@ -303,21 +303,6 @@ def test_verify_failing_check_exits_1(monkeypatch):
     assert main(["verify", "--only", "always-fails"]) == 1
 
 
-def test_quad_nodes_env_override(tmp_path, monkeypatch):
-    path = _write(
-        tmp_path,
-        "custom.json",
-        {"measure": {"ac": {"kind": "custom", "w": "1 + cos(theta)/2"}, "masses": []}},
-    )
-    monkeypatch.setenv("POPUC_QUAD_NODES", "10")
-    assert main(["moments", "--config", path, "--order", "2"]) == 2
-    monkeypatch.setenv("POPUC_QUAD_NODES", "256")
-    out = tmp_path / "m.json"
-    assert main(["moments", "--config", path, "--order", "2", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["c"]["1"] == pytest.approx([0.25, 0.0], abs=1e-10)
-
-
 def test_nodes_zero_is_rejected_not_defaulted(tmp_path):
     path = _write(
         tmp_path,
@@ -333,13 +318,6 @@ def test_too_few_nodes_rejected_for_lebesgue(tmp_path, mixed_config):
     assert main(["opuc", "--config", mixed_config, "--nodes", "8", "--out", out]) == 2
     assert main(["zeros", "--config", mixed_config, "--b", "1,0", "--nodes", "8", "--out", out]) == 2
     assert main(["sweep", "--config", mixed_config, "--fix-zero", "0,1", "--nodes", "8", "--out", out]) == 2
-
-
-def test_non_integer_node_env_exits_2(tmp_path, mixed_config, monkeypatch):
-    monkeypatch.setenv("POPUC_QUAD_NODES", "abc")
-    out = str(tmp_path / "x")
-    assert main(["moments", "--config", mixed_config, "--out", out]) == 2
-    assert main(["sweep", "--config", mixed_config, "--fix-zero", "0,1", "--out", out]) == 2
 
 
 @pytest.mark.parametrize(
@@ -394,7 +372,7 @@ def test_flags_override_bad_config_values_before_validation(tmp_path, mixed_conf
     assert main(["sweep", "--config", few_nodes, "--nodes", "64", "--out", out]) == 0
 
 
-def test_sweep_nodes_precedence(tmp_path, monkeypatch):
+def test_sweep_nodes_precedence(tmp_path):
     obj = {
         "measure": {"ac": {"kind": "custom", "w": "exp(cos(theta - t))"}, "masses": []},
         "degree": 4,
@@ -402,15 +380,27 @@ def test_sweep_nodes_precedence(tmp_path, monkeypatch):
         "policy": {"kind": "fixed_xi", "value": [0.0, 1.0]},
     }
     path = _write(tmp_path, "custom.json", obj)
-    flag, env = tmp_path / "flag.csv", tmp_path / "env.csv"
+    flag, out = tmp_path / "flag.csv", tmp_path / "out.csv"
     assert main(["sweep", "--config", path, "--nodes", "256", "--out", str(flag)]) == 0
-    monkeypatch.setenv("POPUC_QUAD_NODES", "256")
-    assert main(["sweep", "--config", path, "--out", str(env)]) == 0
-    assert env.read_bytes() == flag.read_bytes()
-    # the config's value beats the environment, and a flag beats both
-    monkeypatch.setenv("POPUC_QUAD_NODES", "10")
-    assert main(["sweep", "--config", path, "--out", str(env)]) == 2
+    # the config's value beats the default, and a flag beats the config
+    too_few = _write(tmp_path, "nodes8.json", dict(obj, nodes=8))
+    assert main(["sweep", "--config", too_few, "--out", str(out)]) == 2
+    assert main(["sweep", "--config", too_few, "--nodes", "256", "--out", str(out)]) == 0
+    assert out.read_bytes() == flag.read_bytes()
     configured = _write(tmp_path, "nodes256.json", dict(obj, nodes=256))
-    assert main(["sweep", "--config", configured, "--out", str(env)]) == 0
-    assert env.read_bytes() == flag.read_bytes()
-    assert main(["sweep", "--config", configured, "--nodes", "8", "--out", str(env)]) == 2
+    assert main(["sweep", "--config", configured, "--out", str(out)]) == 0
+    assert out.read_bytes() == flag.read_bytes()
+    assert main(["sweep", "--config", configured, "--nodes", "8", "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("value", [5.9, 5.0, "5", True], ids=["float", "integral_float", "string", "bool"])
+@pytest.mark.parametrize("key", ["degree", "steps", "nodes"])
+def test_non_integer_config_value_exits_2_and_names_it(tmp_path, mixed_config, capsys, key, value):
+    # int() used to truncate these: "degree": 5.9 swept a degree-5 POPUC
+    obj = json.loads(open(mixed_config).read())
+    (obj["grid"] if key == "steps" else obj)[key] = value
+    path = _write(tmp_path, "non_integer.json", obj)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()

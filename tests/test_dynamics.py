@@ -245,15 +245,16 @@ def test_shared_context_error_reaches_every_zero_at_its_grid_point():
     assert all("verdict" in item for item in entries[1]["verdicts"])
 
 
-def _old_t23_ac_integral(m, state, ctx, nodes=2048):
+def _old_t23_ac_integral(m, state, ctx, tracked, nodes=2048):
     """The t23 AC integral of the balance identity, computed in full."""
     p = state.popuc.poly.coeffs
-    zeta, xi = complex(np.exp(1j * ctx.phi)), complex(np.exp(1j * ctx.theta0))
+    phi, theta0 = ctx.phases[tracked], ctx.phases[state.zero_set.fixed_index]
+    zeta, xi = complex(np.exp(1j * phi)), complex(np.exp(1j * theta0))
     d2 = deflate(deflate(p, xi), zeta)
-    thetas = theta_grid(m.ac.theta0, nodes, midpoint=True)
+    thetas = theta_grid(0.0, nodes, midpoint=True)
     z = np.exp(1j * thetas)
     s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p, z))).real
-    integrand = s_p2 * (ctx.f_const - ctx.f_at_phi)
+    integrand = s_p2 * (ctx.f_const - ctx.f(phi))
     return float(np.sum(integrand * m.ac.density(thetas, state.t))) / nodes
 
 
@@ -265,10 +266,10 @@ def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
     for k in range(len(zs)):
         if k == zs.fixed_index:
             continue
-        ctx = motion_context(m, zs, zs.fixed_index, k, 0.4)
+        ctx = motion_context(m, zs, 0.4)
         assert ctx.f_theta is None
-        assert _old_t23_ac_integral(m, state, ctx) == 0.0
-        assert balance_check(m, 5, pol, 0.4, ctx.phi, "t23").mismatch < 1e-4
+        assert _old_t23_ac_integral(m, state, ctx, k) == 0.0
+        assert balance_check(m, 5, pol, 0.4, ctx.phases[k], "t23").mismatch < 1e-4
 
 
 def _count_calls(monkeypatch, owner, name) -> list:

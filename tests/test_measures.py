@@ -70,12 +70,11 @@ def test_bernstein_szego_closed_form_matches_quadrature():
 
 def _trapezoid_reference(w, t, K, nodes):
     """c_0..c_K by the trapezoid rule, one scalar density evaluation per node
-    and a direct sum per order; e^{-ik theta_j} = e^{-ik theta0} e^{-2 pi i (jk mod N)/N}
+    and a direct sum per order; e^{-ik theta_j} = e^{-2 pi i (jk mod N)/N}
     keeps the phases exact for large k."""
-    vals = [evaluate(w.weight, {"theta": w.theta0 + 2 * math.pi * j / nodes, "t": t}) for j in range(nodes)]
+    vals = [evaluate(w.weight, {"theta": 2 * math.pi * j / nodes, "t": t}) for j in range(nodes)]
     return np.array([
-        cmath.exp(-1j * k * w.theta0)
-        * sum(v * cmath.exp(-2j * math.pi * (j * k % nodes) / nodes) for j, v in enumerate(vals))
+        sum(v * cmath.exp(-2j * math.pi * (j * k % nodes) / nodes) for j, v in enumerate(vals))
         / nodes
         for k in range(K + 1)
     ])
@@ -86,15 +85,14 @@ def _trapezoid_reference(w, t, K, nodes):
     st.floats(0.1, 2.0),
     st.floats(0.0, 2 * math.pi),
     st.floats(0.0, 1.0),
-    st.floats(0.5, 5.0),
     st.floats(0.0, 1.0),
     st.sampled_from([16, 32, 64]),
     st.integers(0, 200),
 )
-def test_fft_moments_match_trapezoid_reference(a, beta, c, theta0, t, nodes, K):
+def test_fft_moments_match_trapezoid_reference(a, beta, c, t, nodes, K):
     # a von Mises bump plus a squared sine in theta and t; K >= nodes aliases
     w = ACWeight.custom(
-        f"exp({a!r}*cos(theta - {beta!r})) + {c!r}*sin(2*theta + t)*sin(2*theta + t)", theta0
+        f"exp({a!r}*cos(theta - {beta!r})) + {c!r}*sin(2*theta + t)*sin(2*theta + t)"
     )
     ms = moments(Measure.of(w), t, K, nodes)
     ref = _trapezoid_reference(w, t, K, nodes)

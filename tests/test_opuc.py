@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from popuc.dynamics import ZeroPolicy, solve_at
-from popuc.expressions import Neg
-from popuc.measures import ACWeight, MassPoint, Measure, moments
+from popuc.expressions import BinOp, Const, Neg
+from popuc.measures import ACWeight, MassPoint, Measure, circular_gap, moments
 from popuc.opuc import (
     DegenerateMeasureError,
     MonicPoly,
@@ -306,6 +306,30 @@ def test_conjugate_measure_and_b_conjugate_the_zeros(case, arg_b):
     _, conj_zs = _popuc_zeros(mirrored, n, np.conj(b))
     for phase in -zs.phases:
         assert np.min(np.abs(np.angle(np.exp(1j * (conj_zs.phases - phase))))) <= 1e-9
+
+
+# Largest circular error seen over 28000 Hypothesis draws of the test below
+# (16400 of them masses alone) and 30000 uniform draws of masses alone:
+# 1.2e-9 for masses alone (7 masses at degree 7; the Gram route loses digits
+# on discrete measures, ROADMAP item 1) and 3.4e-13 with an AC part.
+ROTATION_TOL = {"none": 1e-7, "ac": 1e-11}
+
+
+@settings(deadline=None, max_examples=200)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi), st.floats(-math.pi, math.pi))
+def test_rotating_the_measure_and_xi_rotates_every_zero(case, psi, arg_xi):
+    # mu(theta - psi) has masses at omega_j + psi and, for Bernstein-Szego,
+    # lambda e^{-i psi}; pinned at xi e^{i psi}, its zeros are those of mu shifted by psi
+    m, n = case
+    rotated = Measure.of(
+        replace(m.ac, lam=m.ac.lam * cmath.exp(-1j * psi)),
+        [MassPoint(mp.gamma, BinOp("+", mp.omega, Const(psi))) for mp in m.masses],
+    )
+    zs = solve_at(m, n + 1, ZeroPolicy.fixed_xi(cmath.exp(1j * arg_xi)), 0.0).zero_set
+    rot = solve_at(rotated, n + 1, ZeroPolicy.fixed_xi(cmath.exp(1j * (arg_xi + psi))), 0.0).zero_set
+    assert len(rot) == len(zs)
+    error = max(float(np.min(circular_gap(rot.phases, phase + psi))) for phase in zs.phases)
+    assert error <= ROTATION_TOL["none" if m.ac.kind == "none" else "ac"]
 
 
 @settings(deadline=None)

@@ -10,7 +10,7 @@ from popuc import measures, predicates
 from popuc.dynamics import (
     SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts, tracked_velocity
 )
-from popuc.measures import ACWeight, MassPoint, Measure, circular_gap, theta_grid
+from popuc.measures import ANGLE_TOL, ACWeight, MassPoint, Measure, circular_gap, theta_grid
 from popuc.predicates import (
     NONNEG_TOL,
     STRICT_TOL,
@@ -28,11 +28,9 @@ from popuc.predicates import (
 from popuc.scenarios import scenario_config
 
 
-def _context(phases, fixed, tracked, gammas=(), omegas=(), dgammas=(), domegas=(), f=None):
+def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None):
     return MotionContext(
         phases=np.asarray(phases, dtype=float),
-        fixed_index=fixed,
-        tracked_index=tracked,
         gammas=np.asarray(gammas, dtype=float),
         omegas=np.asarray(omegas, dtype=float),
         dgammas=np.asarray(dgammas, dtype=float),
@@ -76,47 +74,46 @@ def test_s_factor_complex_form():
 
 
 def test_s_sum_half_weights():
-    ctx = _context([0.5, 1.5, 3.0], fixed=0, tracked=2)
     theta = 5.0
     expected = (
         0.5 / math.tan(0.5 * (0.5 - theta))
         + 1.0 / math.tan(0.5 * (1.5 - theta))
         + 0.5 / math.tan(0.5 * (3.0 - theta))
     )
-    assert s_sum(theta, ctx) == pytest.approx(expected, abs=1e-13)
+    assert s_sum(theta, np.array([0.5, 1.5, 3.0]), 2, 0) == pytest.approx(expected, abs=1e-13)
 
 
 def test_w_discrete_pure_gamma_term():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[4.0], dgammas=[0.7], domegas=[0.0],
     )
     expected = 0.7 * s_factor(4.0, 2.0, 0.5)
-    assert w_mass(0, ctx) == pytest.approx(expected, abs=1e-13)
+    assert w_mass(0, ctx, 1, 0) == pytest.approx(expected, abs=1e-13)
 
 
 def test_w_discrete_omega_term():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.3], omegas=[4.0], dgammas=[0.0], domegas=[0.2],
     )
     s = s_factor(4.0, 2.0, 0.5)
-    expected = -1.3 * s * s_sum(4.0, ctx) * 0.2
-    assert w_mass(0, ctx) == pytest.approx(expected, abs=1e-13)
+    expected = -1.3 * s * s_sum(4.0, ctx.phases, 1, 0) * 0.2
+    assert w_mass(0, ctx, 1, 0) == pytest.approx(expected, abs=1e-13)
 
 
 def test_w_mixed_reduces_to_discrete_without_ac():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.3], omegas=[4.0], dgammas=[0.3], domegas=[0.1],
     )
     s = s_factor(4.0, 2.0, 0.5)
-    discrete = s * 0.3 - 1.3 * s * s_sum(4.0, ctx) * 0.1
-    assert w_mass(0, ctx) == pytest.approx(discrete, abs=1e-13)
+    discrete = s * 0.3 - 1.3 * s * s_sum(4.0, ctx.phases, 1, 0) * 0.1
+    assert w_mass(0, ctx, 1, 0) == pytest.approx(discrete, abs=1e-13)
     # a moving AC part with f constant in theta adds -gamma s f(phi)
     moving = replace(ctx, f_const=-0.7)
-    assert moving.f_at_phi == -0.7
-    assert w_mass(0, moving) == pytest.approx(discrete + 1.3 * s * 0.7, abs=1e-13)
+    assert moving.f(2.0) == -0.7
+    assert w_mass(0, moving, 1, 0) == pytest.approx(discrete + 1.3 * s * 0.7, abs=1e-13)
 
 
 def test_w_continuous_vanishes_for_constant_f():
@@ -131,13 +128,13 @@ def test_motion_context_from_pipeline():
     pol = ZeroPolicy.fixed_xi(cmath.exp(1j * math.pi / 2))
     zs = solve_at(m, 5, pol, 0.4, nodes=512).zero_set
     tracked = (zs.fixed_index + 2) % len(zs)
-    ctx = motion_context(m, zs, zs.fixed_index, tracked, 0.4)
-    assert ctx.theta0 == pytest.approx(math.pi / 2, abs=1e-9)
+    ctx = motion_context(m, zs, 0.4)
+    assert ctx.phases[zs.fixed_index] == pytest.approx(math.pi / 2, abs=1e-9)
     assert ctx.gammas[0] == pytest.approx(0.4)
     assert ctx.dgammas[0] == pytest.approx(1.0)
     assert ctx.domegas[0] == pytest.approx(0.0)
     # f = d/dt log(1-t) at t = 0.4
-    assert ctx.f_at_phi == pytest.approx(-1.0 / 0.6, abs=1e-12)
+    assert ctx.f(ctx.phases[tracked]) == pytest.approx(-1.0 / 0.6, abs=1e-12)
 
 
 def test_motion_context_differentiates_each_expression_once(monkeypatch):
@@ -149,11 +146,11 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
     )
     zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
     for tracked in (1, 2, 3):
-        ctx = motion_context(m, zs, zs.fixed_index, tracked, 0.4)
+        ctx = motion_context(m, zs, 0.4)
     # d/dt of two gammas, two omegas and the Lebesgue scale, once each
     assert len(calls) == 5
     assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
-    assert ctx.f_at_phi == pytest.approx(-1.0 / 0.6, abs=1e-12)
+    assert ctx.f(ctx.phases[tracked]) == pytest.approx(-1.0 / 0.6, abs=1e-12)
 
 
 # a conjugate-symmetric measure: masses at +-omega with equal weights
@@ -222,16 +219,16 @@ def test_t21_and_t23_verdicts_are_one_computation(ac):
     assert sum(len(entry["verdicts"]) for entry in t21) == 9 * 4
 
 
-def _w_tilde(j: int, ctx: MotionContext) -> float:
+def _w_tilde(j: int, ctx: MotionContext, tracked: int, reference: int) -> float:
     """The paper's conjugate-pair functional W~_j, written out: with
     s~(theta, phi) = 1 / (2 (cos phi - cos theta)) and the sum
     sin(theta) / (cos(theta) - cos(phi)) plus cotangents over the other zeros,
     W~_j = s~ gamma_j' - gamma_j s~ sum omega_j'."""
-    phi, theta = ctx.phi, ctx.omegas[j]
+    phi, theta = ctx.phases[tracked], ctx.omegas[j]
     s_conj = 0.5 / (math.cos(phi) - math.cos(theta))
     s_sum_conj = math.sin(theta) / (math.cos(theta) - math.cos(phi))
     for k, ph in enumerate(ctx.phases):
-        if k not in (ctx.fixed_index, ctx.tracked_index):
+        if k not in (reference, tracked):
             s_sum_conj += 1.0 / math.tan(0.5 * (ph - theta))
     return s_conj * ctx.dgammas[j] - ctx.gammas[j] * s_conj * s_sum_conj * ctx.domegas[j]
 
@@ -245,9 +242,9 @@ def test_t22_functionals_are_the_conjugate_pair_functionals(m):
     for entry, zs in zip(sweep_verdicts(cfg, traj), traj.zero_sets):
         for item in entry["verdicts"]:
             k = item["zero_index"]
-            ctx = motion_context(m, zs, reference_index(zs, k, "t22"), k, entry["t"])
-            expected = 2.0 * math.sin(ctx.phi) * np.array(
-                [_w_tilde(j, ctx) for j in range(len(ctx.gammas))]
+            ctx, partner = motion_context(m, zs, entry["t"]), reference_index(zs, k, "t22")
+            expected = 2.0 * math.sin(ctx.phases[k]) * np.array(
+                [_w_tilde(j, ctx, k, partner) for j in range(len(ctx.gammas))]
             )
             w = np.array(item["w_masses"])
             assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -257,13 +254,13 @@ def test_t22_functionals_are_the_conjugate_pair_functionals(m):
 
 def test_verdict_ccw_and_mirror():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0, 0.8], omegas=[4.0, 5.0], dgammas=[0.7, 0.5], domegas=[0.0, 0.0],
     )
-    rep = verdict(ctx, "t21")
+    rep = verdict(ctx, 1, 0, "t21")
     assert rep.verdict == "CCW"
     assert not rep.mirrored
-    mirror = verdict(replace(ctx, dgammas=-ctx.dgammas, domegas=-ctx.domegas), "t21")
+    mirror = verdict(replace(ctx, dgammas=-ctx.dgammas, domegas=-ctx.domegas), 1, 0, "t21")
     assert mirror.verdict == "CW"
     assert mirror.mirrored
     assert "mirrored" in mirror.flags
@@ -271,82 +268,82 @@ def test_verdict_ccw_and_mirror():
 
 def test_verdict_stationary():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[4.0], dgammas=[0.0], domegas=[0.0],
     )
-    assert verdict(ctx, "t21").verdict == "Stationary"
+    assert verdict(ctx, 1, 0, "t21").verdict == "Stationary"
 
 
 def test_verdict_inconclusive_on_mixed_signs():
     ctx = _context(
-        [0.5, 2.0, 3.5], fixed=0, tracked=1,
+        [0.5, 2.0, 3.5],
         gammas=[1.0, 1.0], omegas=[1.2, 4.5], dgammas=[0.7, 0.7], domegas=[0.0, 0.0],
     )
     # s has opposite signs inside/outside the (theta0, phi) arc
-    rep = verdict(ctx, "t21")
+    rep = verdict(ctx, 1, 0, "t21")
     assert rep.verdict == "Inconclusive"
 
 
 def test_verdict_collision_flag():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[0.5], dgammas=[0.7], domegas=[0.0],
     )
-    rep = verdict(ctx, "t21")
+    rep = verdict(ctx, 1, 0, "t21")
     assert rep.verdict == "Inconclusive"
     assert "collision" in rep.flags
 
 
 def test_verdict_t22_guards_conjugacy():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[4.0], dgammas=[0.7], domegas=[0.0],
     )
-    rep = verdict(ctx, "t22")
+    rep = verdict(ctx, 1, 0, "t22")
     assert rep.verdict == "Inconclusive"
     assert "non_conjugate_pair" in rep.flags
 
 
 def test_verdict_t23_requires_monotone_f():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[4.0], dgammas=[2.0], domegas=[0.0],
         f=np.cos,  # not monotone over the period
     )
-    rep = verdict(ctx, "t23")
+    rep = verdict(ctx, 1, 0, "t23")
     assert rep.verdict != "CCW"
     assert "f_not_nondecreasing" in rep.flags
 
 
 def test_verdict_rejects_unknown_theorem():
-    ctx = _context([0.5, 2.0], fixed=0, tracked=1)
+    ctx = _context([0.5, 2.0])
     with pytest.raises(ValueError):
-        verdict(ctx, "t99")
+        verdict(ctx, 1, 0, "t99")
 
 
 def test_report_json_round_trip():
     ctx = _context(
-        [0.5, 2.0], fixed=0, tracked=1,
+        [0.5, 2.0],
         gammas=[1.0], omegas=[4.0], dgammas=[0.7], domegas=[0.0],
     )
-    obj = verdict(ctx, "t21").to_json()
+    obj = verdict(ctx, 1, 0, "t21").to_json()
     assert obj["verdict"] == "CCW"
     assert obj["theorem"] == "t21"
     assert isinstance(obj["w_masses"], list)
     assert obj["tracked_phase"] == pytest.approx(2.0)
 
 
-def _scalar_t23_verdict(ctx):
+def _scalar_t23_verdict(ctx, tracked, reference):
     """Reference t23 verdict: f and s evaluated node by node on scalars.
 
     Returns (label, flags, w_continuous_min, w_continuous_max, scale)."""
-    if ctx.collisions():
+    if (ctx.mass_gaps < ANGLE_TOL).any():
         return "Inconclusive", ("collision",), 0.0, 0.0, 0.0
     try:
-        w_masses = np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
+        w_masses = np.array([w_mass(j, ctx, tracked, reference) for j in range(len(ctx.gammas))])
     except PredicateError:
         return "Inconclusive", ("pole",), 0.0, 0.0, 0.0
-    phi, theta0 = ctx.phi, ctx.theta0
+    phi, theta0 = float(ctx.phases[tracked]), float(ctx.phases[reference])
 
     def f(theta):
         return ctx.f_const if ctx.f_theta is None else float(ctx.f_theta(float(theta)))
@@ -412,14 +409,14 @@ def test_array_t23_verdict_matches_scalar_reference(name):
     traj = sweep(cfg)
     checked = 0
     for t, zs in zip(traj.ts, traj.zero_sets):
+        ctx = motion_context(cfg.measure, zs, float(t))
+        # no collision, so the reference runs its whole node-by-node pass
+        assert not (ctx.mass_gaps < ANGLE_TOL).any()
         for k in range(len(zs)):
             if k == zs.fixed_index:
                 continue
-            ctx = motion_context(cfg.measure, zs, zs.fixed_index, k, float(t))
-            # no collision, so the reference runs its whole node-by-node pass
-            assert not ctx.collisions()
-            rep = verdict(ctx, "t23")
-            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
+            rep = verdict(ctx, k, zs.fixed_index, "t23")
+            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx, k, zs.fixed_index)
             assert (rep.verdict, rep.flags) == (label, flags)
             assert abs(rep.w_continuous_min - wc_min) <= 1e-12 * scale
             assert abs(rep.w_continuous_max - wc_max) <= 1e-12 * scale
@@ -480,7 +477,7 @@ PASS_CASES = {
 @pytest.mark.parametrize("name", PASS_CASES)
 def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
     # the one-pass table against the scalar functionals and the one-zero
-    # verdict of a context built for that zero alone
+    # verdict on a context built apart from the pass
     cfg = PASS_CASES[name]
     traj = sweep(cfg)
     checked = 0
@@ -488,13 +485,14 @@ def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
         reports = predicates.verdicts_at(cfg.measure, zs, float(t), cfg.theorem)
         expected_rows = [k for k in range(len(zs)) if reference_index(zs, k, cfg.theorem) is not None]
         assert list(reports) == expected_rows
+        ctx = motion_context(cfg.measure, zs, float(t))
         for k, rep in reports.items():
-            ctx = motion_context(cfg.measure, zs, reference_index(zs, k, cfg.theorem), k, float(t))
-            assert rep.to_json() == verdict(ctx, cfg.theorem).to_json()
+            ref = reference_index(zs, k, cfg.theorem)
+            assert rep.to_json() == verdict(ctx, k, ref, cfg.theorem).to_json()
             if rep.flags in (("collision",), ("non_conjugate_pair",)):
                 continue
-            scalar = np.array([w_mass(j, ctx) for j in range(len(ctx.gammas))])
-            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx)
+            scalar = np.array([w_mass(j, ctx, k, ref) for j in range(len(ctx.gammas))])
+            label, flags, wc_min, wc_max, scale = _scalar_t23_verdict(ctx, k, ref)
             assert np.max(np.abs(rep.w_masses - scalar), initial=0.0) <= 1e-15 * scale
             assert (rep.verdict, rep.flags) == (label, flags)
             assert abs(rep.w_continuous_min - wc_min) <= 1e-12 * scale
@@ -538,16 +536,16 @@ def test_mass_functionals_poles_match_the_scalar_functionals():
     # pole (its cotangent sum is never read); on the tracked zero it is one,
     # and so is a moving mass on any zero
     fixed = _context(
-        [0.5, 2.0, 3.5], fixed=0, tracked=1,
+        [0.5, 2.0, 3.5],
         gammas=[1.0, 0.6], omegas=[3.5, 5.0], dgammas=[0.7, 0.2], domegas=[0.0, 0.1],
     )
-    expected = [w_mass(j, fixed) for j in range(2)]
-    assert predicates.mass_functionals(fixed).tolist() == expected
+    expected = [w_mass(j, fixed, 1, 0) for j in range(2)]
+    assert predicates.mass_functionals(fixed, 1, 0).tolist() == expected
     for ctx in (replace(fixed, omegas=np.array([2.0, 5.0])), replace(fixed, domegas=np.array([0.1, 0.1]))):
         with pytest.raises(PredicateError):
-            [w_mass(j, ctx) for j in range(2)]
+            [w_mass(j, ctx, 1, 0) for j in range(2)]
         with pytest.raises(PredicateError):
-            predicates.mass_functionals(ctx)
+            predicates.mass_functionals(ctx, 1, 0)
 
 
 @st.composite
