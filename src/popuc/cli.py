@@ -24,7 +24,7 @@ from .dynamics import (
     sweep_verdicts,
 )
 from .expressions import ExprError
-from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, moments
+from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, json_number, moments
 from .opuc import DegenerateMeasureError, gram_opuc
 from .paraorthogonal import RootFindingError
 from .predicates import THEOREMS
@@ -44,18 +44,14 @@ def _complex_pair(text: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
-def _nodes(args) -> int:
-    """Quadrature node count: --nodes, else the default; at least MIN_NODES."""
-    nodes = DEFAULT_NODES if args.nodes is None else args.nodes
+def _load_measure(args) -> tuple[Measure, int]:
+    """(measure, nodes): --nodes, else the config's ``nodes``, else the default; at least MIN_NODES."""
+    with open(args.config) as fh:
+        obj = json.load(fh)
+    nodes = args.nodes if args.nodes is not None else json_number(obj, "nodes", DEFAULT_NODES, (int,))
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
-    return nodes
-
-
-def _load_measure(path: str) -> Measure:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return Measure.from_json(obj.get("measure", obj))
+    return Measure.from_json(obj.get("measure", obj)), nodes
 
 
 def _flag_policy(args) -> ZeroPolicy | None:
@@ -100,7 +96,8 @@ def _dump_json(obj, out: str | None) -> None:
 
 
 def cmd_moments(args) -> int:
-    ms = moments(_load_measure(args.config), args.t, args.order, _nodes(args))
+    m, nodes = _load_measure(args)
+    ms = moments(m, args.t, args.order, nodes)
     payload = {
         "t": args.t,
         "K": args.order,
@@ -111,9 +108,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_opuc(args) -> int:
-    m = _load_measure(args.config)
+    m, nodes = _load_measure(args)
     n = args.degree
-    ms = moments(m, args.t, 2 * n + 2, _nodes(args))
+    ms = moments(m, args.t, 2 * n + 2, nodes)
     fam = gram_opuc(ms, n)
     payload = {
         "t": args.t,
@@ -132,8 +129,8 @@ def cmd_zeros(args) -> int:
     if policy is None:
         print("zeros: need --b or --fix-zero", file=sys.stderr)
         return EXIT_CONFIG
-    m = _load_measure(args.config)
-    st = solve_at(m, args.degree, policy, args.t, _nodes(args))
+    m, nodes = _load_measure(args)
+    st = solve_at(m, args.degree, policy, args.t, nodes)
     zs = st.zero_set
     payload = {
         "t": args.t,

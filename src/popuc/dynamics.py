@@ -18,6 +18,8 @@ from .measures import (
     Measure,
     MeasureError,
     MomentSequence,
+    json_number,
+    json_pair,
     known_keys,
     moments,
     theta_grid,
@@ -86,15 +88,6 @@ class ZeroPolicy:
         return cls("fixed_b", complex(b))
 
 
-def _json_int(obj: dict, key: str, default: int) -> int:
-    """``obj[key]``, or ``default`` when absent; a value that is not a JSON
-    integer (a float, a string or a bool) raises ValueError naming the key."""
-    value = obj.get(key, default)
-    if type(value) is not int:
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     measure: Measure
@@ -127,16 +120,15 @@ class SweepConfig:
         known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes", "h"))
         grid = known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
         policy = known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
-        re, im = policy.get("value", [1.0, 0.0])
         return cls(
             measure=Measure.from_json(obj["measure"]),
-            degree=_json_int(obj, "degree", 5),
-            t_start=float(grid.get("start", 0.0)),
-            t_stop=float(grid.get("stop", 1.0)),
-            steps=_json_int(grid, "steps", 10),
-            policy=ZeroPolicy(policy.get("kind", "fixed_b"), complex(re, im)),
+            degree=json_number(obj, "degree", 5, (int,)),
+            t_start=float(json_number(grid, "start", 0.0)),
+            t_stop=float(json_number(grid, "stop", 1.0)),
+            steps=json_number(grid, "steps", 10, (int,)),
+            policy=ZeroPolicy(policy.get("kind", "fixed_b"), json_pair(policy, "value", [1.0, 0.0])),
             theorem=obj.get("theorem", "t21"),
-            nodes=_json_int(obj, "nodes", DEFAULT_NODES),
+            nodes=json_number(obj, "nodes", DEFAULT_NODES, (int,)),
         )
 
     def grid(self) -> np.ndarray:
@@ -201,16 +193,19 @@ class Trajectory:
 def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) -> np.ndarray:
     """Permutation p with new_set.phases[p[k]] continuing chain k.
 
-    Greedy nearest circular phase; a non-bijective assignment or a jump
+    Greedy nearest circular phase, a tie to the lower index, among the two new
+    zeros around each chain's phase; a non-bijective assignment or a jump
     beyond half the previous minimum gap aborts the sweep loudly.
     """
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    # d[k, i]: circular distance from chain k to new zero i
-    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
-    perm = np.argmin(d, axis=1)
-    jumps = d[np.arange(m), perm]
+    new = new_set.phases
+    above = np.searchsorted(new, new[0] + np.mod(prev_phases - new[0], 2.0 * np.pi), side="right")
+    pair = np.sort([above - 1, above % m], axis=0)  # pair[:, k]: chain k's neighbours
+    d = np.abs(np.angle(np.exp(1j * (new[pair] - prev_phases))))  # d[j, k]: chain k to pair[j, k]
+    nearest = np.argmin(d, axis=0), np.arange(m)
+    perm, jumps = pair[nearest], d[nearest]
     if len(set(perm.tolist())) != m:
         raise TrackingError(f"ambiguous zero matching at t={t}")
     if np.max(jumps) >= min_gap / 2:

@@ -27,6 +27,7 @@ __all__ = [
     "quadrature_moment",
     "circular_gap",
     "known_keys",
+    "json_number", "json_pair",
     "theta_grid",
     "DEFAULT_NODES",
     "MIN_NODES",
@@ -68,6 +69,24 @@ def known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
     if set(obj) - set(keys):
         raise ValueError(f"unknown {where} key(s) {sorted(set(obj) - set(keys))}")
     return obj
+
+
+def json_number(obj: dict, key: str, default, kinds: tuple[type, ...] = (int, float)):
+    """``obj[key]``, or ``default`` when absent; a value of no type in ``kinds``
+    (by default a JSON number: never a bool or a string) raises ValueError naming the key."""
+    value = obj.get(key, default)
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"config key {key!r} must be a JSON {names}, got {value!r}")
+    return value
+
+
+def json_pair(obj: dict, key: str, default=None) -> complex:
+    """re + i im from the [re, im] pair of JSON numbers ``obj[key]`` (``default`` when absent)."""
+    value = obj.get(key, default)
+    if type(value) is not list or len(value) != 2 or not all(type(v) in (int, float) for v in value):
+        raise ValueError(f"config key {key!r} must be a [re, im] pair of numbers, got {value!r}")
+    return complex(*value)
 
 
 def _as_expr(value: Expr | str | float) -> Expr:
@@ -189,8 +208,7 @@ class Measure:
         elif kind == "lebesgue":
             ac = ACWeight.lebesgue(ac_obj.get("scale", "1"))
         elif kind == "bernstein_szego":
-            re, im = ac_obj["lambda"]
-            ac = ACWeight.bernstein_szego(complex(re, im), ac_obj.get("scale", "1"))
+            ac = ACWeight.bernstein_szego(json_pair(ac_obj, "lambda"), ac_obj.get("scale", "1"))
         elif kind == "custom":
             ac = ACWeight.custom(ac_obj["w"])
         else:

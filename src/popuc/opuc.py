@@ -33,17 +33,21 @@ class DegenerateMeasureError(ValueError):
 def polyval(coeffs: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray:
     """Value at ``z`` (a complex for a 0-d ``z``) of an ascending coefficient array
     or of each row of a stack of them: the coefficients times one table of powers
-    of ``z``, filled by doubling (rows k..2k-1 are rows 0..k-1 times z^k)."""
+    of ``z`` (see :func:`power_table`)."""
     z = np.asarray(z, dtype=complex)
-    n = np.shape(coeffs)[-1]
-    table = np.empty((n, z.size), dtype=complex)
-    table[:1] = 1.0
-    k, z_k = 1, z.reshape(-1)
-    while k < n:
-        np.multiply(table[: min(k, n - k)], z_k, out=table[k : 2 * k])
-        k, z_k = 2 * k, z_k * z_k
+    table = power_table(np.empty((np.shape(coeffs)[-1], z.size), dtype=complex), z.reshape(-1))
     result = (coeffs @ table).reshape(np.shape(coeffs)[:-1] + z.shape)
     return complex(result) if result.ndim == 0 else result
+
+
+def power_table(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``table`` with row k set to z**k, by doubling: rows k..2k-1 are rows 0..k-1 times z^k."""
+    k, n = 1, len(table)
+    table[:1] = 1.0
+    while k < n:
+        np.multiply(table[: min(k, n - k)], z, out=table[k : 2 * k])
+        k, z = 2 * k, z * z
+    return table
 
 
 @dataclass(frozen=True)
@@ -95,25 +99,26 @@ def szego_step(coeffs: np.ndarray, conj_alpha: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpucFamily:
-    """Q_0..Q_n with squared norms and Verblunsky coefficients.
+    """Q_0..Q_n as rows of a read-only table, with squared norms and Verblunsky coefficients.
 
-    alphas[k] = -conj(Q_{k+1}(0)), for k = 0..n-1.
+    coeffs[k, :k+1] is Q_k; alphas[k] = -conj(Q_{k+1}(0)), for k = 0..n-1.
     """
 
-    polys: tuple[MonicPoly, ...]
+    coeffs: np.ndarray
     norms: np.ndarray
     alphas: np.ndarray
 
     @property
     def max_degree(self) -> int:
-        return len(self.polys) - 1
+        return len(self.coeffs) - 1
 
     def __getitem__(self, degree: int) -> MonicPoly:
-        return self.polys[degree]
+        return MonicPoly(self.coeffs[degree, : degree + 1])
 
 
 def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
-    """Build Q_0..Q_n by the Szego recursion Q_{k+1} = z Q_k - conj(alpha_k) Q_k*.
+    """Q_0..Q_n by the Szego recursion Q_{k+1} = z Q_k - conj(alpha_k) Q_k*, a
+    :func:`szego_step` into each row of one table; n > ms.K raises IndexError.
 
     conj(alpha_k) = <z Q_k, 1> / kappa_k and kappa_{k+1} = (1 - |alpha_k|^2) kappa_k,
     with kappa_k = ||Q_k||^2.  Raises :class:`DegenerateMeasureError` when the
@@ -122,22 +127,24 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
     """
     if n < 0:
         raise ValueError(f"OPUC degree {n} is negative")
-    # first row [c_0, c_{-1}, ..., c_{-n}]: <z^{j+1}, 1> = c_{-(j+1)} = row[j + 1]
-    row = ms.toeplitz(n + 1)[0]
+    if n > ms.K:
+        raise IndexError(f"OPUC degree {n} exceeds the moment order K={ms.K}")
+    # [c_0, c_{-1}, ..., c_{-n}]: <z^{j+1}, 1> = c_{-(j+1)} = row[j + 1]
+    row = ms.c[ms.K - n : ms.K + 1][::-1].copy()  # contiguous: a strided dot sums in another order
     c0 = row[0].real
-    coeffs = np.array([1.0 + 0.0j])
-    polys = [MonicPoly(coeffs)]
-    norms = [c0]
-    alphas = []
+    table = np.eye(n + 1, dtype=complex)  # row m becomes Q_m, monic of degree m
+    norms, alphas = [c0], []
     for m in range(1, n + 1):
-        conj_alpha = complex(coeffs @ row[1 : m + 1]) / norms[-1]
+        q = table[m - 1, :m]
+        conj_alpha = complex(q @ row[1 : m + 1]) / norms[-1]
         kappa = (1.0 - abs(conj_alpha) ** 2) * norms[-1]
         if kappa <= DEGENERACY_THRESHOLD * c0:
             raise DegenerateMeasureError(
                 f"norm ratio collapsed at degree {m} (kappa_{m} / c_0 = {kappa / c0:.3e})"
             )
-        coeffs = szego_step(coeffs, conj_alpha)
-        polys.append(MonicPoly(coeffs))
+        table[m, 1 : m + 1] = q
+        table[m, :m] -= conj_alpha * reversed_poly(q)
         norms.append(kappa)
         alphas.append(np.conj(conj_alpha))
-    return OpucFamily(tuple(polys), np.array(norms), np.array(alphas, dtype=complex))
+    table.setflags(write=False)
+    return OpucFamily(table, np.array(norms), np.array(alphas, dtype=complex))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opuc import MonicPoly, polyval, reversed_poly, szego_step
+from .opuc import MonicPoly, polyval, power_table, reversed_poly, szego_step
 
 __all__ = [
     "PopucInstance",
@@ -112,7 +112,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     nearby polynomial; by default the guesses sit equispaced on the unit
     circle, offset by half a slot (ideal for zeros that are themselves on the
     circle).  P and P', padded to one length and stacked, come from one table
-    of powers per sweep.
+    of powers per sweep, which like the reciprocal differences is filled in place.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
@@ -124,26 +124,29 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
         return np.array([], dtype=complex)
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
-    diff = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
-    for _ in range(MAX_SWEEPS):
-        p, dp = polyval(pair, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
-        np.subtract(z[:, None], z[None, :], out=diff)
-        np.fill_diagonal(diff, np.inf)
-        repulsion = np.sum(np.divide(1.0, diff, out=diff), axis=1)
-        denom = 1.0 - ratio * repulsion
-        step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
-        z = z - step
-        if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
-            break
-    else:
-        if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
-            raise RootFindingError("Aberth-Ehrlich iteration did not converge")
-    # Newton polish
-    for _ in range(3):
-        p, dp = polyval(pair, z)
-        z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+    table = np.empty((m + 1, m), dtype=complex)  # powers of z
+    recip = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_SWEEPS):
+            p, dp = pair @ power_table(table, z)
+            ratio = p / dp
+            ratio[dp == 0] = 0.0
+            np.subtract(z[:, None], z[None, :], out=recip)
+            recip.reshape(-1)[:: m + 1] = np.inf  # the diagonal: 1/inf = 0 drops j = i
+            repulsion = np.sum(np.divide(1.0, recip, out=recip), axis=1)
+            denom = 1.0 - ratio * repulsion
+            step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
+            z = z - step
+            if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
+                break
+        else:
+            if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
+                raise RootFindingError("Aberth-Ehrlich iteration did not converge")
+        for _ in range(3):  # Newton polish, 0 where P' vanishes
+            p, dp = pair @ power_table(table, z)
+            ratio = p / dp
+            ratio[dp == 0] = 0.0
+            z = z - ratio
     return z
 
 

@@ -64,7 +64,7 @@ def scenario_json(name: str, b: complex | None = None) -> dict:
     obj = copy.deepcopy(SCENARIOS[name])
     if b is not None:
         ZeroPolicy.fixed_b(b)  # an off-circle b is rejected here, as sweep rejects it
-        obj["policy"] = {"kind": "fixed_b", "value": [b.real, b.imag]}
+        obj["policy"] = {"kind": "fixed_b", "value": [float(b.real), float(b.imag)]}
     return obj
 
 

@@ -13,6 +13,7 @@ from popuc import verify
 from popuc.cli import main
 from popuc.dynamics import ZeroPolicy, solve_at
 from popuc.measures import Measure
+from popuc.scenarios import scenario_json
 
 
 def _write(tmp_path, name, obj):
@@ -404,3 +405,65 @@ def test_non_integer_config_value_exits_2_and_names_it(tmp_path, mixed_config, c
     assert main(["sweep", "--config", path, "--out", str(out)]) == 2
     assert repr(key) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [["0", "1"], 5, [0.0], [True, 0.0], None], ids=["strings", "number", "short", "bool", "null"])
+@pytest.mark.parametrize("key", ["value", "lambda"])
+def test_malformed_complex_pair_exits_2_and_names_it(tmp_path, capsys, key, value):
+    # these used to escape as a TypeError, exit 1 (a failed verify check)
+    obj = scenario_json("bs_mass_gamma")
+    (obj["policy"] if key == "value" else obj["measure"]["ac"])[key] = value
+    path = _write(tmp_path, "pair.json", obj)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+    if key == "lambda":
+        assert main(["moments", "--config", path, "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "0.9", None, [0.5]], ids=["bool", "string", "null", "list"])
+@pytest.mark.parametrize("key", ["start", "stop"])
+def test_non_number_grid_bound_exits_2_and_names_it(tmp_path, mixed_config, capsys, key, value):
+    # float() used to take these: "start": true swept from t = 1.0
+    obj = json.loads(open(mixed_config).read())
+    obj["grid"][key] = value
+    path = _write(tmp_path, "bound.json", obj)
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_grid_bounds_are_numbers(tmp_path):
+    obj = scenario_json("bs_mass_gamma")
+    out, ref = tmp_path / "int.csv", tmp_path / "float.csv"
+    obj["grid"].update(start=1.0, stop=2.0, steps=5)
+    assert main(["sweep", "--config", _write(tmp_path, "f.json", obj), "--out", str(ref)]) == 0
+    obj["grid"].update(start=1, stop=2)
+    assert main(["sweep", "--config", _write(tmp_path, "i.json", obj), "--out", str(out)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["moments"], ["opuc", "--degree", "3"], ["zeros", "--b", "1,0", "--degree", "4"]],
+    ids=["moments", "opuc", "zeros"],
+)
+def test_every_command_reads_the_config_nodes(tmp_path, capsys, command):
+    obj = {"measure": {"ac": {"kind": "custom", "w": "exp(cos(theta - t))"}, "masses": []}, "degree": 4}
+    flag, out = tmp_path / "flag.json", tmp_path / "out.json"
+    assert main([*command, "--config", _write(tmp_path, "plain.json", obj), "--nodes", "64", "--out", str(flag)]) == 0
+    # the config's value beats the default, and a flag beats the config
+    configured = _write(tmp_path, "nodes64.json", dict(obj, nodes=64))
+    assert main([*command, "--config", configured, "--out", str(out)]) == 0
+    assert out.read_bytes() == flag.read_bytes()
+    too_few = _write(tmp_path, "nodes8.json", dict(obj, nodes=8))
+    assert main([*command, "--config", too_few, "--out", str(out)]) == 2
+    assert main([*command, "--config", too_few, "--nodes", "64", "--out", str(out)]) == 0
+    assert out.read_bytes() == flag.read_bytes()
+    assert main([*command, "--config", configured, "--nodes", "8", "--out", str(out)]) == 2
+    not_integer = _write(tmp_path, "nodes64f.json", dict(obj, nodes=64.0))
+    assert main([*command, "--config", not_integer, "--out", str(out)]) == 2
+    assert "'nodes'" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from popuc.opuc import (
     inner_product,
     polyval,
     reversed_poly,
+    szego_step,
 )
 from popuc.paraorthogonal import build_popuc, zeros_on_circle
 
@@ -359,3 +360,51 @@ def test_solve_at_from_random_starts_finds_the_cold_zeros(case, kind, arg, seed)
     warm = solve_at(m, n + 1, policy, 0.0, start=start).zero_set
     assert warm.fixed_index == cold.fixed_index
     assert np.max(np.abs(warm.phases - cold.phases)) <= 1e-12
+
+
+def _szego_chain(ms, n):
+    """Q_0..Q_n, norms and alphas by one szego_step after another, each conj(alpha_k)
+    from the first row of the Toeplitz matrix: the recursion before its table."""
+    row = ms.toeplitz(n + 1)[0]
+    polys, norms, alphas = [np.array([1.0 + 0.0j])], [row[0].real], []
+    for m in range(1, n + 1):
+        conj_alpha = complex(polys[-1] @ row[1 : m + 1]) / norms[-1]
+        norms.append((1.0 - abs(conj_alpha) ** 2) * norms[-1])
+        polys.append(szego_step(polys[-1], conj_alpha))
+        alphas.append(np.conj(conj_alpha))
+    return polys, np.array(norms), np.array(alphas, dtype=complex)
+
+
+def _assert_gram_opuc_is_the_szego_chain(ms, n):
+    fam = gram_opuc(ms, n)
+    polys, norms, alphas = _szego_chain(ms, n)
+    assert fam.max_degree == n and not fam.coeffs.flags.writeable
+    for k in range(n + 1):
+        assert fam[k].coeffs.tobytes() == polys[k].tobytes()
+        assert not np.any(fam.coeffs[k, k + 1 :])
+    assert fam.norms.tobytes() == norms.tobytes()
+    assert fam.alphas.tobytes() == alphas.tobytes()
+
+
+@settings(deadline=None)
+@given(admissible_measures())
+def test_gram_opuc_is_the_szego_chain_bitwise(case):
+    m, n = case
+    _assert_gram_opuc_is_the_szego_chain(moments(m, 0.0, n + 1), n)
+
+
+@pytest.mark.parametrize("degree", [40, 80, 120])
+def test_gram_opuc_is_the_szego_chain_bitwise_at_high_degree(degree):
+    # the measure of the high-degree sweeps: Bernstein-Szego plus a mass
+    m = Measure.of(ACWeight.bernstein_szego(-1j / 3), [MassPoint.of("t", "2*pi/3")])
+    _assert_gram_opuc_is_the_szego_chain(moments(m, 0.7, 2 * degree + 2), degree - 1)
+    _assert_gram_opuc_is_the_szego_chain(moments(m, 0.7, degree), degree)
+
+
+def test_gram_opuc_beyond_the_moment_order_raises_index_error():
+    ms = moments(Measure.of(ACWeight.lebesgue(1.0)), 0.0, 4)
+    assert gram_opuc(ms, 4).max_degree == 4
+    with pytest.raises(IndexError):
+        gram_opuc(ms, 5)
+    with pytest.raises(IndexError):
+        gram_opuc(ms, 12)

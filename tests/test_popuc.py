@@ -240,3 +240,65 @@ def test_self_inversive():
     from popuc.opuc import reversed_poly
 
     assert np.max(np.abs(reversed_poly(p.poly.coeffs) + b * p.poly.coeffs)) < 1e-10
+
+
+def _aberth_one_table_per_sweep(coeffs, start=None):
+    """The zero finder with a fresh polyval table and matrix every sweep, and the
+    nested np.where: the loop before its workspace, kept as a bitwise reference."""
+    from popuc.paraorthogonal import MAX_SWEEPS, STEP_TOL
+
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m = len(coeffs) - 1
+    pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
+    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
+    for _ in range(MAX_SWEEPS):
+        p, dp = polyval(pair, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        denom = 1.0 - ratio * np.sum(1.0 / diff, axis=1)
+        step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
+        z = z - step
+        if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
+            break
+    for _ in range(3):
+        p, dp = polyval(pair, z)
+        z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
+    return z
+
+
+def _assert_aberth_is_the_reference_bitwise(coeffs, start=None):
+    assert aberth_roots(coeffs, start).tobytes() == _aberth_one_table_per_sweep(coeffs, start).tobytes()
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 8, 13, 40, 120])
+def test_aberth_is_the_one_table_per_sweep_loop_bitwise(degree):
+    rng = np.random.default_rng(degree)
+    q = _family(rng, degree)[degree - 1]
+    for arg in rng.uniform(0, 2 * math.pi, 3):
+        coeffs = build_popuc(q, cmath.exp(1j * arg)).poly.coeffs
+        _assert_aberth_is_the_reference_bitwise(coeffs)  # cold
+        near = build_popuc(q, cmath.exp(1j * (arg + 1e-3))).poly.coeffs
+        _assert_aberth_is_the_reference_bitwise(coeffs, aberth_roots(near))  # warm
+
+
+@pytest.mark.parametrize("degree", [4, 5, 9, 120])
+def test_aberth_is_the_reference_bitwise_on_real_popucs(degree):
+    # a measure symmetric under theta -> -theta with b = +-1, as under t22:
+    # real coefficients up to roundoff, made exactly real; zeros in conjugate pairs
+    om = np.linspace(0.4, 2.9, (degree + 1) // 2)
+    masses = [MassPoint.of(0.3 + 0.1 * k, float(o)) for k, o in enumerate(om)]
+    masses += [MassPoint.of(0.3 + 0.1 * k, float(-o)) for k, o in enumerate(om)]
+    m = Measure.of(ACWeight.bernstein_szego(0.25), masses)
+    q = gram_opuc(moments(m, 0.0, degree + 1), degree - 1)[degree - 1]
+    for b in (1.0, -1.0):
+        coeffs = build_popuc(q, b).poly.coeffs.real + 0j
+        _assert_aberth_is_the_reference_bitwise(coeffs)
+        _assert_aberth_is_the_reference_bitwise(coeffs, aberth_roots(coeffs) * cmath.exp(2e-3j))
+
+
+def test_aberth_is_the_reference_bitwise_where_p_prime_vanishes():
+    # P'(0) = 0 for z^3 - 1, so the guess at 0 takes a zero Newton ratio
+    coeffs = np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex)
+    _assert_aberth_is_the_reference_bitwise(coeffs, np.array([0.0, 1j, -1.0 + 0.5j]))
