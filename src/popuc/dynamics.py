@@ -193,19 +193,16 @@ class Trajectory:
 def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) -> np.ndarray:
     """Permutation p with new_set.phases[p[k]] continuing chain k.
 
-    Greedy nearest circular phase, a tie to the lower index, among the two new
-    zeros around each chain's phase; a non-bijective assignment or a jump
+    Greedy nearest circular phase; a non-bijective assignment or a jump
     beyond half the previous minimum gap aborts the sweep loudly.
     """
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    new = new_set.phases
-    above = np.searchsorted(new, new[0] + np.mod(prev_phases - new[0], 2.0 * np.pi), side="right")
-    pair = np.sort([above - 1, above % m], axis=0)  # pair[:, k]: chain k's neighbours
-    d = np.abs(np.angle(np.exp(1j * (new[pair] - prev_phases))))  # d[j, k]: chain k to pair[j, k]
-    nearest = np.argmin(d, axis=0), np.arange(m)
-    perm, jumps = pair[nearest], d[nearest]
+    # d[k, i]: circular distance from chain k to new zero i
+    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
+    perm = np.argmin(d, axis=1)
+    jumps = d[np.arange(m), perm]
     if len(set(perm.tolist())) != m:
         raise TrackingError(f"ambiguous zero matching at t={t}")
     if np.max(jumps) >= min_gap / 2:

@@ -72,19 +72,20 @@ def known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
 
 
 def json_number(obj: dict, key: str, default, kinds: tuple[type, ...] = (int, float)):
-    """``obj[key]``, or ``default`` when absent; a value of no type in ``kinds``
-    (by default a JSON number: never a bool or a string) raises ValueError naming the key."""
+    """``obj[key]``, or ``default`` when absent; a bool or a value of no type in
+    ``kinds`` (by default a number, e.g. a numpy float) raises ValueError naming the key."""
     value = obj.get(key, default)
-    if type(value) not in kinds:
+    if not isinstance(value, kinds) or isinstance(value, bool):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise ValueError(f"config key {key!r} must be a JSON {names}, got {value!r}")
     return value
 
 
 def json_pair(obj: dict, key: str, default=None) -> complex:
-    """re + i im from the [re, im] pair of JSON numbers ``obj[key]`` (``default`` when absent)."""
+    """re + i im from the [re, im] pair (a list, tuple or array) of numbers ``obj[key]``."""
     value = obj.get(key, default)
-    if type(value) is not list or len(value) != 2 or not all(type(v) in (int, float) for v in value):
+    pair = isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2
+    if not pair or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         raise ValueError(f"config key {key!r} must be a [re, im] pair of numbers, got {value!r}")
     return complex(*value)
 

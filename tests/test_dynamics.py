@@ -20,7 +20,7 @@ from popuc.dynamics import (
 )
 from popuc.measures import ACWeight, MassPoint, Measure, theta_grid
 from popuc.opuc import polyval
-from popuc.paraorthogonal import ZeroSet, deflate
+from popuc.paraorthogonal import deflate
 from popuc.predicates import motion_context
 from popuc.scenarios import SCENARIOS, scenario_config
 
@@ -403,83 +403,3 @@ def test_sweep_stops_at_the_first_point_that_fails_to_match(monkeypatch):
     with pytest.raises(TrackingError, match="at t=1.25; refine the grid"):
         sweep(cfg)
     assert len(starts) == 3
-
-
-def _full_table_match(prev_phases, new_set, min_gap, t):
-    """The matching before the two-neighbour search: the (chains x zeros) table of
-    circular distances and argmin per row; returns (perm, jumps) or raises."""
-    m = len(prev_phases)
-    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
-    perm = np.argmin(d, axis=1)
-    jumps = d[np.arange(m), perm]
-    if len(set(perm.tolist())) != m:
-        raise TrackingError(f"ambiguous zero matching at t={t}")
-    if np.max(jumps) >= min_gap / 2:
-        raise TrackingError(
-            f"phase jump {np.max(jumps):.3e} exceeds half the minimum gap at t={t}; "
-            "refine the grid"
-        )
-    return perm, jumps
-
-
-def _assert_match_is_the_full_table_argmin(prev_phases, phases, min_gap):
-    from popuc.dynamics import _match
-
-    new_set = ZeroSet(phases=np.asarray(phases, dtype=float), residuals=np.zeros(len(phases)),
-                      pre_projection_deviation=0.0)
-    try:
-        expected = _full_table_match(prev_phases, new_set, min_gap, 0.5)
-    except TrackingError as exc:
-        with pytest.raises(TrackingError) as info:
-            _match(prev_phases, new_set, min_gap, 0.5)
-        assert str(info.value) == str(exc)
-        return str(exc)
-    perm = _match(prev_phases, new_set, min_gap, 0.5)
-    jumps = np.abs(np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases))))
-    assert perm.tolist() == expected[0].tolist()
-    assert jumps.tobytes() == expected[1].tobytes()
-    return None
-
-
-def test_match_is_the_full_table_argmin_on_random_phase_sets():
-    rng = np.random.default_rng(20241130)
-    outcomes = {"matched": 0, "ambiguous": 0, "phase": 0}
-    for _ in range(3000):
-        m = int(rng.integers(1, 13))
-        theta_ref = float(rng.uniform(-4.0, 4.0))
-        phases = theta_ref + np.sort(rng.uniform(0.0, 2 * math.pi, m))
-        # chains near the new zeros (a few a whole turn away), or anywhere
-        spread = float(rng.choice([1e-9, 1e-3, 0.1, 1.0, 4.0]))
-        prev = rng.permutation(phases) + rng.normal(0.0, spread, m)
-        prev += 2 * math.pi * rng.integers(-1, 2, m) * (rng.uniform(size=m) < 0.2)
-        min_gap = float(rng.choice([0.05, 1.0, 2 * math.pi]))
-        error = _assert_match_is_the_full_table_argmin(prev, phases, min_gap)
-        outcomes["matched" if error is None else error.split()[0]] += 1
-    assert outcomes["matched"] and outcomes["ambiguous"] and outcomes["phase"]
-
-
-def test_match_is_the_full_table_argmin_at_the_window_edges_and_mid_gap():
-    theta_ref = -math.pi
-    # a chain just below the window start continues the first zero, or the last
-    first = theta_ref + np.array([1e-3, 0.25, 0.75, 2.0, 5.0])
-    prev = first + np.array([-1.1e-3, 0.0, 0.01, 0.0, 0.0])
-    assert _assert_match_is_the_full_table_argmin(prev, first, 0.4) is None
-    last = theta_ref + np.array([0.1, 0.25, 0.75, 2.0, 2 * math.pi - 1e-3])
-    prev = last + np.array([0.0, 0.0, 0.01, 0.0, -2 * math.pi + 0.9e-3])
-    assert prev[-1] < theta_ref
-    assert _assert_match_is_the_full_table_argmin(prev, last, 0.2) is None
-    # exactly mid-gap between 0.25 and 0.75: the tie goes to the lower index
-    from popuc.dynamics import _match
-
-    near = ZeroSet(np.array([0.25, 0.75, 3.0]), np.zeros(3), 0.0)
-    assert _match(np.array([0.5, 1.0, 3.0]), near, 10.0, 0.0).tolist() == [0, 1, 2]
-    tie = _assert_match_is_the_full_table_argmin(np.array([0.5, 0.25, 3.0]), near.phases, 10.0)
-    assert tie.startswith("ambiguous")
-
-
-def test_match_raises_both_tracking_errors_as_the_full_table_did():
-    phases = np.array([0.11, 2.0, 4.0])
-    ambiguous = _assert_match_is_the_full_table_argmin(np.array([0.1, 0.12, 4.0]), phases, 1.0)
-    assert ambiguous.startswith("ambiguous")
-    jump = _assert_match_is_the_full_table_argmin(np.array([0.1, 2.0, 4.0]), phases, 0.01)
-    assert jump.startswith("phase jump 1.000e-02")

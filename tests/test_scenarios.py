@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from popuc import cli
@@ -96,3 +97,15 @@ def test_from_json_ignores_h_and_rejects_other_unknown_keys():
     assert SweepConfig.from_json(obj) == REFERENCE["lebesgue_mass_b"]
     with pytest.raises(ValueError, match="'comment'"):
         SweepConfig.from_json(dict(obj, comment="old file"))
+
+
+def test_from_json_takes_python_sequences_and_numpy_numbers():
+    # a Python caller may pass tuples and numpy scalars where JSON has lists and floats
+    obj = scenario_json("bs_mass_gamma")
+    obj["measure"]["ac"]["lambda"] = (np.float64(0.0), -1.0 / 3.0)
+    obj["policy"]["value"] = np.array([0.0, 1.0])
+    obj["grid"].update(start=np.float64(0.01), stop=np.float64(5.0))
+    assert SweepConfig.from_json(obj) == REFERENCE["bs_mass_gamma"]
+    obj["grid"]["start"] = np.True_
+    with pytest.raises(ValueError, match="'start'"):
+        SweepConfig.from_json(obj)
