@@ -17,14 +17,13 @@ import numpy as np
 from .dynamics import (
     SweepConfig,
     TrackingError,
-    ZeroPolicy,
     fd_velocity,
     solve_at,
     sweep,
     sweep_verdicts,
 )
 from .expressions import ExprError
-from .measures import DEFAULT_NODES, MIN_NODES, Measure, MeasureError, json_number, moments
+from .measures import MeasureError, moments
 from .opuc import DegenerateMeasureError, gram_opuc
 from .paraorthogonal import RootFindingError
 from .predicates import THEOREMS
@@ -44,42 +43,21 @@ def _complex_pair(text: str) -> complex:
     return complex(float(re_s), float(im_s))
 
 
-def _load_measure(args) -> tuple[Measure, int]:
-    """(measure, nodes): --nodes, else the config's ``nodes``, else the default; at least MIN_NODES."""
-    with open(args.config) as fh:
-        obj = json.load(fh)
-    nodes = args.nodes if args.nodes is not None else json_number(obj, "nodes", DEFAULT_NODES, (int,))
-    if nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} quadrature nodes, got {nodes}")
-    return Measure.from_json(obj.get("measure", obj)), nodes
-
-
-def _flag_policy(args) -> ZeroPolicy | None:
-    """The policy set by --fix-zero or --b, if either was given."""
-    if args.fix_zero is not None:
-        return ZeroPolicy.fixed_xi(args.fix_zero)
-    if args.b is not None:
-        return ZeroPolicy.fixed_b(args.b)
-    return None
-
-
 def _load_config(args) -> SweepConfig:
-    """The config file with the command-line flags written over it, so that a
-    flag replaces a bad config value before validation."""
+    """The run config with the command's flags written over it, so that a flag
+    replaces a bad config value before the whole config is validated."""
     with open(args.config) as fh:
         obj = json.load(fh)
-    if args.degree is not None:
-        obj["degree"] = args.degree
-    if args.grid:
+    flags = vars(args)
+    for key in ("degree", "theorem", "nodes"):
+        if flags.get(key) is not None:
+            obj[key] = flags[key]
+    if flags.get("grid"):
         start_s, stop_s, steps_s = args.grid.split(":")
         obj["grid"] = {"start": float(start_s), "stop": float(stop_s), "steps": int(steps_s)}
-    policy = _flag_policy(args)
-    if policy is not None:
-        obj["policy"] = {"kind": policy.kind, "value": [policy.value.real, policy.value.imag]}
-    if args.theorem:
-        obj["theorem"] = args.theorem
-    if args.nodes is not None:
-        obj["nodes"] = args.nodes
+    for flag, kind in (("fix_zero", "fixed_xi"), ("b", "fixed_b")):
+        if flags.get(flag) is not None:
+            obj["policy"] = {"kind": kind, "value": [flags[flag].real, flags[flag].imag]}
     return SweepConfig.from_json(obj)
 
 
@@ -96,8 +74,8 @@ def _dump_json(obj, out: str | None) -> None:
 
 
 def cmd_moments(args) -> int:
-    m, nodes = _load_measure(args)
-    ms = moments(m, args.t, args.order, nodes)
+    cfg = _load_config(args)
+    ms = moments(cfg.measure, args.t, args.order, cfg.nodes)
     payload = {
         "t": args.t,
         "K": args.order,
@@ -108,10 +86,9 @@ def cmd_moments(args) -> int:
 
 
 def cmd_opuc(args) -> int:
-    m, nodes = _load_measure(args)
-    n = args.degree
-    ms = moments(m, args.t, 2 * n + 2, nodes)
-    fam = gram_opuc(ms, n)
+    cfg = _load_config(args)
+    n = cfg.degree - 1 if args.n is None else args.n
+    fam = gram_opuc(moments(cfg.measure, args.t, n, cfg.nodes), n)
     payload = {
         "t": args.t,
         "polys": [
@@ -125,12 +102,8 @@ def cmd_opuc(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    policy = _flag_policy(args)
-    if policy is None:
-        print("zeros: need --b or --fix-zero", file=sys.stderr)
-        return EXIT_CONFIG
-    m, nodes = _load_measure(args)
-    st = solve_at(m, args.degree, policy, args.t, nodes)
+    cfg = _load_config(args)
+    st = solve_at(cfg.measure, cfg.degree, cfg.policy, args.t, cfg.nodes)
     zs = st.zero_set
     payload = {
         "t": args.t,
@@ -189,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON config path")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="JSON run config path")
         p.add_argument("--nodes", type=int, default=None, help="quadrature node count (at least 16)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -208,13 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opuc", help="monic OPUC up to a degree")
     add_common(p)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--degree", type=int, default=4)
+    p.add_argument(
+        "--degree", dest="n", type=int, default=None, metavar="N",
+        help="highest OPUC degree n (default: the config's degree - 1)",
+    )
     p.set_defaults(func=cmd_opuc)
 
     p = sub.add_parser("zeros", help="POPUC unit-circle zeros at one t")
     add_common(p)
     p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--degree", type=int, default=5, help="POPUC degree n+1")
+    p.add_argument("--degree", type=int, default=None, help="POPUC degree n+1 (default: the config's)")
     add_policy(p)
     p.set_defaults(func=cmd_zeros)
 

@@ -157,7 +157,7 @@ def solve_at(
     ``start`` seeds the zero finder (e.g. with the zeros at a nearby t);
     without it the search starts cold.
     """
-    ms = moments(m, t, 2 * degree + 2, nodes)
+    ms = moments(m, t, degree - 1, nodes)  # the orders gram_opuc and balance's C integral read
     family = gram_opuc(ms, degree - 1)
     q = family[degree - 1]
     if policy.kind == "fixed_xi":

@@ -111,8 +111,12 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     ``start`` holds one finite initial guess per root, e.g. the zeros of a
     nearby polynomial; by default the guesses sit equispaced on the unit
     circle, offset by half a slot (ideal for zeros that are themselves on the
-    circle).  P and P', padded to one length and stacked, come from one table
-    of powers per sweep, which like the reciprocal differences is filled in place.
+    circle), and a cold start that does not converge is retried once from
+    guesses offset by a quarter slot.  P and P', padded to one length and
+    stacked, come from one table of powers per sweep, which like the
+    reciprocal differences is filled in place.  Raises
+    :class:`RootFindingError` when the iteration does not converge or ends
+    at a point where P' vanishes and P does not.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
@@ -126,7 +130,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
     table = np.empty((m + 1, m), dtype=complex)  # powers of z
     recip = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_SWEEPS):
             p, dp = pair @ power_table(table, z)
             ratio = p / dp
@@ -141,12 +145,17 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
                 break
         else:
             if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
+                if start is None:  # a cold start thrown off the circle: once more, a quarter slot round
+                    return aberth_roots(coeffs, np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)))
                 raise RootFindingError("Aberth-Ehrlich iteration did not converge")
         for _ in range(3):  # Newton polish, 0 where P' vanishes
             p, dp = pair @ power_table(table, z)
             ratio = p / dp
-            ratio[dp == 0] = 0.0
+            stalled = dp == 0
+            ratio[stalled] = 0.0
             z = z - ratio
+    if np.any(stalled & (p != 0)):
+        raise RootFindingError("an iterate stalled where P' vanishes and P does not")
     return z
 
 

@@ -61,6 +61,14 @@ def test_opuc_output(tmp_path, mixed_config):
     assert payload["polys"][3][3] == pytest.approx([1.0, 0.0])
     assert len(payload["verblunsky"]) == 3
     assert all(n > 0 for n in payload["norms"])
+    # without --degree, Q_0..Q_{degree-1}: the family solve_at builds
+    degree7 = _write(tmp_path, "degree7.json", dict(json.loads(open(mixed_config).read()), degree=7))
+    assert main(["opuc", "--config", degree7, "--t", "0.5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["polys"]) == len(payload["norms"]) == 7
+    assert len(payload["verblunsky"]) == 6
+    assert main(["opuc", "--config", degree7, "--t", "0.5", "--degree", "3", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["polys"]) == 4
 
 
 def test_zeros_with_fixed_zero(tmp_path, mixed_config):
@@ -99,8 +107,19 @@ def _library_zeros(config_path, policy):
     return solve_at(m, 5, policy, 0.5).zero_set.phases
 
 
-def test_zeros_needs_policy(tmp_path, mixed_config):
-    assert main(["zeros", "--config", mixed_config]) == 2
+def test_zeros_takes_the_config_policy_else_fixed_b_at_one(tmp_path, mixed_config):
+    out = tmp_path / "z.json"
+    assert main(["zeros", "--config", mixed_config, "--t", "0.5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["b"] == [-1.0, 0.0]
+    assert payload["phases"] == list(_library_zeros(mixed_config, ZeroPolicy.fixed_b(-1)))
+    obj = json.loads(open(mixed_config).read())
+    del obj["policy"]
+    no_policy = _write(tmp_path, "no_policy.json", obj)
+    assert main(["zeros", "--config", no_policy, "--t", "0.5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["b"] == [1.0, 0.0]
+    assert payload["phases"] == list(_library_zeros(mixed_config, ZeroPolicy.fixed_b(1)))
 
 
 def test_nan_policy_value_exits_2(mixed_config, capsys):
@@ -368,6 +387,9 @@ def test_flags_override_bad_config_values_before_validation(tmp_path, mixed_conf
     low_degree = _write(tmp_path, "degree1.json", dict(obj, degree=1))
     assert main(["sweep", "--config", low_degree, "--out", out]) == 2
     assert main(["sweep", "--config", low_degree, "--degree", "5", "--out", out]) == 0
+    assert main(["zeros", "--config", low_degree, "--out", out]) == 2
+    assert main(["zeros", "--config", low_degree, "--degree", "5", "--out", out]) == 0
+    assert main(["zeros", "--config", mixed_config, "--degree", "1", "--out", out]) == 2
     few_nodes = _write(tmp_path, "nodes8.json", dict(obj, nodes=8))
     assert main(["sweep", "--config", few_nodes, "--out", out]) == 2
     assert main(["sweep", "--config", few_nodes, "--nodes", "64", "--out", out]) == 0
@@ -447,14 +469,23 @@ def test_integer_grid_bounds_are_numbers(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [["moments"], ["opuc", "--degree", "3"], ["zeros", "--b", "1,0", "--degree", "4"]],
+    "command, flags",
+    [(["moments"], []), (["opuc"], ["--degree", "3"]), (["zeros"], ["--degree", "4", "--fix-zero", "0,1"])],
     ids=["moments", "opuc", "zeros"],
 )
-def test_every_command_reads_the_config_nodes(tmp_path, capsys, command):
-    obj = {"measure": {"ac": {"kind": "custom", "w": "exp(cos(theta - t))"}, "masses": []}, "degree": 4}
+def test_every_command_reads_the_config_nodes(tmp_path, capsys, command, flags):
+    # the whole run config, through the one reader that popuc sweep uses
+    obj = {
+        "measure": {"ac": {"kind": "custom", "w": "exp(cos(theta - t))"}, "masses": []},
+        "degree": 4,
+        "policy": {"kind": "fixed_xi", "value": [0.0, 1.0]},
+    }
     flag, out = tmp_path / "flag.json", tmp_path / "out.json"
     assert main([*command, "--config", _write(tmp_path, "plain.json", obj), "--nodes", "64", "--out", str(flag)]) == 0
+    # the config's degree and policy are the flags' values: opuc goes up to degree - 1
+    bare = {"measure": obj["measure"], "nodes": 64}
+    assert main([*command, "--config", _write(tmp_path, "bare.json", bare), *flags, "--out", str(out)]) == 0
+    assert out.read_bytes() == flag.read_bytes()
     # the config's value beats the default, and a flag beats the config
     configured = _write(tmp_path, "nodes64.json", dict(obj, nodes=64))
     assert main([*command, "--config", configured, "--out", str(out)]) == 0
@@ -467,3 +498,11 @@ def test_every_command_reads_the_config_nodes(tmp_path, capsys, command):
     not_integer = _write(tmp_path, "nodes64f.json", dict(obj, nodes=64.0))
     assert main([*command, "--config", not_integer, "--out", str(out)]) == 2
     assert "'nodes'" in capsys.readouterr().err
+    # a misspelt key fails every command, as it fails popuc sweep
+    for key, typo in [
+        ("degre", dict(obj, degre=4)),
+        ("stepz", dict(obj, grid={"stepz": 3})),
+        ("valu", dict(obj, policy={"kind": "fixed_b", "valu": [1.0, 0.0]})),
+    ]:
+        assert main([*command, "--config", _write(tmp_path, "typo.json", typo), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from popuc import paraorthogonal
 from popuc.closed_forms import bs_mass_opuc, lebesgue_mass_popuc, w0_bs, w0_lebesgue
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import gram_opuc
@@ -33,10 +34,9 @@ def test_bs_mass_matches_pipeline():
         assert np.max(np.abs(fam[n].coeffs - oracle.coeffs)) < 1e-10
 
 
-@pytest.mark.parametrize("degree", [40, 80, 120])
-def test_high_degree_zeros_are_zeros_of_the_closed_form(degree):
-    # the gates of verify's zeros check, on the closed-form POPUC
-    lam, gamma, omega, xi = 0.4 * cmath.exp(2.1j), 0.7, 2.5, 1j
+def _assert_zeros_of_the_closed_form(degree, lam, gamma, omega):
+    # the gates of verify's zeros check, on the closed-form POPUC with xi = i pinned
+    xi = 1j
     m = Measure.of(ACWeight.bernstein_szego(lam), [MassPoint.of(gamma, omega)])
     zs = solve_at(m, degree, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
     q = bs_mass_opuc(degree - 1, lam, gamma, omega)
@@ -47,6 +47,26 @@ def test_high_degree_zeros_are_zeros_of_the_closed_form(degree):
     assert zs.pre_projection_deviation <= 1e-9
     assert zs.min_gap > 1e-6
     assert zs.fixed_index == 0 and abs(zs.phases[0] - math.pi / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [40, 80, 120])
+def test_high_degree_zeros_are_zeros_of_the_closed_form(degree):
+    _assert_zeros_of_the_closed_form(degree, 0.4 * cmath.exp(2.1j), 0.7, 2.5)
+
+
+def test_cold_start_thrown_off_the_circle_is_retried_once(monkeypatch):
+    # the benchmark's high_degree seed 917 at its first grid point: from the
+    # half-slot guesses one iterate leaves the circle, z^120 overflows and the
+    # sweeps never converge; the quarter-slot guesses do
+    starts = []
+    aberth = paraorthogonal.aberth_roots
+    monkeypatch.setattr(
+        paraorthogonal, "aberth_roots", lambda coeffs, start=None: starts.append(start) or aberth(coeffs, start)
+    )
+    lam = complex(-0.22203401164395684, -0.14467961623616238)
+    _assert_zeros_of_the_closed_form(120, lam, 1.1440700414318319, 3.5090864533493606)
+    assert len(starts) == 2 and starts[0] is None
+    assert np.allclose(np.angle(starts[1]) % (2 * math.pi / 120), math.pi / 240)  # a quarter slot
 
 
 def test_bs_mass_rejects_bad_inputs():

@@ -113,7 +113,7 @@ def _random_tree(rng, depth):
 
 
 def test_parse_print_round_trip_random_trees():
-    # the parser folds a unary minus on a literal into a negative constant,
+    # a negative constant prints as (-x), which parses back as Neg(Const(x)),
     # so compare after one normalizing parse: print/parse must then be exact
     rng = np.random.default_rng(7)
     for _ in range(300):

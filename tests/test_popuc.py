@@ -299,6 +299,16 @@ def test_aberth_is_the_reference_bitwise_on_real_popucs(degree):
 
 
 def test_aberth_is_the_reference_bitwise_where_p_prime_vanishes():
-    # P'(0) = 0 for z^3 - 1, so the guess at 0 takes a zero Newton ratio
-    coeffs = np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex)
+    # P'(0) = P(0) = 0 for z^2 (z - 1), so the guess at 0, a root, takes a zero Newton ratio
+    coeffs = np.array([0.0, 0.0, -1.0, 1.0], dtype=complex)
     _assert_aberth_is_the_reference_bitwise(coeffs, np.array([0.0, 1j, -1.0 + 0.5j]))
+
+
+def test_aberth_raises_where_an_iterate_stalls_off_the_roots():
+    # P'(0) = 0 but P(0) = -1 for z^3 - 1: the guess at 0 takes a zero step for
+    # ever, and the loop without the check returns 0 as a root
+    coeffs = np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex)
+    start = np.array([0.0, 1j, -1.0 + 0.5j])
+    assert _aberth_one_table_per_sweep(coeffs, start)[0] == 0
+    with pytest.raises(RootFindingError, match="stalled"):
+        aberth_roots(coeffs, start)
