@@ -48,6 +48,8 @@ def _load_config(args) -> SweepConfig:
     replaces a bad config value before the whole config is validated."""
     with open(args.config) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):  # no flag can mend it; from_json names the shape
+        return SweepConfig.from_json(obj)
     flags = vars(args)
     for key in ("degree", "theorem", "nodes"):
         if flags.get(key) is not None:

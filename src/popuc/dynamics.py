@@ -182,7 +182,6 @@ class Trajectory:
     ts: np.ndarray
     zero_sets: tuple[ZeroSet, ...]
     chains: np.ndarray
-    match_quality: float
     fixed_chain: int | None
 
     @property
@@ -224,20 +223,16 @@ def sweep(cfg: SweepConfig) -> Trajectory:
     zero_sets = [zs]
     chains = np.zeros((len(ts), len(zs)))
     chains[0] = current = zs.phases
-    max_jump = 0.0
     for i in range(1, len(ts)):
         zs = solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros).zero_set
         matched = zs.phases[_match(current, zs, zero_sets[-1].min_gap, ts[i])]
-        delta = np.angle(np.exp(1j * (matched - current)))
-        max_jump = max(max_jump, float(np.max(np.abs(delta))))
-        chains[i] = chains[i - 1] + delta
+        chains[i] = chains[i - 1] + np.angle(np.exp(1j * (matched - current)))
         current = matched
         zero_sets.append(zs)
     return Trajectory(
         ts=ts,
         zero_sets=tuple(zero_sets),
         chains=chains,
-        match_quality=max_jump,
         fixed_chain=zero_sets[0].fixed_index,
     )
 

@@ -64,8 +64,10 @@ def theta_grid(theta0: float, nodes: int, midpoint: bool = False) -> np.ndarray:
 
 
 def known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
-    """``obj``, once no key of it lies outside ``keys``; a misspelt key raises
-    ValueError naming it instead of silently taking the default."""
+    """``obj``, once it is a JSON object with no key outside ``keys``; another
+    value or a misspelt key raises ValueError naming it, not a later TypeError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
     if set(obj) - set(keys):
         raise ValueError(f"unknown {where} key(s) {sorted(set(obj) - set(keys))}")
     return obj
@@ -91,11 +93,14 @@ def json_pair(obj: dict, key: str, default=None) -> complex:
 
 
 def _as_expr(value: Expr | str | float) -> Expr:
+    """The Expr of source text, of a number (not a bool) or itself; else ValueError."""
     if isinstance(value, str):
         return parse(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return parse(repr(float(value)))
-    return value
+    if isinstance(value, Expr):
+        return value
+    raise ValueError(f"an expression must be a string or a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +204,8 @@ class Measure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
-        """The measure of the documented JSON schema; an unknown key in the
-        measure, its ``ac`` object or a mass raises ValueError."""
+        """The measure of the documented JSON schema; an unknown key or a value
+        of the wrong JSON shape in it, its ``ac`` object or a mass raises ValueError."""
         known_keys(obj, "measure", ("ac", "masses"))
         ac_obj = known_keys(obj.get("ac", {"kind": "none"}), "ac", ("kind", "scale", "lambda", "w"))
         kind = ac_obj.get("kind", "none")
@@ -214,11 +219,12 @@ class Measure:
             ac = ACWeight.custom(ac_obj["w"])
         else:
             raise MeasureError(f"unknown AC kind {kind!r}")
-        masses = []
-        for mass in obj.get("masses", ()):
+        masses = obj.get("masses", ())
+        if not isinstance(masses, (list, tuple)):
+            raise ValueError(f"measure key 'masses' must be a JSON array, got {masses!r}")
+        for mass in masses:
             known_keys(mass, "mass", ("gamma", "omega"))
-            masses.append(MassPoint.of(mass["gamma"], mass["omega"]))
-        return cls.of(ac, masses)
+        return cls.of(ac, [MassPoint.of(mass["gamma"], mass["omega"]) for mass in masses])
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 P(z) = z Q_n(z) - conj(b) Q_n*(z) with |b| = 1.  All zeros of a valid
 POPUC lie on the unit circle and are simple; they are located by Aberth-
-Ehrlich iteration (P and P' from one table of powers per sweep) with a Newton
-polish, projected to modulus one and sorted into [theta_ref, theta_ref + 2 pi).
+Ehrlich iteration (P and P' from one table of powers per sweep) to roundoff,
+projected to modulus one and sorted into [theta_ref, theta_ref + 2 pi).
 """
 from __future__ import annotations
 
@@ -114,7 +114,8 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     circle), and a cold start that does not converge is retried once from
     guesses offset by a quarter slot.  P and P', padded to one length and
     stacked, come from one table of powers per sweep, which like the
-    reciprocal differences is filled in place.  Raises
+    reciprocal differences is filled in place; the iterate the sweeps stop
+    at is returned as it is.  Raises
     :class:`RootFindingError` when the iteration does not converge or ends
     at a point where P' vanishes and P does not.
     """
@@ -134,7 +135,8 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
         for _ in range(MAX_SWEEPS):
             p, dp = pair @ power_table(table, z)
             ratio = p / dp
-            ratio[dp == 0] = 0.0
+            stalled = dp == 0  # a zero Newton ratio, hence a zero step
+            ratio[stalled] = 0.0
             np.subtract(z[:, None], z[None, :], out=recip)
             recip.reshape(-1)[:: m + 1] = np.inf  # the diagonal: 1/inf = 0 drops j = i
             repulsion = np.sum(np.divide(1.0, recip, out=recip), axis=1)
@@ -148,12 +150,6 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
                 if start is None:  # a cold start thrown off the circle: once more, a quarter slot round
                     return aberth_roots(coeffs, np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)))
                 raise RootFindingError("Aberth-Ehrlich iteration did not converge")
-        for _ in range(3):  # Newton polish, 0 where P' vanishes
-            p, dp = pair @ power_table(table, z)
-            ratio = p / dp
-            stalled = dp == 0
-            ratio[stalled] = 0.0
-            z = z - ratio
     if np.any(stalled & (p != 0)):
         raise RootFindingError("an iterate stalled where P' vanishes and P does not")
     return z

@@ -281,6 +281,40 @@ def test_misspelt_measure_key_exits_2_and_names_it(tmp_path, mixed_config, capsy
     assert repr(key) in capsys.readouterr().err
 
 
+_MASS = {"gamma": "t", "omega": "0"}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (5, "config must be a JSON object"),
+        ({"measure": {}, "grid": 3}, "grid must be a JSON object"),
+        ({"measure": []}, "measure must be a JSON object"),
+        ({"measure": {"ac": 5}}, "ac must be a JSON object"),
+        ({"measure": {"masses": 5}}, "'masses' must be a JSON array"),
+        ({"measure": {"masses": [5]}}, "mass must be a JSON object"),
+        ({"measure": {"masses": [dict(_MASS, gamma=None)]}}, "got None"),
+        ({"measure": {"masses": [dict(_MASS, gamma=[1])]}}, "got [1]"),
+        ({"measure": {"masses": [dict(_MASS, gamma={})]}}, "got {}"),
+        ({"measure": {"masses": [dict(_MASS, gamma=True)]}}, "got True"),
+        ({"measure": {"masses": [dict(_MASS, omega=None)]}}, "got None"),
+        ({"measure": {"ac": {"kind": "lebesgue", "scale": None}}}, "got None"),
+        ({"measure": {"ac": {"kind": "custom", "w": [1]}}}, "got [1]"),
+    ],
+    ids=[
+        "top_level", "grid", "measure", "ac", "masses", "mass",
+        "gamma_null", "gamma_list", "gamma_object", "gamma_bool", "omega_null", "scale_null", "w_list",
+    ],
+)
+def test_config_value_of_the_wrong_json_shape_exits_2_and_names_it(tmp_path, capsys, config, named):
+    # these used to end in a TypeError or AttributeError traceback, exit 1 (a
+    # failed verify check), or for "gamma": true to be read silently as 1.0
+    path = _write(tmp_path, "shape.json", config)
+    for flags in ([], ["--nodes", "64"]):
+        assert main(["moments", "--config", path, *flags]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_python_dash_m_popuc_runs_the_cli():
     src = str(Path(popuc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

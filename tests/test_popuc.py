@@ -262,9 +262,6 @@ def _aberth_one_table_per_sweep(coeffs, start=None):
         z = z - step
         if np.max(np.abs(step)) < STEP_TOL * max(1.0, np.max(np.abs(z))):
             break
-    for _ in range(3):
-        p, dp = polyval(pair, z)
-        z = z - np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
     return z
 
 
@@ -312,3 +309,23 @@ def test_aberth_raises_where_an_iterate_stalls_off_the_roots():
     assert _aberth_one_table_per_sweep(coeffs, start)[0] == 0
     with pytest.raises(RootFindingError, match="stalled"):
         aberth_roots(coeffs, start)
+
+
+def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_sweep_cap():
+    # the benchmark's balance seed 33, job t21[15], solved at t = -0.05: five
+    # moving masses, degree 5, a zero pinned at xi.  Its cold solve reaches
+    # MAX_SWEEPS without every step falling below STEP_TOL, and the iterate
+    # there, accepted by its residual, is returned as it is
+    masses = [
+        MassPoint.of("1.323092 + 0.039099*t", "2.88097 - 0.067592*t"),
+        MassPoint.of("1.476552 - 0.13788*t", "3.286515 + 0.066468*t"),
+        MassPoint.of("0.447771 - 0.043127*t", "3.507515 - 0.089651*t"),
+        MassPoint.of("1.1965 - 0.071809*t", "3.854983 - 0.019166*t"),
+        MassPoint.of("0.517044 - 0.002877*t", "4.233609 + 0.04094*t"),
+    ]
+    xi = complex(-0.8163049590369226, -0.5776211681125686)
+    q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), -0.05, 4), 4)[4]
+    p = build_popuc(q, fix_zero_param(q, xi))
+    zs = zeros_on_circle(p, theta_ref=cmath.phase(xi))
+    assert len(zs) == 5 and zs.phases[0] == pytest.approx(cmath.phase(xi), abs=1e-12)
+    _assert_aberth_is_the_reference_bitwise(p.poly.coeffs)
