@@ -33,6 +33,7 @@ __all__ = [
 
 VARIABLES = ("t", "theta")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
+MAX_NESTING = 300  # deeper input would exhaust Python's recursion limit in the parser
 
 
 class ExprError(ValueError):
@@ -120,6 +121,7 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # enclosing function calls, parentheses and unary minus signs
 
     def peek(self):
         return self.tokens[self.pos]
@@ -166,32 +168,37 @@ class _Parser:
         kind, text, offset = self.advance()
         if kind == "number":
             return Const(float(text))
-        if kind == "ident":
+        if kind == "ident" and text not in FUNCTIONS:
             if text == "pi":
                 return Const(math.pi)
             if text in VARIABLES:
                 return Var(text)
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
-        if kind == "op":
-            if text == "(":
-                e = self.expr()
-                self.expect_op(")")
-                return e
-            if text == "-":
-                return Neg(self.factor())
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
+        if kind == "eof" or (kind == "op" and text not in "(-"):
+            raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
+        # a function call, a parenthesis or a unary minus: one level deeper
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
+        self.depth += 1
+        if text == "-":
+            e = Neg(self.factor())
+        elif text == "(":
+            e = self.expr()
+            self.expect_op(")")
+        else:
+            self.expect_op("(")
+            e = Call(text, self.expr())
+            self.expect_op(")")
+        self.depth -= 1
+        return e
 
 
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression tree.
 
-    Raises :class:`ExprSyntaxError` with the byte offset on malformed input
-    and on identifiers outside the grammar.
+    Raises :class:`ExprSyntaxError` with the byte offset on malformed input,
+    on identifiers outside the grammar and on function calls, parentheses
+    and unary minus signs nested more than ``MAX_NESTING`` deep.
     """
     if not isinstance(source, str) or source.strip() == "":
         raise ExprSyntaxError("empty expression", 0)

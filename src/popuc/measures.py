@@ -9,6 +9,7 @@ trapezoid rule, every c_k at once from one FFT of the density on the node grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
@@ -93,10 +94,12 @@ def json_pair(obj: dict, key: str, default=None) -> complex:
 
 
 def _as_expr(value: Expr | str | float) -> Expr:
-    """The Expr of source text, of a number (not a bool) or itself; else ValueError."""
+    """The Expr of source text, of a finite number (not a bool) or itself; else ValueError."""
     if isinstance(value, str):
         return parse(value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # inf and nan (JSON reads 1e400 as inf)
+            raise ValueError(f"an expression number must be finite, got {value!r}")
         return parse(repr(float(value)))
     if isinstance(value, Expr):
         return value

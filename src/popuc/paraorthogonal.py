@@ -110,14 +110,14 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
 
     ``start`` holds one finite initial guess per root, e.g. the zeros of a
     nearby polynomial; by default the guesses sit equispaced on the unit
-    circle, offset by half a slot (ideal for zeros that are themselves on the
-    circle), and a cold start that does not converge is retried once from
-    guesses offset by a quarter slot.  P and P', padded to one length and
+    circle, offset by a quarter slot so that they are not symmetric under
+    conjugation (a symmetric set slows polynomials with real coefficients,
+    whose zeros are).  P and P', padded to one length and
     stacked, come from one table of powers per sweep, which like the
     reciprocal differences is filled in place; the iterate the sweeps stop
-    at is returned as it is.  Raises
-    :class:`RootFindingError` when the iteration does not converge or ends
-    at a point where P' vanishes and P does not.
+    at is returned as it is.  Raises :class:`RootFindingError` when the
+    iteration does not converge or ends at a point where P' vanishes and P
+    does not.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
@@ -128,7 +128,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     if m < 1:
         return np.array([], dtype=complex)
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
-    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
+    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
     table = np.empty((m + 1, m), dtype=complex)  # powers of z
     recip = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -147,8 +147,6 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
                 break
         else:
             if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
-                if start is None:  # a cold start thrown off the circle: once more, a quarter slot round
-                    return aberth_roots(coeffs, np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)))
                 raise RootFindingError("Aberth-Ehrlich iteration did not converge")
     if np.any(stalled & (p != 0)):
         raise RootFindingError("an iterate stalled where P' vanishes and P does not")

@@ -25,7 +25,7 @@ from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, rev
 from .paraorthogonal import (
     RootFindingError, build_popuc, deflate, zeros_on_circle
 )
-from .predicates import PredicateError, reference_index, s_factor, s_sum, verdicts_at
+from .predicates import MotionContext, PredicateError, mass_functionals, reference_index, verdicts_at
 from .scenarios import scenario_config
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
@@ -284,8 +284,20 @@ def check_conjugate_pair() -> CheckResult:
     return _result("conjugate", ok, f"max |phi + phi_conj| = {worst_sym:.2e}, verdicts consistent")
 
 
+def _unit_mass_functionals(phases, omegas, tracked: int, reference: int, moving: bool) -> np.ndarray:
+    """W_j of :func:`mass_functionals` for unit masses at ``omegas``: s(omega_j) when
+    still (gamma' = 1), -s S with the cotangent sum S when ``moving`` (omega' = 1)."""
+    one, zero = np.ones(len(omegas)), np.zeros(len(omegas))
+    ctx = MotionContext(
+        phases=np.asarray(phases, dtype=float), gammas=one, omegas=np.asarray(omegas, dtype=float),
+        dgammas=zero if moving else one, domegas=one if moving else zero, t=0.0,
+    )
+    return mass_functionals(ctx, tracked, reference)
+
+
 def check_identities() -> CheckResult:
-    """Real/complex equivalences, paraorthogonality, quotient, self-inversiveness."""
+    """Real/complex equivalences of the production mass functionals,
+    paraorthogonality, quotient, self-inversiveness."""
     rng = np.random.default_rng(SEED + 3)
     failures = []
 
@@ -295,14 +307,14 @@ def check_identities() -> CheckResult:
         theta0, phi, theta = rng.uniform(0, 2 * math.pi, 3)
         if min(circular_gap(theta, phi), circular_gap(theta, theta0)) < 1e-3:
             continue
-        lhs = s_factor(theta, phi, theta0)
+        lhs = _unit_mass_functionals([phi, theta0], [theta], 0, 1, moving=False)[0]
         zeta, xi, z = cmath.exp(1j * phi), cmath.exp(1j * theta0), cmath.exp(1j * theta)
         rhs = (1j * (zeta - xi) * z / ((z - xi) * (z - zeta))).real
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     if worst > 1e-12:
         failures.append(f"s-factor vs complex form: {worst:.2e}")
 
-    # cotangent sum vs complex form, 250 random configurations
+    # -s times the cotangent sum vs complex form, 250 random configurations
     worst = 0.0
     for _ in range(250):
         n = int(rng.integers(3, 11))
@@ -313,17 +325,20 @@ def check_identities() -> CheckResult:
         theta = rng.uniform(0, 2 * math.pi)
         if np.min([circular_gap(theta, p) for p in phases]) < 1e-2:
             continue
-        lhs = s_sum(theta, phases, tracked, fixed)
+        lhs = _unit_mass_functionals(phases, [theta], tracked, fixed, moving=True)[0]
         z = cmath.exp(1j * theta)
         zetas = np.exp(1j * phases)
-        rhs = -1j * (
+        zeta, xi = zetas[tracked], zetas[fixed]
+        s = (1j * (zeta - xi) * z / ((z - xi) * (z - zeta))).real
+        cot_sum = -1j * (
             1.0
             - np.sum(np.conj(z) / (np.conj(z) - np.conj(zetas)))
             + np.sum(z / (z - np.delete(zetas, [fixed, tracked])))
         )
-        worst = max(worst, abs(lhs - rhs.real) / (1.0 + abs(lhs)), abs(rhs.imag))
+        rhs = -s * cot_sum.real
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)), abs(cot_sum.imag))
     if worst > 1e-12:
-        failures.append(f"cotangent sum vs complex form: {worst:.2e}")
+        failures.append(f"-s times cotangent sum vs complex form: {worst:.2e}")
 
     # paraorthogonality, quotient, self-inversiveness, vanishing sum; 50 measures
     for _ in range(50):
@@ -398,7 +413,7 @@ def check_identities() -> CheckResult:
     gam, om = m.mass_values(0.4)
     zm = np.exp(1j * om)
     pv = np.abs(polyval(coeffs, zm)) ** 2
-    svals = s_factor(om, zs.phases[tracked], math.pi / 2)
+    svals = _unit_mass_functionals(zs.phases, om, tracked, zs.fixed_index, moving=False)
     mass_part = float(np.sum(gam * svals * pv))
     bracket = ac_part + mass_part
     bracket_scale = abs(ac_part) + abs(mass_part) + 1e-30

@@ -223,6 +223,14 @@ def test_malformed_expression_exits_2(tmp_path):
     assert main(["moments", "--config", path]) == 2
 
 
+def test_deeply_nested_expression_exits_2_and_says_so(tmp_path, capsys):
+    # 500 nested parentheses ended in a RecursionError traceback, exit 1
+    scale = "(" * 500 + "1" + ")" * 500
+    path = _write(tmp_path, "deep.json", {"measure": {"ac": {"kind": "lebesgue", "scale": scale}}})
+    assert main(["moments", "--config", path]) == 2
+    assert "nested deeper than 300 levels (offset 300)" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["moments", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -300,10 +308,13 @@ _MASS = {"gamma": "t", "omega": "0"}
         ({"measure": {"masses": [dict(_MASS, omega=None)]}}, "got None"),
         ({"measure": {"ac": {"kind": "lebesgue", "scale": None}}}, "got None"),
         ({"measure": {"ac": {"kind": "custom", "w": [1]}}}, "got [1]"),
+        ({"measure": {"masses": [dict(_MASS, gamma=math.inf)]}}, "must be finite, got inf"),
+        ({"measure": {"masses": [dict(_MASS, omega=math.nan)]}}, "must be finite, got nan"),
     ],
     ids=[
         "top_level", "grid", "measure", "ac", "masses", "mass",
         "gamma_null", "gamma_list", "gamma_object", "gamma_bool", "omega_null", "scale_null", "w_list",
+        "gamma_inf", "omega_nan",
     ],
 )
 def test_config_value_of_the_wrong_json_shape_exits_2_and_names_it(tmp_path, capsys, config, named):

@@ -72,6 +72,15 @@ def test_empty_source_rejected():
         parse("   ")
 
 
+@pytest.mark.parametrize("opening, closing, depth", [("(", ")", 500), ("-", "", 2000)], ids=["parentheses", "unary_minus"])
+def test_nesting_beyond_300_levels_is_a_syntax_error_at_its_offset(opening, closing, depth):
+    # these ended in a RecursionError; 300 levels still parse
+    assert evaluate(parse(opening * 300 + "t" + closing * 300), {"t": 2.0}) == 2.0
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 300 levels") as err:
+        parse(opening * depth + "1" + closing * depth)
+    assert err.value.offset == 300 * len(opening)
+
+
 def test_derivative_of_variable():
     assert differentiate(parse("t"), "t") == Const(1.0)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from popuc import paraorthogonal
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import MonicPoly, gram_opuc, polyval
 from popuc.paraorthogonal import (
@@ -250,7 +251,7 @@ def _aberth_one_table_per_sweep(coeffs, start=None):
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
-    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.5) / m)) if start is None else start
+    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
     for _ in range(MAX_SWEEPS):
         p, dp = polyval(pair, z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -311,21 +312,50 @@ def test_aberth_raises_where_an_iterate_stalls_off_the_roots():
         aberth_roots(coeffs, start)
 
 
-def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_sweep_cap():
-    # the benchmark's balance seed 33, job t21[15], solved at t = -0.05: five
-    # moving masses, degree 5, a zero pinned at xi.  Its cold solve reaches
-    # MAX_SWEEPS without every step falling below STEP_TOL, and the iterate
-    # there, accepted by its residual, is returned as it is
+def _count_sweeps(monkeypatch) -> list:
+    """A list that gains one item per Aberth sweep (one power_table fill)."""
+    sweeps = []
+    power_table = paraorthogonal.power_table
+    monkeypatch.setattr(
+        paraorthogonal, "power_table", lambda table, z: sweeps.append(1) or power_table(table, z)
+    )
+    return sweeps
+
+
+def test_aberth_takes_few_cold_sweeps_on_real_popucs(monkeypatch):
+    # the real POPUCs of the bitwise test above, each solved cold.  Guesses
+    # symmetric under conjugation (half a slot round) took 104 sweeps over the
+    # eight solves, 35 of them at degree 4 with b = 1; the quarter-slot
+    # guesses take 70
+    sweeps = _count_sweeps(monkeypatch)
+    for degree in (4, 5, 9, 120):
+        om = np.linspace(0.4, 2.9, (degree + 1) // 2)
+        masses = [MassPoint.of(0.3 + 0.1 * k, float(o)) for k, o in enumerate(om)]
+        masses += [MassPoint.of(0.3 + 0.1 * k, float(-o)) for k, o in enumerate(om)]
+        q = gram_opuc(moments(Measure.of(ACWeight.bernstein_szego(0.25), masses), 0.0, degree + 1), degree - 1)
+        for b in (1.0, -1.0):
+            aberth_roots(build_popuc(q[degree - 1], b).poly.coeffs.real + 0j)
+    assert len(sweeps) <= 80
+
+
+def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_sweep_cap(monkeypatch):
+    # the benchmark's balance seed 50, job t21[5], solved at t = 0.05 + 1e-5 (its
+    # t + h solve): six moving masses, degree 5, a zero pinned at xi.  Its cold
+    # solve reaches MAX_SWEEPS without every step falling below STEP_TOL, and
+    # the iterate there, accepted by its residual, is returned as it is
     masses = [
-        MassPoint.of("1.323092 + 0.039099*t", "2.88097 - 0.067592*t"),
-        MassPoint.of("1.476552 - 0.13788*t", "3.286515 + 0.066468*t"),
-        MassPoint.of("0.447771 - 0.043127*t", "3.507515 - 0.089651*t"),
-        MassPoint.of("1.1965 - 0.071809*t", "3.854983 - 0.019166*t"),
-        MassPoint.of("0.517044 - 0.002877*t", "4.233609 + 0.04094*t"),
+        MassPoint.of("0.490591 + 0.083179*t", "0.302592 - 0.007137*t"),
+        MassPoint.of("0.908326 - 0.160391*t", "1.058325 - 0.049778*t"),
+        MassPoint.of("0.347877 - 0.141415*t", "1.272358 - 0.040368*t"),
+        MassPoint.of("0.71514 + 0.009848*t", "1.905284 + 0.063758*t"),
+        MassPoint.of("0.316107 - 0.19388*t", "2.159184 + 0.019064*t"),
+        MassPoint.of("0.697089 + 0.101116*t", "2.42541 - 0.007823*t"),
     ]
-    xi = complex(-0.8163049590369226, -0.5776211681125686)
-    q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), -0.05, 4), 4)[4]
+    xi = complex(0.22965421874083228, 0.9732722845198758)
+    q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), 0.05 + 1e-5, 4), 4)[4]
     p = build_popuc(q, fix_zero_param(q, xi))
+    sweeps = _count_sweeps(monkeypatch)
     zs = zeros_on_circle(p, theta_ref=cmath.phase(xi))
+    assert len(sweeps) == paraorthogonal.MAX_SWEEPS
     assert len(zs) == 5 and zs.phases[0] == pytest.approx(cmath.phase(xi), abs=1e-12)
     _assert_aberth_is_the_reference_bitwise(p.poly.coeffs)
