@@ -2,7 +2,8 @@
 
 The per-grid-point pipeline is moments -> OPUC -> paraorthogonality
 parameter (per policy) -> POPUC -> zero set; consecutive zero sets are
-matched by nearest circular phase and chained into continuous trajectories.
+matched by nearest circular phase, a rotation of their sorted order, and
+chained into continuous trajectories.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ __all__ = [
 
 
 class TrackingError(RuntimeError):
-    """Trajectory matching became ambiguous or the pipeline failed mid-sweep."""
+    """Zero matching failed (a count change or a jump too far) or the pipeline failed mid-sweep."""
 
 
 @dataclass(frozen=True)
@@ -192,18 +193,17 @@ class Trajectory:
 def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) -> np.ndarray:
     """Permutation p with new_set.phases[p[k]] continuing chain k.
 
-    Greedy nearest circular phase; a non-bijective assignment or a jump
-    beyond half the previous minimum gap aborts the sweep loudly.
+    Both phase sets ascend cyclically, so p is the rotation that sends chain 0
+    to its nearest new zero.  A jump beyond half the previous minimum gap
+    aborts the sweep loudly; below it, each new zero is the nearest of exactly
+    one old zero, so p is the nearest-phase assignment.
     """
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    # d[k, i]: circular distance from chain k to new zero i
-    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
-    perm = np.argmin(d, axis=1)
-    jumps = d[np.arange(m), perm]
-    if len(set(perm.tolist())) != m:
-        raise TrackingError(f"ambiguous zero matching at t={t}")
+    nearest = np.abs(np.angle(np.exp(1j * (new_set.phases - prev_phases[0]))))
+    perm = (int(np.argmin(nearest)) + np.arange(m)) % m
+    jumps = np.abs(np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases))))
     if np.max(jumps) >= min_gap / 2:
         raise TrackingError(
             f"phase jump {np.max(jumps):.3e} exceeds half the minimum gap at t={t}; "

@@ -33,7 +33,7 @@ __all__ = [
 
 VARIABLES = ("t", "theta")
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
-MAX_NESTING = 300  # deeper input would exhaust Python's recursion limit in the parser
+MAX_NESTING = 300  # deeper input would exhaust Python's recursion limit in the parser or in evaluate
 
 
 class ExprError(ValueError):
@@ -138,67 +138,77 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, text, offset = self.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected {text!r}", offset)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                e = BinOp(text, e, self.term())
-            else:
-                return e
+    # each rule returns (tree, height): the BinOp, Neg and Call nodes on its
+    # longest path, so a flat operator chain counts one level per operator
 
-    def term(self) -> Expr:
-        e = self.factor()
+    def expr(self) -> tuple[Expr, int]:
+        e, height = self.term()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                e = BinOp(text, e, self.factor())
-            else:
-                return e
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in "+-":
+                return e, height
+            self.advance()
+            right, right_height = self.term()
+            e, height = BinOp(text, e, right), self.above(max(height, right_height), offset)
 
-    def factor(self) -> Expr:
+    def term(self) -> tuple[Expr, int]:
+        e, height = self.factor()
+        while True:
+            kind, text, offset = self.peek()
+            if kind != "op" or text not in "*/":
+                return e, height
+            self.advance()
+            right, right_height = self.factor()
+            e, height = BinOp(text, e, right), self.above(max(height, right_height), offset)
+
+    @staticmethod
+    def above(height: int, offset: int) -> int:
+        if height == MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
+        return height + 1
+
+    def factor(self) -> tuple[Expr, int]:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Const(float(text))
+            return Const(float(text)), 0
         if kind == "ident" and text not in FUNCTIONS:
             if text == "pi":
-                return Const(math.pi)
+                return Const(math.pi), 0
             if text in VARIABLES:
-                return Var(text)
+                return Var(text), 0
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
         if kind == "eof" or (kind == "op" and text not in "(-"):
             raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
         # a function call, a parenthesis or a unary minus: one level deeper
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
-        self.depth += 1
+        self.depth = self.above(self.depth, offset)
         if text == "-":
-            e = Neg(self.factor())
+            operand, height = self.factor()
+            e, height = Neg(operand), self.above(height, offset)
         elif text == "(":
-            e = self.expr()
+            e, height = self.expr()
             self.expect_op(")")
         else:
             self.expect_op("(")
-            e = Call(text, self.expr())
+            arg, height = self.expr()
+            e, height = Call(text, arg), self.above(height, offset)
             self.expect_op(")")
         self.depth -= 1
-        return e
+        return e, height
 
 
 def parse(source: str) -> Expr:
     """Parse ``source`` into an expression tree.
 
     Raises :class:`ExprSyntaxError` with the byte offset on malformed input,
-    on identifiers outside the grammar and on function calls, parentheses
-    and unary minus signs nested more than ``MAX_NESTING`` deep.
+    on identifiers outside the grammar, on function calls, parentheses and
+    unary minus signs nested more than ``MAX_NESTING`` deep, and on a tree
+    taller than that, a flat chain of operators included.
     """
     if not isinstance(source, str) or source.strip() == "":
         raise ExprSyntaxError("empty expression", 0)

@@ -106,6 +106,16 @@ def _as_expr(value: Expr | str | float) -> Expr:
     raise ValueError(f"an expression must be a string or a number, got {value!r}")
 
 
+def _json_expr(value, where: str) -> Expr:
+    """:func:`_as_expr` of a config value; its error, of the same type, names ``where``
+    (say ``masses[0].gamma``) before the message."""
+    try:
+        return _as_expr(value)
+    except ValueError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 @dataclass(frozen=True)
 class MassPoint:
     """Point mass gamma(t) * delta(theta - omega(t))."""
@@ -215,19 +225,23 @@ class Measure:
         if kind == "none":
             ac = ACWeight.none()
         elif kind == "lebesgue":
-            ac = ACWeight.lebesgue(ac_obj.get("scale", "1"))
+            ac = ACWeight.lebesgue(_json_expr(ac_obj.get("scale", "1"), "ac.scale"))
         elif kind == "bernstein_szego":
-            ac = ACWeight.bernstein_szego(json_pair(ac_obj, "lambda"), ac_obj.get("scale", "1"))
+            scale = _json_expr(ac_obj.get("scale", "1"), "ac.scale")
+            ac = ACWeight.bernstein_szego(json_pair(ac_obj, "lambda"), scale)
         elif kind == "custom":
-            ac = ACWeight.custom(ac_obj["w"])
+            ac = ACWeight.custom(_json_expr(ac_obj["w"], "ac.w"))
         else:
             raise MeasureError(f"unknown AC kind {kind!r}")
         masses = obj.get("masses", ())
         if not isinstance(masses, (list, tuple)):
             raise ValueError(f"measure key 'masses' must be a JSON array, got {masses!r}")
-        for mass in masses:
+        points = []
+        for j, mass in enumerate(masses):
             known_keys(mass, "mass", ("gamma", "omega"))
-        return cls.of(ac, [MassPoint.of(mass["gamma"], mass["omega"]) for mass in masses])
+            gamma, omega = (_json_expr(mass[key], f"masses[{j}].{key}") for key in ("gamma", "omega"))
+            points.append(MassPoint(gamma, omega))
+        return cls.of(ac, points)
 
 
 @dataclass(frozen=True)

@@ -131,20 +131,23 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
         raise IndexError(f"OPUC degree {n} exceeds the moment order K={ms.K}")
     # [c_0, c_{-1}, ..., c_{-n}]: <z^{j+1}, 1> = c_{-(j+1)} = row[j + 1]
     row = ms.c[ms.K - n : ms.K + 1][::-1].copy()  # contiguous: a strided dot sums in another order
-    c0 = row[0].real
+    c0 = kappa = float(row[0].real)
     table = np.eye(n + 1, dtype=complex)  # row m becomes Q_m, monic of degree m
+    step = np.empty(n, dtype=complex)  # conj_alpha Q_{m-1}*, taken from z Q_{m-1} in row m
     norms, alphas = [c0], []
     for m in range(1, n + 1):
         q = table[m - 1, :m]
-        conj_alpha = complex(q @ row[1 : m + 1]) / norms[-1]
-        kappa = (1.0 - abs(conj_alpha) ** 2) * norms[-1]
+        conj_alpha = complex(q @ row[1 : m + 1]) / kappa
+        kappa *= 1.0 - abs(conj_alpha) ** 2
         if kappa <= DEGENERACY_THRESHOLD * c0:
             raise DegenerateMeasureError(
                 f"norm ratio collapsed at degree {m} (kappa_{m} / c_0 = {kappa / c0:.3e})"
             )
+        r = np.conjugate(q[::-1], out=step[:m])
+        np.multiply(conj_alpha, r, out=r)  # this operand order keeps every bit
         table[m, 1 : m + 1] = q
-        table[m, :m] -= conj_alpha * reversed_poly(q)
+        table[m, :m] -= r
         norms.append(kappa)
-        alphas.append(np.conj(conj_alpha))
+        alphas.append(conj_alpha.conjugate())
     table.setflags(write=False)
     return OpucFamily(table, np.array(norms), np.array(alphas, dtype=complex))

@@ -231,6 +231,31 @@ def test_deeply_nested_expression_exits_2_and_says_so(tmp_path, capsys):
     assert "nested deeper than 300 levels (offset 300)" in capsys.readouterr().err
 
 
+def test_a_long_flat_sum_exits_2_and_says_so(tmp_path, capsys):
+    # 1500 ones joined by + parsed, then evaluate hit a RecursionError: exit 1
+    scale = "+".join(["1"] * 1500)
+    path = _write(tmp_path, "flat.json", {"measure": {"ac": {"kind": "lebesgue", "scale": scale}}})
+    assert main(["moments", "--config", path]) == 2
+    assert "ac.scale: nested deeper than 300 levels (offset 601)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "measure, where",
+    [
+        ({"masses": [{"gamma": "1", "omega": "0"}, {"gamma": "1 +", "omega": "1"}]}, "masses[1].gamma"),
+        ({"masses": [{"gamma": "1", "omega": "cos("}]}, "masses[0].omega"),
+        ({"ac": {"kind": "lebesgue", "scale": "2 *"}}, "ac.scale"),
+        ({"ac": {"kind": "bernstein_szego", "lambda": [0.1, 0.0], "scale": ")"}}, "ac.scale"),
+        ({"ac": {"kind": "custom", "w": "theta theta"}}, "ac.w"),
+        ({"masses": [{"gamma": True, "omega": "0"}]}, "masses[0].gamma"),
+    ],
+)
+def test_a_malformed_expression_is_named_by_its_place(tmp_path, capsys, measure, where):
+    path = _write(tmp_path, "bad.json", {"measure": measure})
+    assert main(["moments", "--config", path]) == 2
+    assert f"configuration error: {where}: " in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["moments", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -57,15 +57,23 @@ def test_high_degree_zeros_are_zeros_of_the_closed_form(degree):
 def test_cold_start_at_degree_120_converges_from_the_one_cold_start(monkeypatch):
     # the benchmark's high_degree seed 917 at its first grid point: from guesses
     # half a slot round one iterate left the circle, z^120 overflowed and the
-    # sweeps never converged; the quarter-slot guesses converge in one call
-    starts = []
-    aberth = paraorthogonal.aberth_roots
+    # sweeps never converged.  The cold solve now starts from the sign changes
+    # of P on the circle, one guess per zero, and converges in a few sweeps
+    starts, sweeps = [], []
+    aberth, power_table = paraorthogonal.aberth_roots, paraorthogonal.power_table
     monkeypatch.setattr(
-        paraorthogonal, "aberth_roots", lambda coeffs, start=None: starts.append(start) or aberth(coeffs, start)
+        paraorthogonal,
+        "aberth_roots",
+        lambda coeffs, start=None: starts.append((coeffs, start)) or aberth(coeffs, start),
+    )
+    monkeypatch.setattr(
+        paraorthogonal, "power_table", lambda table, z: sweeps.append(1) or power_table(table, z)
     )
     lam = complex(-0.22203401164395684, -0.14467961623616238)
     _assert_zeros_of_the_closed_form(120, lam, 1.1440700414318319, 3.5090864533493606)
-    assert starts == [None]
+    [(coeffs, start)] = starts
+    assert len(start) == 120 and np.array_equal(start, paraorthogonal._circle_guesses(coeffs))
+    assert len(sweeps) <= 5
 
 
 def test_bs_mass_rejects_bad_inputs():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popuc import dynamics
 from popuc.dynamics import (
@@ -20,7 +21,7 @@ from popuc.dynamics import (
 )
 from popuc.measures import ACWeight, MassPoint, Measure, theta_grid
 from popuc.opuc import polyval
-from popuc.paraorthogonal import deflate
+from popuc.paraorthogonal import ZeroSet, deflate
 from popuc.predicates import motion_context
 from popuc.scenarios import SCENARIOS, scenario_config
 
@@ -139,6 +140,57 @@ def test_tracking_error_on_count_change():
     st = solve_at(DISCRETE, 4, ZeroPolicy.fixed_b(1.0 + 0j), 0.0)
     with pytest.raises(TrackingError):
         _match(np.array([0.0, 1.0, 2.0]), st.zero_set, 1.0, 0.0)
+
+
+def _match_by_table(prev_phases, new_set, min_gap, t):
+    """The full-table matching the rotation replaced: each chain takes its
+    nearest new zero, and the choice must be a bijection within half the gap."""
+    m = len(prev_phases)
+    if len(new_set) != m:
+        raise TrackingError(f"zero count changed at t={t}")
+    d = np.abs(np.angle(np.exp(1j * (new_set.phases[None, :] - prev_phases[:, None]))))
+    perm = np.argmin(d, axis=1)
+    if len(set(perm.tolist())) != m:
+        raise TrackingError(f"ambiguous zero matching at t={t}")
+    if np.max(d[np.arange(m), perm]) >= min_gap / 2:
+        raise TrackingError(f"phase jump exceeds half the minimum gap at t={t}")
+    return perm
+
+
+def _jitters(m):
+    # in half minimum gaps; |jitter| near 1 is left out, where roundoff decides
+    below = st.floats(-0.95, 0.95)
+    beyond = st.one_of(st.floats(1.05, 2.95), st.floats(-2.95, -1.05))
+    return st.lists(st.one_of(below, below, beyond), min_size=m, max_size=m)
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m), _jitters(m), st.integers(0, m - 1)
+        )
+    ),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+)
+def test_rotation_match_is_the_full_table_match(case, ref_old, ref_new):
+    # both zero sets ascend cyclically, so the rotation that sends chain 0 to
+    # its nearest new zero is the nearest-zero assignment whenever every jump
+    # stays below half the previous minimum gap, and both raise otherwise
+    gaps, jitter, shift = case
+    gaps = 2 * math.pi * np.array(gaps) / sum(gaps)
+    old = ZeroSet(ref_old + np.cumsum(gaps) - gaps[0], np.zeros(len(gaps)), 0.0)
+    moved = old.phases + np.array(jitter) * old.min_gap / 2
+    new = ZeroSet(ref_new + np.sort(np.mod(moved - ref_new, 2 * math.pi)), np.zeros(len(gaps)), 0.0)
+    prev = np.roll(old.phases, -shift)  # a chain order that starts anywhere in the cycle
+    outcomes = []
+    for match in (dynamics._match, _match_by_table):
+        try:
+            outcomes.append(match(prev, new, old.min_gap, 0.0).tolist())
+        except TrackingError:
+            outcomes.append("raised")
+    assert outcomes[0] == outcomes[1]
 
 
 def test_balance_discrete():

@@ -81,6 +81,26 @@ def test_nesting_beyond_300_levels_is_a_syntax_error_at_its_offset(opening, clos
     assert err.value.offset == 300 * len(opening)
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_a_flat_chain_of_more_than_300_operators_is_a_syntax_error(op):
+    # 1500 ones joined by + parsed into a left-deep tree that evaluate could not
+    # walk (RecursionError); the tree counts one level per operator
+    value = {"+": 301.0, "-": -299.0, "*": 1.0, "/": 1.0}[op]
+    assert evaluate(parse(op.join(["t"] * 301)), {"t": 1.0}) == value
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 300 levels") as err:
+        parse(op.join(["t"] * 302))
+    assert err.value.offset == 601  # the 301st operator
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 300 levels"):
+        parse(op.join(["1"] * 1500))
+
+
+def test_operators_and_calls_nest_into_one_tree_height():
+    # 150 calls around a chain of 150 products: 300 levels parse, one more does not
+    assert evaluate(parse("sin(" * 150 + "*".join(["t"] * 151) + ")" * 150), {"t": 0.0}) == 0.0
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 300 levels"):
+        parse("sin(" * 150 + "*".join(["t"] * 152) + ")" * 150)
+
+
 def test_derivative_of_variable():
     assert differentiate(parse("t"), "t") == Const(1.0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc.expressions import evaluate
+from popuc.expressions import ExprSyntaxError, evaluate
 
 from popuc.measures import (
     ACWeight,
@@ -208,3 +208,11 @@ def test_moments_accepts_clean_measure():
     # a density that touches zero is admissible
     m = Measure.of(ACWeight.custom("1 - cos(theta)"), [MassPoint.of(0.5, 1.0)])
     assert moments(m, 0.0, 4, nodes=256)[0] == pytest.approx(1.5, abs=1e-12)
+
+
+def test_from_json_names_the_place_of_an_expression_error_and_keeps_its_type():
+    obj = {"masses": [{"gamma": "1 +", "omega": "0"}]}
+    message = r"^masses\[0\]\.gamma: unexpected 'end of input' \(offset 3\)$"
+    with pytest.raises(ExprSyntaxError, match=message) as err:
+        Measure.from_json(obj)
+    assert err.value.offset == 3

@@ -18,6 +18,7 @@ from popuc.opuc import (
     reversed_poly,
     szego_step,
 )
+from popuc import paraorthogonal
 from popuc.paraorthogonal import build_popuc, zeros_on_circle
 
 
@@ -408,3 +409,24 @@ def test_gram_opuc_beyond_the_moment_order_raises_index_error():
         gram_opuc(ms, 5)
     with pytest.raises(IndexError):
         gram_opuc(ms, 12)
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi))
+def test_cold_guesses_sit_one_near_each_zero(case, arg_b):
+    # the sign changes of e^{-i m theta/2} P(e^{i theta}) on 8m nodes.  Zeros at
+    # least two node steps apart each have a step of their own, so there are m
+    # changes, each guess less than a step (half the smallest gap) from its own
+    # zero.  Closer zeros can share a step or lose their order to the linear
+    # interpolation: masses 0.3 apart with one light mass gave 0.15-rad gaps
+    # at m = 3 and 4, and either no guesses or two nearest one zero
+    m, n = case
+    p, zs = _popuc_zeros(m, n, np.exp(1j * arg_b))
+    guesses = paraorthogonal._circle_guesses(p.poly.coeffs)
+    if zs.min_gap < 2 * (2 * math.pi / (8 * (n + 1))):
+        assert guesses is None or (len(guesses) == n + 1 and np.allclose(np.abs(guesses), 1.0))
+        return
+    assert guesses is not None and len(guesses) == n + 1
+    dist = np.abs(np.angle(guesses[:, None] / zs.zeros[None, :]))
+    assert np.all(np.min(dist, axis=1) < zs.min_gap / 2)
+    assert len(set(np.argmin(dist, axis=1).tolist())) == n + 1

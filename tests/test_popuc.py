@@ -8,6 +8,7 @@ from popuc import paraorthogonal
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import MonicPoly, gram_opuc, polyval
 from popuc.paraorthogonal import (
+    PopucInstance,
     RootFindingError,
     ZeroSet,
     aberth_roots,
@@ -243,16 +244,17 @@ def test_self_inversive():
     assert np.max(np.abs(reversed_poly(p.poly.coeffs) + b * p.poly.coeffs)) < 1e-10
 
 
-def _aberth_one_table_per_sweep(coeffs, start=None):
+def _aberth_one_table_per_sweep(coeffs, start=None, sweeps=paraorthogonal.MAX_SWEEPS):
     """The zero finder with a fresh polyval table and matrix every sweep, and the
-    nested np.where: the loop before its workspace, kept as a bitwise reference."""
-    from popuc.paraorthogonal import MAX_SWEEPS, STEP_TOL
+    nested np.where: the loop before its workspace, kept as a bitwise reference.
+    It has no roundoff-floor exit, so it runs on to ``sweeps`` where that exit stops."""
+    from popuc.paraorthogonal import STEP_TOL
 
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
-    for _ in range(MAX_SWEEPS):
+    for _ in range(sweeps):
         p, dp = polyval(pair, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
@@ -338,11 +340,9 @@ def test_aberth_takes_few_cold_sweeps_on_real_popucs(monkeypatch):
     assert len(sweeps) <= 80
 
 
-def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_sweep_cap(monkeypatch):
-    # the benchmark's balance seed 50, job t21[5], solved at t = 0.05 + 1e-5 (its
-    # t + h solve): six moving masses, degree 5, a zero pinned at xi.  Its cold
-    # solve reaches MAX_SWEEPS without every step falling below STEP_TOL, and
-    # the iterate there, accepted by its residual, is returned as it is
+def _balance_seed_50_popuc():
+    """The benchmark's balance seed 50, job t21[5], solved at t = 0.05 + 1e-5 (its
+    t + h solve): six moving masses, degree 5, a zero pinned at xi."""
     masses = [
         MassPoint.of("0.490591 + 0.083179*t", "0.302592 - 0.007137*t"),
         MassPoint.of("0.908326 - 0.160391*t", "1.058325 - 0.049778*t"),
@@ -353,9 +353,63 @@ def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_sweep_cap(m
     ]
     xi = complex(0.22965421874083228, 0.9732722845198758)
     q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), 0.05 + 1e-5, 4), 4)[4]
-    p = build_popuc(q, fix_zero_param(q, xi))
+    return build_popuc(q, fix_zero_param(q, xi)), xi
+
+
+def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_roundoff_floor(monkeypatch):
+    # from the quarter-slot guesses the largest step of this solve wanders at
+    # 1-6e-14 from the sixth sweep on, above STEP_TOL, and the sweeps ran to
+    # MAX_SWEEPS; they now stop at the first sweep whose largest step is below
+    # FLOOR_FACTOR * STEP_TOL and no smaller than the one before, and the
+    # iterate there, accepted by its residual, is returned as it is
+    p, _ = _balance_seed_50_popuc()
+    coeffs = p.poly.coeffs
+    sweeps = _count_sweeps(monkeypatch)
+    roots = aberth_roots(coeffs)
+    assert len(sweeps) == 10
+    assert np.max(np.abs(polyval(coeffs, roots))) <= 1e-8 * np.max(np.abs(coeffs))
+    assert roots.tobytes() == _aberth_one_table_per_sweep(coeffs, sweeps=10).tobytes()
+    # without the floor exit the same loop runs on and leaves the roots within roundoff
+    capped = _aberth_one_table_per_sweep(coeffs)
+    assert np.max(np.min(np.abs(roots[:, None] - capped[None, :]), axis=1)) <= 1e-13
+
+
+def test_the_seed_50_solve_converges_from_the_sign_changes(monkeypatch):
+    p, xi = _balance_seed_50_popuc()
     sweeps = _count_sweeps(monkeypatch)
     zs = zeros_on_circle(p, theta_ref=cmath.phase(xi))
-    assert len(sweeps) == paraorthogonal.MAX_SWEEPS
+    assert len(sweeps) <= 5
     assert len(zs) == 5 and zs.phases[0] == pytest.approx(cmath.phase(xi), abs=1e-12)
-    _assert_aberth_is_the_reference_bitwise(p.poly.coeffs)
+
+
+def _t22_popuc(rng, b):
+    """A degree-4 POPUC of the benchmark's t22 shape, two mass pairs at +-omega,
+    with b = +-1: real coefficients, made exactly real.  With b = 1 it vanishes
+    at 1 and -1."""
+    om = (rng.uniform(0.6, 1.4), rng.uniform(1.8, 2.6))
+    gammas = rng.uniform(0.3, 1.0, 2)
+    masses = [MassPoint.of(float(g), float(s * o)) for g, o in zip(gammas, om) for s in (1, -1)]
+    q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), 0.0, 4), 3)[3]
+    return build_popuc(q, b).poly.coeffs.real + 0j
+
+
+def _assert_one_guess_near_each_zero(coeffs, zs):
+    guesses = paraorthogonal._circle_guesses(coeffs)
+    assert guesses is not None and len(guesses) == len(zs)
+    dist = np.abs(np.angle(guesses[:, None] / zs.zeros[None, :]))
+    assert np.all(np.min(dist, axis=1) < zs.min_gap / 2)
+    assert len(set(np.argmin(dist, axis=1).tolist())) == len(zs)
+
+
+def test_real_popucs_vanishing_at_plus_and_minus_one_get_a_guess_per_zero():
+    # a node at theta = 0 (or pi) would sit on a zero of every such POPUC; a
+    # grid with one, counting a change only where r_j r_{j+1} < 0, missed 484
+    # of 1200 t22 solves
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        for b in (1.0, -1.0):
+            coeffs = _t22_popuc(rng, b)
+            zs = zeros_on_circle(PopucInstance(MonicPoly(coeffs), complex(b)))
+            if b == 1.0:
+                assert np.min(np.abs(zs.zeros - 1.0)) <= 1e-14 and np.min(np.abs(zs.zeros + 1.0)) <= 1e-14
+            _assert_one_guess_near_each_zero(coeffs, zs)
