@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popuc import paraorthogonal
 from popuc.dynamics import ZeroPolicy, solve_at
 from popuc.expressions import BinOp, Const, Neg
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap, moments
@@ -18,7 +19,6 @@ from popuc.opuc import (
     reversed_poly,
     szego_step,
 )
-from popuc import paraorthogonal
 from popuc.paraorthogonal import build_popuc, zeros_on_circle
 
 
