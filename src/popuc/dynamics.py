@@ -18,14 +18,13 @@ from .measures import (
     MIN_NODES,
     Measure,
     MeasureError,
-    MomentSequence,
     json_number,
     json_pair,
     known_keys,
     moments,
     theta_grid,
 )
-from .opuc import OpucFamily, gram_opuc, inner_product, polyval
+from .opuc import OpucFamily, gram_opuc, polyval
 from .paraorthogonal import (
     UNIMODULAR_TOL,
     PopucInstance,
@@ -38,6 +37,7 @@ from .paraorthogonal import (
 from .predicates import (
     THEOREMS,
     PredicateError,
+    conjugate_pair,
     mass_functionals,
     motion_context,
     reference_index,
@@ -141,7 +141,6 @@ class PipelineState:
     """Everything the pipeline produced at one parameter value."""
 
     t: float
-    ms: MomentSequence
     family: OpucFamily
     popuc: PopucInstance
     zero_set: ZeroSet
@@ -158,7 +157,7 @@ def solve_at(
     ``start`` seeds the zero finder (e.g. with the zeros at a nearby t);
     without it the search starts cold.
     """
-    ms = moments(m, t, degree - 1, nodes)  # the orders gram_opuc and balance's C integral read
+    ms = moments(m, t, degree - 1, nodes)  # the orders gram_opuc reads
     family = gram_opuc(ms, degree - 1)
     q = family[degree - 1]
     if policy.kind == "fixed_xi":
@@ -169,7 +168,7 @@ def solve_at(
     else:
         popuc = build_popuc(q, policy.value)
         zs = zeros_on_circle(popuc, start=start)
-    return PipelineState(t=t, ms=ms, family=family, popuc=popuc, zero_set=zs)
+    return PipelineState(t=t, family=family, popuc=popuc, zero_set=zs)
 
 
 @dataclass(frozen=True)
@@ -283,10 +282,16 @@ class BalanceEntry:
     mismatch: float
 
 
-def _c_integral(ms: MomentSequence, popuc: PopucInstance, zeta: complex) -> float:
-    """C-type integral int |P/(e^{i theta} - zeta)|^2 dmu over the full measure."""
-    d = deflate(popuc.poly.coeffs, zeta)
-    return float(inner_product(d, d, ms).real)
+def _c_at(state: PipelineState, zeta: complex) -> float:
+    """C = int |P/(z - zeta)|^2 dmu = kappa_n |P'(zeta)| / |Q_n(zeta)| at a zero zeta of P:
+    the Szego quadrature on the zeros of P is exact on |P/(z - zeta)|^2, with weight
+    1/K_n(zeta, zeta) = kappa_n / (P'(zeta) conj(Q_n(zeta))) by Christoffel-Darboux."""
+    p = dp = q = 0j
+    for c in reversed(state.popuc.poly.coeffs.tolist()):  # Horner for P and P'
+        p, dp = p * zeta + c, dp * zeta + p
+    for c in reversed(state.family.coeffs[-1].tolist()):
+        q = q * zeta + c
+    return float(state.family.norms[-1]) * abs(dp) / abs(q)
 
 
 def balance_check(
@@ -305,6 +310,7 @@ def balance_check(
     The left side multiplies C(t) by a finite-difference velocity from fresh
     solves at t +- h; the right side is computed from the motion functionals,
     so the two sides are independent numerical routes to the same quantity.
+    Under t22 a partner that is not the conjugate raises PredicateError.
     """
     state = solve_at(m, degree, policy, t, nodes)
     zs = state.zero_set
@@ -312,17 +318,18 @@ def balance_check(
     reference = reference_index(zs, tracked, theorem)
     if reference is None:
         raise TrackingError(f"the tracked zero has no {theorem} reference zero")
+    phi, theta0 = float(zs.phases[tracked]), float(zs.phases[reference])
+    if theorem == "t22" and not conjugate_pair(phi, theta0):
+        raise PredicateError(f"the zeros at {phi!r} and {theta0!r} are not a conjugate pair")
     ctx = motion_context(m, zs, t)
-    phi = float(zs.phases[tracked])
-    zeta = complex(np.exp(1j * phi))
+    zeta, xi = complex(np.exp(1j * phi)), complex(np.exp(1j * theta0))
     p = state.popuc
     pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
     rhs = float(np.sum(mass_functionals(ctx, tracked, reference) * pvals_at_masses))
-    C = _c_integral(state.ms, p, zeta)
+    C = _c_at(state, zeta)
     if theorem == "t22":
-        C += _c_integral(state.ms, p, np.conj(zeta))
+        C += _c_at(state, xi)
     if ctx.f_theta is not None:  # else the AC integrand is exactly zero
-        xi = complex(np.exp(1j * zs.phases[reference]))
         # midpoint rule for int s(theta)|P|^2 (f(theta) - f(phi)) w(theta) dtheta/2pi,
         # with s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] and
         # D2 = P/((z-xi)(z-zeta)); smooth through both poles

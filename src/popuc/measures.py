@@ -209,10 +209,10 @@ class Measure:
         om = np.array([evaluate(m.omega, {"t": t}) for m in self.masses], dtype=float)
         if np.any(gam < 0):
             raise MeasureError(f"negative mass weight at t={t}")
-        for i in range(len(om)):
-            for j in range(i + 1, len(om)):
-                if circular_gap(om[i], om[j]) < ANGLE_TOL:
-                    raise MeasureError(f"coincident mass points at t={t}")
+        if len(om) > 1:  # the closest pair is a pair of neighbours round the circle
+            ordered = np.sort(om % (2.0 * math.pi))
+            if circular_gap(ordered, ordered[np.arange(-1, len(om) - 1)]).min() < ANGLE_TOL:
+                raise MeasureError(f"coincident mass points at t={t}")
         return gam, om
 
     @classmethod

@@ -42,6 +42,7 @@ __all__ = [
     "VerdictReport",
     "PredicateError",
     "reference_index",
+    "conjugate_pair",
     "motion_context",
     "s_factor",
     "s_sum",
@@ -127,6 +128,11 @@ def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
         raise ValueError(f"unknown theorem selector {theorem!r}")
     ref = zs.nearest_index(-zs.phases[tracked]) if theorem == "t22" else zs.fixed_index
     return None if ref == tracked else ref
+
+
+def conjugate_pair(phi: float, theta0: float) -> bool:
+    """Whether phi = -theta0 mod 2 pi within 1e-8, as a t22 pair must be."""
+    return abs(math.remainder(phi + theta0, 2.0 * math.pi)) <= 1e-8
 
 
 def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
@@ -323,7 +329,7 @@ def _verdict_rows(
     reports: list[VerdictReport | None] = [None] * len(tracked)
     rows = []
     for i, (phi, theta0) in enumerate(zip(phis, theta0s)):
-        if theorem == "t22" and not abs(math.remainder(phi + theta0, 2.0 * math.pi)) <= 1e-8:
+        if theorem == "t22" and not conjugate_pair(phi, theta0):
             reports[i] = _inconclusive(phi, theta0, theorem, "non_conjugate_pair")
         else:
             rows.append(i)

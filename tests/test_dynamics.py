@@ -19,10 +19,10 @@ from popuc.dynamics import (
     sweep_verdicts,
     tracked_velocity,
 )
-from popuc.measures import ACWeight, MassPoint, Measure, theta_grid
-from popuc.opuc import polyval
+from popuc.measures import ACWeight, MassPoint, Measure, moments, theta_grid
+from popuc.opuc import inner_product, polyval
 from popuc.paraorthogonal import ZeroSet, deflate
-from popuc.predicates import motion_context
+from popuc.predicates import PredicateError, motion_context, reference_index, verdicts_at
 from popuc.scenarios import SCENARIOS, scenario_config
 
 DISCRETE = Measure.of(
@@ -212,14 +212,16 @@ def test_balance_mixed():
     assert be.mismatch < 1e-4
 
 
+CONJUGATE_MASSES = [
+    MassPoint.of("0.5 + 0.2*t", "1.0"),
+    MassPoint.of("0.5 + 0.2*t", "-1.0"),
+    MassPoint.of("0.8 - 0.1*t", "2.2"),
+    MassPoint.of("0.8 - 0.1*t", "-2.2"),
+]
+
+
 def test_balance_conjugate():
-    masses = [
-        MassPoint.of("0.5 + 0.2*t", "1.0"),
-        MassPoint.of("0.5 + 0.2*t", "-1.0"),
-        MassPoint.of("0.8 - 0.1*t", "2.2"),
-        MassPoint.of("0.8 - 0.1*t", "-2.2"),
-    ]
-    m = Measure.of(ACWeight.none(), masses)
+    m = Measure.of(ACWeight.none(), CONJUGATE_MASSES)
     pol = ZeroPolicy.fixed_b(1.0 + 0j)
     zs = solve_at(m, 4, pol, 0.0).zero_set
     tracked = [k for k, p in enumerate(zs.phases) if 1e-6 < p < math.pi - 1e-6][0]
@@ -233,6 +235,51 @@ def test_balance_conjugate():
     for phi in (0.0, math.pi):
         with pytest.raises(TrackingError):
             balance_check(m, 4, pol, 0.0, phi, "t22")
+
+
+# Largest relative error seen, logged before balance_check took C in closed
+# form: 5.4e-16, over both zeros of the pair at 11 t in [-0.5, 0.5]
+T22_C_TOL = 1e-13
+
+
+def test_t22_c_is_the_closed_form_at_the_zero_and_at_its_partner():
+    m = Measure.of(ACWeight.none(), CONJUGATE_MASSES)
+    pol = ZeroPolicy.fixed_b(1.0 + 0j)
+    for t in np.linspace(-0.5, 0.5, 11):
+        state = solve_at(m, 4, pol, float(t))
+        zs = state.zero_set
+        ms = moments(m, float(t), 3)
+        for k in range(len(zs)):
+            ref = reference_index(zs, k, "t22")
+            if ref is None:
+                continue
+            zeta, xi = zs.zeros[k], zs.zeros[ref]
+            be = balance_check(m, 4, pol, float(t), zs.phases[k], "t22")
+            assert be.C == dynamics._c_at(state, zeta) + dynamics._c_at(state, xi)
+            coeffs = state.popuc.poly.coeffs
+            oracle = sum(float(inner_product(d, d, ms).real) for d in (
+                deflate(coeffs, zeta), deflate(coeffs, np.conj(zeta))
+            ))
+            assert abs(be.C - oracle) <= T22_C_TOL * oracle
+
+
+def test_t22_balance_rejects_a_partner_that_is_not_the_conjugate():
+    # a measure without the mirror symmetry: the zero nearest -phi lies 0.43 rad
+    # from it, where the verdict is Inconclusive
+    m = Measure.of(ACWeight.none(), [
+        MassPoint.of("0.5 + 0.2*t", "1.0"),
+        MassPoint.of("0.9 + 0.2*t", "-0.7"),
+        MassPoint.of("0.8 - 0.1*t", "2.2"),
+        MassPoint.of("0.3 - 0.1*t", "-2.6"),
+    ])
+    pol = ZeroPolicy.fixed_b(1.0 + 0j)
+    zs = solve_at(m, 4, pol, 0.1).zero_set
+    k = zs.nearest_index(1.6314)
+    partner = zs.phases[reference_index(zs, k, "t22")]
+    assert abs(zs.phases[k] + partner) == pytest.approx(0.43, abs=0.005)
+    assert verdicts_at(m, zs, 0.1, "t22")[k].flags == ("non_conjugate_pair",)
+    with pytest.raises(PredicateError, match="not a conjugate pair"):
+        balance_check(m, 4, pol, 0.1, zs.phases[k], "t22")
 
 
 def test_zero_policy_rejects_nan():

@@ -135,6 +135,19 @@ def test_coincident_masses_rejected():
     assert ms[0] == pytest.approx(2.0)
 
 
+def test_coincidence_is_decided_round_the_circle():
+    # 1e-10 and 2 pi - 1e-10 are 2e-10 apart across the wrap, first and last in sorted order
+    for omegas in ([1e-10, 2 * math.pi - 1e-10], [3.0, 1e-10, 1.5, 2 * math.pi - 1e-10]):
+        m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, w) for w in omegas])
+        with pytest.raises(MeasureError, match="coincident"):
+            m.mass_values(0.0)
+    # 30 separated masses, the last 1e-3 short of the first across the wrap
+    omegas = np.linspace(0.0, 2 * math.pi, 30, endpoint=False)
+    omegas[-1] = 2 * math.pi - 1e-3
+    m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, float(w)) for w in omegas])
+    assert m.mass_values(0.0)[1].tolist() == omegas.tolist()
+
+
 def test_vanishing_total_mass_rejected():
     m = Measure.of(ACWeight.none(), [MassPoint.of("t", "1.0")])
     with pytest.raises(MeasureError):
