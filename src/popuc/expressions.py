@@ -27,6 +27,7 @@ __all__ = [
     "NonDifferentiableError",
     "parse",
     "evaluate",
+    "evaluate_all",
     "differentiate",
     "to_source",
 ]
@@ -235,14 +236,34 @@ _ARRAY_FUNC_IMPL = {
 def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Evaluate ``e`` with the given variable bindings.
 
-    A binding may be a float or a numpy array (a whole theta grid, say); the
-    tree is walked once and array nodes use the numpy functions, so the
+    A binding may be a float or a numpy array (a whole theta grid, say); with
+    an array binding the tree is walked once by :func:`evaluate_all`, so the
     result is an array wherever an array variable reaches it.  Division by
     zero, function domain errors, and non-finite results all raise
     :class:`EvalError` instead of propagating IEEE specials; on arrays they
     raise when they would at any single element.
     """
-    value = _eval(e, bindings)
+    try:
+        return _finite(_eval(e, bindings))
+    except _ArrayBinding:
+        return evaluate_all((e,), bindings)[0]
+
+
+def evaluate_all(exprs: tuple[Expr, ...], bindings: Mapping[str, float | np.ndarray]) -> list:
+    """Evaluate each of ``exprs`` in turn, as :func:`evaluate` would, in one pass.
+
+    A node object met twice, within one tree or across them (a derivative
+    from :func:`differentiate` shares subtrees with its expression), is
+    computed once, and the pass runs under one ``np.errstate``.  Sharing a
+    node changes no bit of any value.
+    """
+    memo: dict[int, float | np.ndarray] = {}
+    # IEEE overflow to inf is not an error here, as for Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_finite(_eval_shared(e, bindings, memo)) for e in exprs]
+
+
+def _finite(value: float | np.ndarray) -> float | np.ndarray:
     if isinstance(value, np.ndarray):
         if not np.all(np.isfinite(value)):
             raise EvalError("non-finite result in array evaluation")
@@ -251,7 +272,12 @@ def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.
     return value
 
 
-def _eval(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+class _ArrayBinding(Exception):
+    """Raised by the scalar walk at a variable bound to an array."""
+
+
+def _eval(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float:
+    """The scalar walk; it raises :class:`_ArrayBinding` on an array variable."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -260,55 +286,64 @@ def _eval(e: Expr, bindings: Mapping[str, float | np.ndarray]) -> float | np.nda
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}") from None
         if isinstance(value, np.ndarray):
-            return value.astype(float, copy=False)
+            raise _ArrayBinding
         return float(value)
     if isinstance(e, Neg):
         return -_eval(e.operand, bindings)
     if isinstance(e, BinOp):
-        left = _eval(e.left, bindings)
-        right = _eval(e.right, bindings)
-        if isinstance(left, np.ndarray) or isinstance(right, np.ndarray):
-            return _array_binop(e.op, left, right)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if right == 0.0:
-            raise EvalError("division by zero")
-        return left / right
-    arg = _eval(e.arg, bindings)
-    if isinstance(arg, np.ndarray):
-        return _array_call(e.func, arg)
+        return _binop(e.op, _eval(e.left, bindings), _eval(e.right, bindings))
+    return _call(e.func, _eval(e.arg, bindings))
+
+
+def _eval_shared(e: Expr, bindings: Mapping[str, float | np.ndarray], memo: dict) -> float | np.ndarray:
+    """The walk of :func:`evaluate_all`: ``memo`` maps id(node) to its value.
+    A node without an array below it takes the scalar walk's operations."""
+    value = memo.get(id(e))
+    if value is not None:
+        return value
+    if isinstance(e, Neg):
+        value = -_eval_shared(e.operand, bindings, memo)
+    elif isinstance(e, BinOp):
+        value = _binop(e.op, _eval_shared(e.left, bindings, memo), _eval_shared(e.right, bindings, memo))
+    elif isinstance(e, Call):
+        arg = _eval_shared(e.arg, bindings, memo)
+        value = _array_call(e.func, arg) if isinstance(arg, np.ndarray) else _call(e.func, arg)
+    elif isinstance(e, Var) and isinstance(bindings.get(e.name), np.ndarray):
+        value = bindings[e.name].astype(float, copy=False)
+    else:  # a constant or a scalar variable
+        value = _eval(e, bindings)
+    memo[id(e)] = value
+    return value
+
+
+def _binop(op: str, left, right):
+    """One arithmetic node on floats, or on arrays under the caller's errstate."""
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if np.any(right == 0.0) if isinstance(right, np.ndarray) else right == 0.0:
+        raise EvalError("division by zero")
+    return left / right
+
+
+def _call(func: str, arg: float) -> float:
     try:
-        return _FUNC_IMPL[e.func](arg)
+        return _FUNC_IMPL[func](arg)
     except (ValueError, OverflowError) as exc:
-        raise EvalError(f"{e.func}: {exc}") from None
-
-
-def _array_binop(op: str, left, right) -> np.ndarray:
-    # IEEE overflow to inf is not an error here, as for Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if np.any(right == 0.0):
-            raise EvalError("division by zero")
-        return left / right
+        raise EvalError(f"{func}: {exc}") from None
 
 
 def _array_call(func: str, arg: np.ndarray) -> np.ndarray:
-    # the element-wise counterparts of the math module's ValueError/OverflowError
+    """One function node on an array, under the caller's errstate: the
+    element-wise counterparts of the math module's ValueError/OverflowError."""
     if func == "sqrt" and np.any(arg < 0.0):
         raise EvalError("sqrt: math domain error")
     if func in ("sin", "cos") and np.any(np.isinf(arg)):
         raise EvalError(f"{func}: math domain error")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _ARRAY_FUNC_IMPL[func](arg)
+    value = _ARRAY_FUNC_IMPL[func](arg)
     if func == "exp" and np.any(np.isinf(value) & np.isfinite(arg)):
         raise EvalError("exp: math range error")
     return value

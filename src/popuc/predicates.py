@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expressions import evaluate
+from .expressions import evaluate, evaluate_all
 from .measures import ANGLE_TOL, Measure, circular_gap, theta_grid
 from .paraorthogonal import ZeroSet
 
@@ -98,7 +98,8 @@ class MotionContext:
 def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
     """(f_theta, f_const) of f(theta; t) = (d/dt weight)/weight for the AC part:
     f_theta, for a ``custom`` weight only, maps an array of angles to an array
-    in one evaluation pass; the other weights have a constant f."""
+    in one evaluation pass over the weight and its d/dt; the other weights
+    have a constant f."""
     ac = m.ac
     if ac.kind == "none":
         return None, 0.0
@@ -109,13 +110,13 @@ def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
         return None, evaluate(ac.d_dt, {"t": t}) / s
 
     def f(theta: np.ndarray) -> np.ndarray:
-        bindings = {"theta": theta, "t": t}
-        w = np.broadcast_to(evaluate(ac.weight, bindings), np.shape(theta))
+        w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})
+        w = np.broadcast_to(w, np.shape(theta))
         vanishing = w <= 0
         if np.any(vanishing):
             bad = np.broadcast_to(theta, w.shape)[vanishing]
             raise PredicateError(f"weight vanishes at theta={float(bad[0])!r}")
-        return evaluate(ac.d_dt, bindings) / w
+        return dw / w
 
     return f, 0.0
 

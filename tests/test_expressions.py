@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popuc import expressions
+
 from popuc.expressions import (
     BinOp,
     Call,
@@ -15,6 +17,7 @@ from popuc.expressions import (
     Var,
     differentiate,
     evaluate,
+    evaluate_all,
     parse,
     to_source,
 )
@@ -240,3 +243,96 @@ def test_array_evaluation_matches_scalar_nodes(seed, t):
     assert (array is None) == (scalar is None)
     if scalar is not None:
         np.testing.assert_allclose(array, scalar, rtol=1e-12, atol=0)
+
+
+def _per_node_walk(e, bindings):
+    """The array walk before evaluate_all: every node computed where it stands,
+    each array node under its own errstate; kept as a bitwise reference."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        value = bindings[e.name]
+        return value.astype(float, copy=False) if isinstance(value, np.ndarray) else float(value)
+    if isinstance(e, Neg):
+        return -_per_node_walk(e.operand, bindings)
+    if isinstance(e, BinOp):
+        left, right = _per_node_walk(e.left, bindings), _per_node_walk(e.right, bindings)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if e.op == "+":
+                return left + right
+            if e.op == "-":
+                return left - right
+            if e.op == "*":
+                return left * right
+            if np.any(right == 0.0):
+                raise EvalError("division by zero")
+            return left / right
+    arg = _per_node_walk(e.arg, bindings)
+    if not isinstance(arg, np.ndarray):
+        try:
+            return expressions._FUNC_IMPL[e.func](arg)
+        except (ValueError, OverflowError):
+            raise EvalError(e.func) from None
+    if (e.func == "sqrt" and np.any(arg < 0.0)) or (e.func in ("sin", "cos") and np.any(np.isinf(arg))):
+        raise EvalError(e.func)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = expressions._ARRAY_FUNC_IMPL[e.func](arg)
+    if e.func == "exp" and np.any(np.isinf(value) & np.isfinite(arg)):
+        raise EvalError(e.func)
+    return value
+
+
+def _per_node_value(e, bindings):
+    try:
+        value = _per_node_walk(e, bindings)
+    except EvalError:
+        return None
+    return value if np.all(np.isfinite(value)) else None
+
+
+# custom_weight's weight in the benchmark, the Bernstein-Szego weight with a
+# moving scale written out: its quotient-rule d/dt repeats subtrees
+BS_WEIGHT = parse("(1 - 0.1111)*(1 + 0.5*t)/(1 - 0.6667*cos(theta - 1.5707963267948966) + 0.1111)")
+
+
+def test_evaluate_all_is_the_per_node_walk_bitwise():
+    rng = np.random.default_rng(11)
+    trees = [BS_WEIGHT] + [_random_tree(rng, int(rng.integers(1, 6))) for _ in range(300)]
+    for e in trees:
+        try:
+            exprs = (e, differentiate(e, "t"), differentiate(e, "theta"))
+        except NonDifferentiableError:
+            exprs = (e,)
+        for t in (-0.7, 0.5):
+            bindings = {"t": t, "theta": GRID}
+            expected = [_per_node_value(x, bindings) for x in exprs]
+            try:
+                values = evaluate_all(exprs, bindings)
+            except EvalError:
+                assert any(v is None for v in expected)
+                continue
+            assert [np.asarray(v).tobytes() for v in values] == [np.asarray(v).tobytes() for v in expected]
+            assert np.asarray(evaluate(e, bindings)).tobytes() == np.asarray(values[0]).tobytes()
+
+
+def _distinct_nodes(e, seen):
+    if id(e) not in seen:
+        seen[id(e)] = e
+        for child in (getattr(e, name) for name in ("left", "right", "operand", "arg") if hasattr(e, name)):
+            _distinct_nodes(child, seen)
+    return seen
+
+
+def test_evaluate_all_computes_each_node_object_once(monkeypatch):
+    d_dt = differentiate(BS_WEIGHT, "t")
+    nodes = _distinct_nodes(d_dt, {})
+    assert len(nodes) == 18  # of the 38 nodes the tree has written out
+    nodes = _distinct_nodes(BS_WEIGHT, nodes)
+    computed = []
+    for name in ("_binop", "_array_call", "_call"):
+        real = getattr(expressions, name)
+        monkeypatch.setattr(
+            expressions, name, lambda *args, real=real: computed.append(1) or real(*args)
+        )
+    evaluate_all((BS_WEIGHT, d_dt), {"theta": GRID, "t": 0.5})
+    assert len(computed) == sum(isinstance(n, (BinOp, Call)) for n in nodes.values())

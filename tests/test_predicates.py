@@ -510,14 +510,15 @@ def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theo
     traj = sweep(cfg)
     weight = cfg.measure.ac.weight
     sizes = []
-    real = predicates.evaluate
+    real = predicates.evaluate_all
 
-    def counting(e, bindings):
-        if e is weight:
+    def counting(exprs, bindings):
+        # one pass over the weight and its d/dt: f at these angles
+        if exprs[0] is weight:
             sizes.append(np.size(bindings["theta"]))
-        return real(e, bindings)
+        return real(exprs, bindings)
 
-    monkeypatch.setattr(predicates, "evaluate", counting)
+    monkeypatch.setattr(predicates, "evaluate_all", counting)
     entries = sweep_verdicts(cfg, traj)
     rows = [len(entry["verdicts"]) for entry in entries]
     assert all("verdict" in item for entry in entries for item in entry["verdicts"])
