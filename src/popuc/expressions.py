@@ -29,6 +29,7 @@ __all__ = [
     "evaluate",
     "evaluate_all",
     "differentiate",
+    "free_variables",
     "to_source",
 ]
 
@@ -440,6 +441,19 @@ def _diff(e: Expr, var: str) -> Expr:
     if e.func == "sqrt":
         return _div(da, _mul(_const(2.0), e))
     raise NonDifferentiableError("derivative of abs is not defined")
+
+
+def free_variables(e: Expr) -> frozenset[str]:
+    """The names of the variables that occur in ``e``."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, BinOp):
+        return free_variables(e.left) | free_variables(e.right)
+    if isinstance(e, Neg):
+        return free_variables(e.operand)
+    if isinstance(e, Call):
+        return free_variables(e.arg)
+    return frozenset()
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}

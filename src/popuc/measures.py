@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .expressions import Expr, differentiate, evaluate, parse
+from .expressions import BinOp, Const, Expr, Neg, differentiate, evaluate, free_variables, parse
 
 __all__ = [
     "MassPoint",
@@ -116,6 +116,21 @@ def _json_expr(value, where: str) -> Expr:
         raise
 
 
+def _t_factor(e: Expr) -> Expr | None:
+    """A(t) when ``e`` = A(t) B(theta) along its spine of products, quotients
+    and minus signs: ``e`` with its constant and theta-only factors as 1 and
+    its signs dropped.  None when a factor holds both t and theta."""
+    if isinstance(e, Neg):
+        return _t_factor(e.operand)
+    if isinstance(e, BinOp) and e.op in ("*", "/"):
+        left, right = _t_factor(e.left), _t_factor(e.right)
+        return None if left is None or right is None else BinOp(e.op, left, right)
+    names = free_variables(e)
+    if "t" not in names:
+        return Const(1.0)
+    return None if "theta" in names else e
+
+
 @dataclass(frozen=True)
 class MassPoint:
     """Point mass gamma(t) * delta(theta - omega(t))."""
@@ -175,9 +190,20 @@ class ACWeight:
 
     @cached_property
     def d_dt(self) -> Expr | None:
-        """d/dt of the scale (the weight for ``custom``; None for ``none``), built once."""
+        """d/dt of the scale (the weight for ``custom``; None for ``none``), built
+        once.  A ``custom`` weight reads it only when it has no :attr:`t_factor`,
+        where f = (d/dt w)/w is taken on arrays of angles."""
         expr = self.weight if self.kind == "custom" else self.scale
         return None if expr is None else differentiate(expr, "t")
+
+    @cached_property
+    def t_factor(self) -> tuple[Expr, Expr] | None:
+        """(A, dA/dt), built once, when the ``custom`` weight factors as
+        A(t) B(theta) along its product/quotient spine, so that
+        f = (d/dt w)/w = A'/A at every theta; None for another kind or when
+        a factor on that spine holds both t and theta."""
+        a = _t_factor(self.weight) if self.kind == "custom" else None
+        return None if a is None else (a, differentiate(a, "t"))
 
     def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
         """The density w(theta; t) against dtheta/2pi, as an array of the

@@ -4,7 +4,10 @@ The measure decides the continuous terms.  With f(theta) = (d/dt weight)/weight,
 the per-mass functional W_j (:func:`w_mass`) gains -gamma_j s f(phi) when the
 AC part moves, and verdicts also test the density functional
 W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f when f can
-depend on theta (a ``custom`` weight; for the others W(theta) is exactly zero).
+depend on theta.  Only a ``custom`` weight with a factor that mixes t and
+theta can: one that factors as A(t) B(theta) along its product/quotient spine
+(``ACWeight.t_factor``) has f = A'/A, and for it, as for the other kinds,
+W(theta) is exactly zero.
 
 The regime (``theorem``) only picks the reference zero theta0, in
 :func:`reference_index`: the pinned zero under ``t21`` and ``t23`` (one
@@ -97,9 +100,9 @@ class MotionContext:
 
 def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
     """(f_theta, f_const) of f(theta; t) = (d/dt weight)/weight for the AC part:
-    f_theta, for a ``custom`` weight only, maps an array of angles to an array
-    in one evaluation pass over the weight and its d/dt; the other weights
-    have a constant f."""
+    f_theta, only for a ``custom`` weight with a factor that mixes t and theta,
+    maps an array of angles to an array in one evaluation pass over the weight
+    and its d/dt; every other weight has a constant f."""
     ac = m.ac
     if ac.kind == "none":
         return None, 0.0
@@ -108,6 +111,12 @@ def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
         if s <= 0:
             raise PredicateError(f"AC scale {s} not positive at t={t}")
         return None, evaluate(ac.d_dt, {"t": t}) / s
+    if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
+        a, da = ac.t_factor
+        value = evaluate(a, {"t": t})
+        if value == 0.0:
+            raise PredicateError(f"weight vanishes at t={t}: its t-factor is zero")
+        return None, evaluate(da, {"t": t}) / value
 
     def f(theta: np.ndarray) -> np.ndarray:
         w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})

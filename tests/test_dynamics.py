@@ -320,17 +320,43 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
         sweep_verdicts(cfg, traj)
 
 
+# a double zero on the first midpoint node after the pinned zero at pi/2
+# (verdicts use 512 midpoint nodes)
+NODE_ZERO = "(1 - cos(theta - pi/2 - pi/512))"
+
+
 def test_weight_vanishing_at_a_verdict_node_gives_error_entry():
-    # the weight's double zero sits on the first midpoint node after the
-    # pinned zero at pi/2 (verdicts use 512 midpoint nodes)
+    # the second factor mixes t and theta, so f = (d/dt w)/w is taken on the nodes
     m = Measure.of(
-        ACWeight.custom("(1 + t)*(1 - cos(theta - pi/2 - pi/512))"), [MassPoint.of("t", "2*pi/3")]
+        ACWeight.custom(f"{NODE_ZERO}*(1 + t + 0.1*t*cos(theta))"), [MassPoint.of("t", "2*pi/3")]
     )
     cfg = SweepConfig(m, 5, 0.5, 0.6, 3, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=256)
     entries = sweep_verdicts(cfg, sweep(cfg))
     errors = [item["error"] for entry in entries for item in entry["verdicts"] if "error" in item]
     assert len(errors) == 3 * 4
     assert all("weight vanishes" in err for err in errors)
+
+
+def test_separable_weight_vanishing_at_a_verdict_node_gets_verdicts():
+    # w = (1 + t) B(theta) has f = 1/(1 + t) at every theta, zeros of B included,
+    # so no node is evaluated and the density functional is exactly zero
+    m = Measure.of(ACWeight.custom(f"(1 + t)*{NODE_ZERO}"), [MassPoint.of("t", "2*pi/3")])
+    cfg = SweepConfig(m, 5, 0.5, 0.6, 3, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=256)
+    items = [item for entry in sweep_verdicts(cfg, sweep(cfg)) for item in entry["verdicts"]]
+    assert len(items) == 3 * 4
+    assert all("verdict" in item for item in items)
+    assert all(item["w_continuous_min"] == item["w_continuous_max"] == 0.0 for item in items)
+
+
+def test_separable_weight_with_a_vanishing_t_factor_gives_error_entry():
+    # the separable counterpart of the Lebesgue scale t vanishing at t = 0
+    masses = [MassPoint.of("1", w) for w in ("0.5", "2.5", "4.5")]
+    m = Measure.of(ACWeight.custom("t*(2 + cos(theta))"), masses)
+    cfg = SweepConfig(m, 3, 0.0, 1.0, 5, ZeroPolicy.fixed_xi(1j), theorem="t23")
+    entries = sweep_verdicts(cfg, sweep(cfg))
+    error = "weight vanishes at t=0.0: its t-factor is zero"
+    assert entries[0]["verdicts"] == [{"zero_index": k, "error": error} for k in (1, 2)]
+    assert all("verdict" in item for entry in entries[1:] for item in entry["verdicts"])
 
 
 def test_shared_context_error_reaches_every_zero_at_its_grid_point():
@@ -379,7 +405,12 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 @pytest.mark.parametrize(
-    "m", [MIXED, Measure.of(ACWeight.custom("exp(t*cos(theta - 1))"), [MassPoint.of("t", "0")])]
+    "m",
+    [
+        MIXED,
+        Measure.of(ACWeight.custom("exp(t*cos(theta - 1))"), [MassPoint.of("t", "0")]),
+        Measure.of(ACWeight.custom("(1 + t)*(2 + cos(theta - 1))"), [MassPoint.of("t", "0")]),
+    ],
 )
 def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
     pol = ZeroPolicy.fixed_xi(1j)
@@ -392,13 +423,14 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
     solves = len(calls)
     calls.clear()
     balance_check(m, 5, pol, t, phi, "t23", h, nodes)
-    # a theta-independent f needs no density at all; a varying one needs it
-    # once for the AC integral, beyond the three solves
-    assert len(calls) == (solves + 1 if m.ac.kind == "custom" else 0)
+    # a theta-independent f needs no density beyond the solves; a varying one
+    # needs it once for the AC integral
+    assert len(calls) == solves + (m.ac.kind == "custom" and m.ac.t_factor is None)
 
 
-# the conjugate-symmetric masses of verify's "conjugate" check under three
-# moving AC parts: f constant in theta, and two custom weights whose f is not
+# the conjugate-symmetric masses of verify's "conjugate" check under four
+# moving AC parts: two whose f is constant in theta (a Lebesgue scale, and a
+# custom weight that factors as A(t) B(theta)) and two custom weights whose f is not
 CONJUGATE_MASSES = [
     MassPoint.of("0.5 + 0.2*t", "1.0"),
     MassPoint.of("0.5 + 0.2*t", "-1.0"),
@@ -409,6 +441,7 @@ MOVING_AC = {
     "lebesgue": ACWeight.lebesgue("1 - 0.5*t"),
     "custom_cos": ACWeight.custom("1 + 0.3*t*cos(theta)"),
     "custom_cos2": ACWeight.custom("(1+0.5*t)*(1.2 + cos(2*theta))"),
+    "custom_mixed": ACWeight.custom("(1.2 + cos(2*theta))*(1 + 0.3*t*cos(theta))"),
 }
 
 

@@ -18,6 +18,7 @@ from popuc.expressions import (
     differentiate,
     evaluate,
     evaluate_all,
+    free_variables,
     parse,
     to_source,
 )
@@ -336,3 +337,16 @@ def test_evaluate_all_computes_each_node_object_once(monkeypatch):
         )
     evaluate_all((BS_WEIGHT, d_dt), {"theta": GRID, "t": 0.5})
     assert len(computed) == sum(isinstance(n, (BinOp, Call)) for n in nodes.values())
+
+
+@pytest.mark.parametrize(
+    "source, names",
+    [
+        ("2*pi", set()),
+        ("-sin(t)/3", {"t"}),
+        ("1 + cos(theta)", {"theta"}),
+        ("exp(t*cos(theta - 1))", {"t", "theta"}),
+    ],
+)
+def test_free_variables(source, names):
+    assert free_variables(parse(source)) == names

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc.expressions import ExprSyntaxError, evaluate
+from popuc.expressions import ExprSyntaxError, differentiate, evaluate, parse
 
 from popuc.measures import (
     ACWeight,
@@ -229,3 +229,32 @@ def test_from_json_names_the_place_of_an_expression_error_and_keeps_its_type():
     with pytest.raises(ExprSyntaxError, match=message) as err:
         Measure.from_json(obj)
     assert err.value.offset == 3
+
+
+@pytest.mark.parametrize(
+    "weight, factor",
+    [
+        # constant and theta-only factors drop out, and so do minus signs
+        ("(1 - 1/9)*(1 + 0.5*t)/(1 - 2/3*cos(theta - pi/2) + 1/9)", "1 + 0.5*t"),
+        ("-(2 + cos(theta))/(1 + t)*exp(t)", "1/(1 + t)*exp(t)"),
+        ("1 + cos(theta)", "1"),
+        # a factor that mixes t and theta, on the spine or below a sum
+        ("(1 + t)*exp(t*cos(theta))", None),
+        ("(1 + t)*(2 + cos(theta)) + t", None),
+    ],
+)
+def test_t_factor_walks_the_product_spine(weight, factor):
+    ac = ACWeight.custom(weight)
+    if factor is None:
+        assert ac.t_factor is None
+        return
+    a, da = ac.t_factor
+    expected = parse(factor)
+    for t in (-0.3, 0.4):
+        assert evaluate(a, {"t": t}) == evaluate(expected, {"t": t})
+        assert evaluate(da, {"t": t}) == pytest.approx(evaluate(differentiate(expected, "t"), {"t": t}), rel=1e-15)
+
+
+def test_only_custom_weights_have_a_t_factor():
+    for ac in (ACWeight.none(), ACWeight.lebesgue("1 + t"), ACWeight.bernstein_szego(0.3, "1 + t")):
+        assert ac.t_factor is None

@@ -10,7 +10,9 @@ from popuc import measures, predicates
 from popuc.dynamics import (
     SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts, tracked_velocity
 )
+from popuc.expressions import differentiate, evaluate, parse
 from popuc.measures import ANGLE_TOL, ACWeight, MassPoint, Measure, circular_gap, theta_grid
+from popuc.paraorthogonal import ZeroSet
 from popuc.predicates import (
     NONNEG_TOL,
     STRICT_TOL,
@@ -389,7 +391,7 @@ def _scalar_t23_verdict(ctx, tracked, reference):
 
 CUSTOM_WEIGHTS = {
     # the Bernstein-Szego weight with lambda = -i/3 as an expression whose
-    # scale grows with t: f is constant in theta
+    # scale grows with t: a product A(t) B(theta), so f is constant in theta
     "custom_scale": "(1 - 1/9)*(1 + 0.5*t)/(1 - 2/3*cos(theta - pi/2) + 1/9)",
     # f = cos(theta - 1), not monotone
     "custom_cos": "exp(t*cos(theta - 1))",
@@ -442,6 +444,76 @@ def test_t23_verdict_runs_the_continuous_pass_only_when_f_varies(monkeypatch, cu
     entries = sweep_verdicts(cfg, traj)
     assert sum(len(entry["verdicts"]) for entry in entries) == 5 * 4
     assert (len(calls) > 0) == custom
+
+
+def test_custom_bernstein_szego_weight_gives_the_closed_form_verdicts(monkeypatch):
+    # custom_scale is the closed-form weight below written out as an expression;
+    # neither has a theta-dependent f, so neither runs the density pass
+    weights = [ACWeight.custom(CUSTOM_WEIGHTS["custom_scale"]), ACWeight.bernstein_szego(-1j / 3, "1 + 0.5*t")]
+    cfgs = [
+        SweepConfig(
+            Measure.of(ac, [MassPoint.of("t", "2*pi/3")]), 5, 0.5, 1.0, 4,
+            ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=1024,
+        )
+        for ac in weights
+    ]
+    trajs = [sweep(cfg) for cfg in cfgs]
+    calls = _count_calls(monkeypatch, predicates, "w_continuous")
+    custom, closed = (sweep_verdicts(cfg, traj) for cfg, traj in zip(cfgs, trajs))
+    assert calls == []
+    pairs = [pair for a, b in zip(custom, closed) for pair in zip(a["verdicts"], b["verdicts"], strict=True)]
+    assert len(pairs) == 4 * 4
+    for x, y in pairs:
+        assert (x["zero_index"], x["verdict"], x["flags"]) == (y["zero_index"], y["verdict"], y["flags"])
+        assert x["w_continuous_min"] == x["w_continuous_max"] == y["w_continuous_max"] == 0.0
+        scale = max(abs(w) for w in y["w_masses"])
+        assert max(abs(a - b) for a, b in zip(x["w_masses"], y["w_masses"], strict=True)) <= 1e-13 * scale
+
+
+# positive factors in t alone (|t| <= 1/2) and in theta alone, as source templates
+T_FACTORS = ("({a!r} + {b!r}*t)", "exp({b!r}*t)", "sqrt({a!r} + {b!r}*t)", "({a!r} + sin({b!r}*t))")
+THETA_FACTORS = ("({a!r} + {b!r}*cos(theta - {c!r}))", "exp({b!r}*sin(theta))", "{a!r}")
+
+
+@st.composite
+def separable_weights(draw, mixed=False):
+    """A product/quotient of 1-5 factors, each in t alone or in theta alone,
+    as source text; with ``mixed``, one more factor holds t and theta together."""
+    factors = []
+    for _ in range(draw(st.integers(1, 5))):
+        templates = draw(st.sampled_from((T_FACTORS, THETA_FACTORS)))
+        a, b, c = draw(st.floats(1.5, 3.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 6.0))
+        factors.append(draw(st.sampled_from(templates)).format(a=a, b=b, c=c))
+    if mixed:
+        factors.insert(draw(st.integers(0, len(factors))), "(1 + 0.3*t*cos(theta))")
+    ops = draw(st.lists(st.sampled_from("*/"), min_size=len(factors) - 1, max_size=len(factors) - 1))
+    return factors[0] + "".join(op + factor for op, factor in zip(ops, factors[1:]))
+
+
+PHASES_ONLY = ZeroSet(np.array([0.5, 2.5]), np.zeros(2), 0.0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    separable_weights(), st.floats(-0.5, 0.5),
+    st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4),
+)
+def test_separable_weight_has_the_pointwise_constant_f(weight, t, thetas):
+    ctx = motion_context(Measure.of(ACWeight.custom(weight)), PHASES_ONLY, t)
+    assert ctx.f_theta is None
+    w = parse(weight)
+    for theta in thetas:
+        bindings = {"theta": theta, "t": t}
+        expected = evaluate(differentiate(w, "t"), bindings) / evaluate(w, bindings)
+        # each factor's own A'/A is at most 2 in size, so this bound is relative to the terms
+        assert abs(ctx.f_const - expected) <= 1e-12 * (1.0 + abs(expected))
+
+
+@settings(deadline=None, max_examples=50)
+@given(separable_weights(mixed=True), st.floats(-0.5, 0.5))
+def test_weight_with_a_mixed_factor_keeps_f_theta(weight, t):
+    ctx = motion_context(Measure.of(ACWeight.custom(weight)), PHASES_ONLY, t)
+    assert ctx.f_theta is not None
 
 
 # fixed and moving masses together, with a moving Lebesgue part (f constant,
