@@ -22,15 +22,13 @@ from .measures import (
     json_pair,
     known_keys,
     moments,
-    theta_grid,
 )
-from .opuc import OpucFamily, gram_opuc, polyval
+from .opuc import OpucFamily, gram_opuc, horner, polyval
 from .paraorthogonal import (
     UNIMODULAR_TOL,
     PopucInstance,
     ZeroSet,
     build_popuc,
-    deflate,
     fix_zero_param,
     zeros_on_circle,
 )
@@ -42,6 +40,7 @@ from .predicates import (
     motion_context,
     reference_index,
     verdicts_at,
+    w_continuous,
 )
 
 __all__ = [
@@ -270,8 +269,9 @@ class BalanceEntry:
     """One evaluation of the velocity balance identity.
 
     lhs = C(t) * dphi/dt with dphi/dt by central finite difference;
-    rhs is the |P|^2-weighted sum of the per-mass functionals, plus the
-    density functional's integral when f depends on theta.
+    rhs is the |P|^2-weighted sum of the per-mass functionals, plus, when f
+    depends on theta, the trapezoid sum of the density functional times
+    |P|^2 w on the motion context's grid (the moments' nodes).
     """
 
     t: float
@@ -321,24 +321,19 @@ def balance_check(
     phi, theta0 = float(zs.phases[tracked]), float(zs.phases[reference])
     if theorem == "t22" and not conjugate_pair(phi, theta0):
         raise PredicateError(f"the zeros at {phi!r} and {theta0!r} are not a conjugate pair")
-    ctx = motion_context(m, zs, t)
-    zeta, xi = complex(np.exp(1j * phi)), complex(np.exp(1j * theta0))
-    p = state.popuc
-    pvals_at_masses = np.abs(polyval(p.poly.coeffs, np.exp(1j * ctx.omegas))) ** 2
+    ctx = motion_context(m, zs, t, nodes)
+    coeffs = state.popuc.poly.coeffs
+    pvals_at_masses = np.abs(polyval(coeffs, np.exp(1j * ctx.omegas))) ** 2
     rhs = float(np.sum(mass_functionals(ctx, tracked, reference) * pvals_at_masses))
-    C = _c_at(state, zeta)
+    C = _c_at(state, complex(np.exp(1j * phi)))
     if theorem == "t22":
-        C += _c_at(state, xi)
-    if ctx.f_theta is not None:  # else the AC integrand is exactly zero
-        # midpoint rule for int s(theta)|P|^2 (f(theta) - f(phi)) w(theta) dtheta/2pi,
-        # with s(theta)|P|^2 = Re[i (zeta - xi) e^{i theta} D2 conj(P)] and
-        # D2 = P/((z-xi)(z-zeta)); smooth through both poles
-        d2 = deflate(deflate(p.poly.coeffs, xi), zeta)
-        n = min(nodes, 2048)
-        th = theta_grid(0.0, n, midpoint=True)
-        z = np.exp(1j * th)
-        s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p.poly.coeffs, z))).real
-        rhs += float(np.sum(s_p2 * (ctx.f_theta(th) - ctx.f_theta(phi)) * m.ac.density(th, t))) / n
+        C += _c_at(state, complex(np.exp(1j * theta0)))
+    if ctx.grid is not None:  # else the AC integrand is exactly zero
+        # trapezoid sum of W(theta) |P|^2 w dtheta/2pi; it vanishes at phi and theta0, where W is NaN
+        grid, f_grid, w_grid = ctx.grid
+        wc = w_continuous(grid, np.array([phi]), np.array([theta0]), f_grid, ctx.f_phases[[tracked]])
+        p2 = np.abs(horner(coeffs, np.exp(1j * grid))) ** 2
+        rhs += float(np.nansum(wc[0] * p2 * w_grid)) / len(grid)
 
     dphi = tracked_velocity(m, degree, policy, t, phi, h, nodes)
     lhs = C * dphi
@@ -354,7 +349,7 @@ def sweep_verdicts(
     out = []
     for t, zs in zip(traj.ts, traj.zero_sets):
         try:
-            reports = verdicts_at(cfg.measure, zs, float(t), cfg.theorem)
+            reports = verdicts_at(cfg.measure, zs, float(t), cfg.theorem, cfg.nodes)
             items = [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
         except (PredicateError, MeasureError, ExprError) as exc:
             # bad measure data at one grid point degrades gracefully: its zeros get the error

@@ -19,6 +19,7 @@ __all__ = [
     "szego_step",
     "inner_product",
     "polyval",
+    "horner",
 ]
 
 # smallest admissible norm ratio kappa_m / c_0; below it the support is exhausted
@@ -38,6 +39,16 @@ def polyval(coeffs: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray
     table = power_table(np.empty((np.shape(coeffs)[-1], z.size), dtype=complex), z.reshape(-1))
     result = (coeffs @ table).reshape(np.shape(coeffs)[:-1] + z.shape)
     return complex(result) if result.ndim == 0 else result
+
+
+def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Value of an ascending coefficient array at each point of the 1-d ``z`` by
+    Horner's rule, in one array the size of ``z`` (:func:`polyval` tabulates powers)."""
+    p = np.full(len(z), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        np.multiply(p, z, out=p)
+        p += c
+    return p
 
 
 def power_table(table: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opuc import MonicPoly, polyval, power_table, reversed_poly, szego_step
+from .opuc import MonicPoly, horner, polyval, power_table, reversed_poly, szego_step
 
 __all__ = [
     "PopucInstance",
@@ -189,11 +189,7 @@ def _circle_guesses(coeffs: np.ndarray) -> np.ndarray | None:
     m = len(coeffs) - 1
     n = 8 * m
     j = np.arange(n) + 0.25
-    z = np.exp((2j * math.pi / n) * j)
-    p = np.full(n, coeffs[m])
-    for c in coeffs[-2::-1]:
-        np.multiply(p, z, out=p)
-        p += c
+    p = horner(coeffs, np.exp((2j * math.pi / n) * j))
     p *= np.exp((-0.125j * math.pi) * j)  # e^{-i m theta_j / 2}
     r = (p * p[np.argmax(np.abs(p))].conjugate()).real
     after = np.append(r[1:], (-1) ** m * r[0])  # r at theta_{j+1}

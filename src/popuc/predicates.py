@@ -21,8 +21,8 @@ All zeros at one parameter value share the masses, f and the zero phases:
 :class:`MotionContext`, and every functional takes the zero pair it reads,
 the tracked zero and its reference, as arguments.  :func:`verdicts_at`
 decides every zero in one array pass: the W_j of all zeros form one
-(zeros x masses) table built from one cotangent table, and f is evaluated
-once on the phases and once on the nodes of each reference zero.
+(zeros x masses) table built from one cotangent table, and W(theta) one
+(zeros x nodes) table on the context's one grid, the moments' nodes.
 :func:`verdict` and :func:`mass_functionals` are the one-zero case of that
 pass; the scalar :func:`s_factor`, :func:`s_sum` and :func:`w_mass` are its
 reference.
@@ -32,12 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .expressions import evaluate, evaluate_all
-from .measures import ANGLE_TOL, Measure, circular_gap, theta_grid
+from .measures import ANGLE_TOL, DEFAULT_NODES, Measure, circular_gap, theta_grid
 from .paraorthogonal import ZeroSet
 
 __all__ = [
@@ -61,7 +60,7 @@ __all__ = [
 NONNEG_TOL = 1e-12
 STRICT_TOL = 1e-10
 POLE_TOL = 1e-12
-# midpoint nodes of the theta grid on which verdicts test the continuous part
+# verdicts test the continuous part on every (nodes // VERDICT_NODES)-th grid node
 VERDICT_NODES = 512
 
 
@@ -72,25 +71,19 @@ class PredicateError(ValueError):
 @dataclass(frozen=True)
 class MotionContext:
     """Zero phases plus the measure's motion data at one parameter value, shared
-    by every zero; the functionals take the zero pair they read as arguments."""
+    by every zero: f at the zeros and, when f can depend on theta, the weight
+    and f on one grid; the functionals take the zero pair they read as arguments."""
 
     phases: np.ndarray
     gammas: np.ndarray
     omegas: np.ndarray
     dgammas: np.ndarray
     domegas: np.ndarray
-    t: float
-    # f(theta) = (d/dt weight)/weight, element-wise on an array of angles, for
-    # a weight whose f can depend on theta; else None and f is f_const (zero
-    # without an AC part), so verdicts and balance checks skip the density term
-    f_theta: Callable[[np.ndarray], np.ndarray] | None = None
-    f_const: float = 0.0
-
-    def f(self, theta: float | np.ndarray) -> np.ndarray:
-        """f at the angles ``theta``, in one evaluation when it depends on theta."""
-        if self.f_theta is None:
-            return np.full(np.shape(theta), self.f_const)
-        return self.f_theta(theta)
+    # f(theta) = (d/dt weight)/weight at each zero phase (zero without an AC part)
+    f_phases: np.ndarray
+    # (nodes, f, weight) on theta_grid(0, nodes) for a weight whose f can depend
+    # on theta; else None, and verdicts and balance checks skip the density term
+    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def mass_gaps(self) -> np.ndarray:
@@ -98,36 +91,35 @@ class MotionContext:
         return circular_gap(self.omegas[:, None], self.phases[None, :])
 
 
-def _ac_log_derivative(m: Measure, t: float) -> tuple[Callable | None, float]:
-    """(f_theta, f_const) of f(theta; t) = (d/dt weight)/weight for the AC part:
-    f_theta, only for a ``custom`` weight with a factor that mixes t and theta,
-    maps an array of angles to an array in one evaluation pass over the weight
-    and its d/dt; every other weight has a constant f."""
+def _ac_log_derivative(m: Measure, phases: np.ndarray, t: float, nodes: int) -> tuple:
+    """(f_phases, grid) of :class:`MotionContext` for the AC part.  Only a
+    ``custom`` weight with a factor that mixes t and theta has a grid: it and
+    its d/dt are evaluated in one pass at the phases, reduced into [0, 2 pi),
+    and on ``theta_grid(0, nodes)``, the period the moments integrate."""
     ac = m.ac
     if ac.kind == "none":
-        return None, 0.0
+        return np.zeros(len(phases)), None
     if ac.kind in ("lebesgue", "bernstein_szego"):
         s = evaluate(ac.scale, {"t": t})
         if s <= 0:
             raise PredicateError(f"AC scale {s} not positive at t={t}")
-        return None, evaluate(ac.d_dt, {"t": t}) / s
+        return np.full(len(phases), evaluate(ac.d_dt, {"t": t}) / s), None
     if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
         a, da = ac.t_factor
         value = evaluate(a, {"t": t})
         if value == 0.0:
             raise PredicateError(f"weight vanishes at t={t}: its t-factor is zero")
-        return None, evaluate(da, {"t": t}) / value
+        return np.full(len(phases), evaluate(da, {"t": t}) / value), None
 
-    def f(theta: np.ndarray) -> np.ndarray:
-        w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})
-        w = np.broadcast_to(w, np.shape(theta))
-        vanishing = w <= 0
-        if np.any(vanishing):
-            bad = np.broadcast_to(theta, w.shape)[vanishing]
-            raise PredicateError(f"weight vanishes at theta={float(bad[0])!r}")
-        return dw / w
-
-    return f, 0.0
+    reduced = np.mod(phases, 2.0 * math.pi)  # 2 pi for a phase an ulp below 0
+    grid = theta_grid(0.0, nodes)
+    theta = np.concatenate([np.where(reduced < 2.0 * math.pi, reduced, 0.0), grid])
+    w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})
+    w = np.broadcast_to(w, theta.shape)
+    if np.any(w <= 0):
+        raise PredicateError(f"weight vanishes at theta={float(theta[w <= 0][0])!r}")
+    f = dw / w
+    return f[: len(phases)], (grid, f[len(phases) :], w[len(phases) :])
 
 
 def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
@@ -145,8 +137,9 @@ def conjugate_pair(phi: float, theta0: float) -> bool:
     return abs(math.remainder(phi + theta0, 2.0 * math.pi)) <= 1e-8
 
 
-def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
-    """Assemble the :class:`MotionContext` of ``m`` at ``t`` for the zeros ``zs``.
+def motion_context(m: Measure, zs: ZeroSet, t: float, nodes: int = DEFAULT_NODES) -> MotionContext:
+    """Assemble the :class:`MotionContext` of ``m`` at ``t`` for the zeros
+    ``zs``, with f on ``theta_grid(0, nodes)`` when it can depend on theta.
 
     Mass derivative data comes from exact symbolic differentiation of the
     gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
@@ -154,16 +147,15 @@ def motion_context(m: Measure, zs: ZeroSet, t: float) -> MotionContext:
     gam, om = m.mass_values(t)
     dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
     dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
-    f_theta, f_const = _ac_log_derivative(m, t)
+    f_phases, grid = _ac_log_derivative(m, zs.phases, t, nodes)
     return MotionContext(
         phases=zs.phases,
         gammas=gam,
         omegas=om,
         dgammas=dgam,
         domegas=dom,
-        t=t,
-        f_theta=f_theta,
-        f_const=f_const,
+        f_phases=f_phases,
+        grid=grid,
     )
 
 
@@ -199,7 +191,7 @@ def w_mass(j: int, ctx: MotionContext, tracked: int, reference: int) -> float:
     if ctx.domegas[j] != 0.0:
         cot_sum = s_sum(ctx.omegas[j], ctx.phases, tracked, reference)
         value -= ctx.gammas[j] * s * cot_sum * ctx.domegas[j]
-    f_phi = float(ctx.f(phi))
+    f_phi = float(ctx.f_phases[tracked])
     if f_phi != 0.0:
         value -= ctx.gammas[j] * s * f_phi
     return value
@@ -232,15 +224,17 @@ def _mass_table(
 
 
 def w_continuous(
-    nodes: np.ndarray, phis: np.ndarray, theta0: float, f_nodes: np.ndarray, f_phis: np.ndarray
+    nodes: np.ndarray, phis: np.ndarray, theta0s: np.ndarray, f_nodes: np.ndarray, f_phis: np.ndarray
 ) -> np.ndarray:
     """Density functional s(theta) (f(theta) - f(phi)) for mixed measures as a
     (rows x nodes) table, row i for the tracked phase ``phis[i]`` measured
-    against ``theta0``; f is ``f_nodes`` at the nodes and ``f_phis`` at the
-    phases.  NaN at nodes within 1e-9 of phi or theta0, which verdicts skip."""
-    usable = (circular_gap(nodes, phis[:, None]) > 1e-9) & (circular_gap(nodes, theta0) > 1e-9)
-    den = 2.0 * np.sin(0.5 * (phis[:, None] - nodes)) * np.sin(0.5 * (theta0 - nodes))
-    s = np.sin(0.5 * (phis - theta0))[:, None] / np.where(usable, den, np.nan)
+    against ``theta0s[i]``; f is ``f_nodes`` at the nodes and ``f_phis`` at
+    the phases.  NaN at nodes within 1e-9 of phi or theta0, which verdicts
+    skip and where the balance integrand s |P|^2 vanishes."""
+    phis, theta0s = phis[:, None], theta0s[:, None]
+    usable = (circular_gap(nodes, phis) > 1e-9) & (circular_gap(nodes, theta0s) > 1e-9)
+    den = 2.0 * np.sin(0.5 * (phis - nodes)) * np.sin(0.5 * (theta0s - nodes))
+    s = np.sin(0.5 * (phis - theta0s)) / np.where(usable, den, np.nan)
     return s * (f_nodes - f_phis[:, None])
 
 
@@ -257,7 +251,7 @@ def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.nda
     if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         raise PredicateError("pole: a mass collides with a zero its functional reads")
     row = np.array([tracked])
-    return _mass_table(ctx, row, np.array([reference]), ctx.f(ctx.phases[row]))[0]
+    return _mass_table(ctx, row, np.array([reference]), ctx.f_phases[row])[0]
 
 
 @dataclass(frozen=True)
@@ -300,11 +294,16 @@ def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> Verdict
     )
 
 
-def _f_monotone(values: np.ndarray) -> tuple[bool, bool]:
-    """(nondecreasing, nonincreasing) of f values across the sorted node grid."""
+def _f_monotone(nodes: np.ndarray, values: np.ndarray, theta0s: np.ndarray) -> np.ndarray:
+    """(nondecreasing, nonincreasing) of the f ``values`` at the ascending
+    ``nodes`` of one period from 0, over the period from each of ``theta0s``,
+    as a (rows x 2) table: every cyclic step but the one across theta0."""
     tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
-    diffs = np.diff(values)
-    return bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))
+    diffs = np.diff(values, append=values[0])  # the last step closes the circle
+    # the step from the last node at or before theta0
+    across = np.searchsorted(nodes, np.mod(theta0s, 2.0 * math.pi), side="right") - 1
+    bad = np.stack([diffs < -tol, diffs > tol], axis=1)
+    return bad.sum(axis=0) - bad[across] == 0
 
 
 def _label(
@@ -347,24 +346,19 @@ def _verdict_rows(
         return reports
     tracked_ok = np.array([tracked[i] for i in rows])
     reference_ok = np.array([reference[i] for i in rows])
-    phis_ok = ctx.phases[tracked_ok]
-    f_phis = ctx.f(phis_ok)
+    f_phis = ctx.f_phases[tracked_ok]
     w_masses = _mass_table(ctx, tracked_ok, reference_ok, f_phis)
 
     n = len(rows)
     wc_min, wc_max = np.zeros(n), np.zeros(n)
     monotone = np.ones((n, 2), dtype=bool)  # f nondecreasing, nonincreasing
-    if ctx.f_theta is not None:
-        # f on the nodes once per reference zero: once under t21/t23, per partner under t22
-        for ref in dict.fromkeys(reference_ok.tolist()):
-            group = reference_ok == ref
-            theta0 = float(ctx.phases[ref])
-            nodes = theta_grid(theta0, VERDICT_NODES, midpoint=True)
-            f_nodes = ctx.f_theta(nodes)
-            wc = w_continuous(nodes, phis_ok[group], theta0, f_nodes, f_phis[group])
-            wc_min[group] = np.fmin.reduce(wc, axis=1)
-            wc_max[group] = np.fmax.reduce(wc, axis=1)
-            monotone[group] = _f_monotone(f_nodes)
+    if ctx.grid is not None:
+        stride = max(1, len(ctx.grid[0]) // VERDICT_NODES)
+        nodes, f_nodes = ctx.grid[0][::stride], ctx.grid[1][::stride]
+        ref_phases = ctx.phases[reference_ok]
+        wc = w_continuous(nodes, ctx.phases[tracked_ok], ref_phases, f_nodes, f_phis)
+        wc_min, wc_max = np.fmin.reduce(wc, axis=1), np.fmax.reduce(wc, axis=1)
+        monotone = _f_monotone(nodes, f_nodes, ref_phases)
 
     w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0).tolist()
     w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0).tolist()
@@ -397,13 +391,16 @@ def verdict(ctx: MotionContext, tracked: int, reference: int, theorem: str) -> V
     return _verdict_rows(ctx, [tracked], [reference], theorem)[0]
 
 
-def verdicts_at(m: Measure, zs: ZeroSet, t: float, theorem: str) -> dict[int, VerdictReport]:
+def verdicts_at(
+    m: Measure, zs: ZeroSet, t: float, theorem: str, nodes: int = DEFAULT_NODES
+) -> dict[int, VerdictReport]:
     """The verdict of every zero of ``zs`` that has a reference zero (see
     :func:`reference_index`), keyed by zero index in increasing order.  The
-    motion data of ``m`` at ``t`` is built once, and every zero's functionals
-    come from one table pass; an error in either reaches the caller."""
+    motion data of ``m`` at ``t`` is built once, on ``nodes`` grid nodes, and
+    every zero's functionals come from one table pass; an error in either
+    reaches the caller."""
     rows = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
     if not rows:
         return {}
-    ctx = motion_context(m, zs, t)
+    ctx = motion_context(m, zs, t, nodes)
     return dict(zip(rows, _verdict_rows(ctx, list(rows), list(rows.values()), theorem)))

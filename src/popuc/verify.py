@@ -290,7 +290,7 @@ def _unit_mass_functionals(phases, omegas, tracked: int, reference: int, moving:
     one, zero = np.ones(len(omegas)), np.zeros(len(omegas))
     ctx = MotionContext(
         phases=np.asarray(phases, dtype=float), gammas=one, omegas=np.asarray(omegas, dtype=float),
-        dgammas=zero if moving else one, domegas=one if moving else zero, t=0.0,
+        dgammas=zero if moving else one, domegas=one if moving else zero, f_phases=np.zeros(len(phases)),
     )
     return mass_functionals(ctx, tracked, reference)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc import dynamics
+from popuc import dynamics, measures, predicates
 from popuc.dynamics import (
     SweepConfig,
     TrackingError,
@@ -19,6 +19,7 @@ from popuc.dynamics import (
     sweep_verdicts,
     tracked_velocity,
 )
+from popuc.expressions import evaluate_all
 from popuc.measures import ACWeight, MassPoint, Measure, moments, theta_grid
 from popuc.opuc import inner_product, polyval
 from popuc.paraorthogonal import ZeroSet, deflate
@@ -312,7 +313,7 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
     cfg = SweepConfig(MIXED, 5, 0.2, 0.4, 3, ZeroPolicy.fixed_xi(1j), theorem="t23")
     traj = sweep(cfg)
 
-    def broken_verdicts(m, zs, t, theorem):
+    def broken_verdicts(m, zs, t, theorem, nodes):
         raise ZeroDivisionError("defect in a motion functional")
 
     monkeypatch.setattr(dynamics, "verdicts_at", broken_verdicts)
@@ -320,13 +321,13 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
         sweep_verdicts(cfg, traj)
 
 
-# a double zero on the first midpoint node after the pinned zero at pi/2
-# (verdicts use 512 midpoint nodes)
-NODE_ZERO = "(1 - cos(theta - pi/2 - pi/512))"
+# a double zero on the node of theta_grid(0, 256) after the pinned zero at pi/2
+NODE_ZERO = "(1 - cos(theta - pi/2 - pi/128))"
 
 
 def test_weight_vanishing_at_a_verdict_node_gives_error_entry():
-    # the second factor mixes t and theta, so f = (d/dt w)/w is taken on the nodes
+    # the second factor mixes t and theta, so f = (d/dt w)/w is taken on the
+    # grid of the 256 nodes the moments use
     m = Measure.of(
         ACWeight.custom(f"{NODE_ZERO}*(1 + t + 0.1*t*cos(theta))"), [MassPoint.of("t", "2*pi/3")]
     )
@@ -370,17 +371,21 @@ def test_shared_context_error_reaches_every_zero_at_its_grid_point():
     assert all("verdict" in item for item in entries[1]["verdicts"])
 
 
-def _old_t23_ac_integral(m, state, ctx, tracked, nodes=2048):
-    """The t23 AC integral of the balance identity, computed in full."""
+def _d2_ac_integral(m, state, f, tracked, reference, nodes=2048):
+    """The AC integral of the balance identity, int s |P|^2 (f(theta) - f(phi)) w
+    dtheta/2pi, by the midpoint rule in its deflated form: s(theta) |P|^2 =
+    Re[i (zeta - xi) z D2(z) conj(P(z))] with D2 = P/((z - xi)(z - zeta)),
+    smooth through both poles.  ``f`` maps angles to f.  Returns the integral
+    and the integral of the integrand's absolute value."""
     p = state.popuc.poly.coeffs
-    phi, theta0 = ctx.phases[tracked], ctx.phases[state.zero_set.fixed_index]
+    phi, theta0 = state.zero_set.phases[[tracked, reference]]
     zeta, xi = complex(np.exp(1j * phi)), complex(np.exp(1j * theta0))
     d2 = deflate(deflate(p, xi), zeta)
     thetas = theta_grid(0.0, nodes, midpoint=True)
     z = np.exp(1j * thetas)
     s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p, z))).real
-    integrand = s_p2 * (ctx.f_const - ctx.f(phi))
-    return float(np.sum(integrand * m.ac.density(thetas, state.t))) / nodes
+    integrand = s_p2 * (f(thetas) - f(np.array([phi]))) * m.ac.density(thetas, state.t)
+    return float(np.sum(integrand)) / nodes, float(np.sum(np.abs(integrand))) / nodes
 
 
 @pytest.mark.parametrize("m", [MIXED, scenario_config("bs_mass_gamma").measure])
@@ -392,8 +397,9 @@ def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
         if k == zs.fixed_index:
             continue
         ctx = motion_context(m, zs, 0.4)
-        assert ctx.f_theta is None
-        assert _old_t23_ac_integral(m, state, ctx, k) == 0.0
+        assert ctx.grid is None and np.all(ctx.f_phases == ctx.f_phases[k])
+        f = lambda theta: np.full(len(theta), ctx.f_phases[k])  # noqa: E731
+        assert _d2_ac_integral(m, state, f, k, zs.fixed_index)[0] == 0.0
         assert balance_check(m, 5, pol, 0.4, ctx.phases[k], "t23").mismatch < 1e-4
 
 
@@ -422,10 +428,13 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
         solve_at(m, 5, pol, s, nodes)
     solves = len(calls)
     calls.clear()
+    passes = _count_calls(monkeypatch, predicates, "evaluate_all")
     balance_check(m, 5, pol, t, phi, "t23", h, nodes)
-    # a theta-independent f needs no density beyond the solves; a varying one
-    # needs it once for the AC integral
-    assert len(calls) == solves + (m.ac.kind == "custom" and m.ac.t_factor is None)
+    # no density beyond the solves: a varying f takes the weight from the
+    # motion context's one pass at the zeros and on the moments' nodes
+    assert len(calls) == solves
+    varies = m.ac.kind == "custom" and m.ac.t_factor is None
+    assert [np.size(args[1]["theta"]) for args in passes] == [5 + nodes] * varies
 
 
 # the conjugate-symmetric masses of verify's "conjugate" check under four
@@ -443,6 +452,66 @@ MOVING_AC = {
     "custom_cos2": ACWeight.custom("(1+0.5*t)*(1.2 + cos(2*theta))"),
     "custom_mixed": ACWeight.custom("(1.2 + cos(2*theta))*(1 + 0.3*t*cos(theta))"),
 }
+
+
+# weights whose f varies with theta: two of MOVING_AC's and test_predicates'
+# custom_cos, exp(t cos(theta - 1))
+VARYING_AC = {
+    "custom_cos": MOVING_AC["custom_cos"],
+    "custom_mixed": MOVING_AC["custom_mixed"],
+    "custom_exp": ACWeight.custom("exp(t*cos(theta - 1))"),
+}
+
+
+@pytest.mark.parametrize("ac", VARYING_AC.values(), ids=VARYING_AC)
+@pytest.mark.parametrize("nodes", [1024, 4096])
+def test_balance_ac_sum_is_the_deflated_midpoint_integral(ac, nodes):
+    # without masses the right side is the AC sum alone; against the
+    # deflate-twice midpoint integral, relative to the integral of |integrand|
+    m, t = Measure.of(ac), 0.4
+    pol = ZeroPolicy.fixed_xi(cmath.exp(2.5j))
+
+    def f(theta):
+        w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})
+        return dw / w
+
+    worst = 0.0
+    for degree in range(4, 17):
+        state = solve_at(m, degree, pol, t, nodes)
+        zs = state.zero_set
+        assert motion_context(m, zs, t, nodes).grid is not None
+        for k in {(zs.fixed_index + 1) % degree, (zs.fixed_index + degree // 2) % degree}:
+            be = balance_check(m, degree, pol, t, zs.phases[k], "t23", nodes=nodes)
+            oracle, scale = _d2_ac_integral(m, state, f, k, zs.fixed_index, nodes)
+            worst = max(worst, abs(be.rhs - oracle) / scale)
+    assert worst <= 1e-12
+
+
+def test_weight_is_read_only_on_the_period_the_moments_integrate(monkeypatch):
+    # a non-periodic weight, and a window [2.5, 2.5 + 2 pi) that holds zeros
+    # past 2 pi: every theta handed to an evaluation lies in [0, 2 pi)
+    m = Measure.of(ACWeight.custom("2 + sin(t*theta/7)"), [MassPoint.of("0.5 + 0.2*t", "1.0")])
+    cfg = SweepConfig(m, 5, 0.5, 0.7, 3, ZeroPolicy.fixed_xi(cmath.exp(2.5j)), theorem="t23", nodes=256)
+    traj = sweep(cfg)
+    assert np.max(traj.zero_sets[0].phases) > 2 * math.pi
+    thetas = []
+    # the weight is evaluated by the density (moments) and by the motion context
+    for module, name in ((measures, "evaluate"), (predicates, "evaluate_all")):
+        real = getattr(module, name)
+
+        def recording(e, bindings, real=real):
+            if "theta" in bindings:
+                thetas.extend(np.ravel(bindings["theta"]).tolist())
+            return real(e, bindings)
+
+        monkeypatch.setattr(module, name, recording)
+    entries = sweep_verdicts(cfg, traj)
+    assert all("verdict" in item for entry in entries for item in entry["verdicts"])
+    zs = traj.zero_sets[1]
+    for phi in zs.phases[zs.phases > 2 * math.pi]:
+        balance_check(m, 5, cfg.policy, float(traj.ts[1]), phi, "t23", nodes=256)
+    assert len(thetas) > 0
+    assert 0.0 <= min(thetas) and max(thetas) < 2 * math.pi
 
 
 @pytest.mark.parametrize("ac", MOVING_AC.values(), ids=MOVING_AC)

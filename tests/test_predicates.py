@@ -30,15 +30,22 @@ from popuc.predicates import (
 from popuc.scenarios import scenario_config
 
 
-def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None):
+def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None, f_const=0.0):
+    """A hand-built context; f, when given, maps angles to f(theta) and is
+    sampled at the phases and on theta_grid(0, VERDICT_NODES) with weight 1."""
+    phases = np.asarray(phases, dtype=float)
+    grid, f_phases = None, np.full(len(phases), f_const)
+    if f is not None:
+        nodes = theta_grid(0.0, VERDICT_NODES)
+        grid, f_phases = (nodes, f(nodes), np.ones(VERDICT_NODES)), f(phases)
     return MotionContext(
-        phases=np.asarray(phases, dtype=float),
+        phases=phases,
         gammas=np.asarray(gammas, dtype=float),
         omegas=np.asarray(omegas, dtype=float),
         dgammas=np.asarray(dgammas, dtype=float),
         domegas=np.asarray(domegas, dtype=float),
-        t=0.0,
-        f_theta=f,
+        f_phases=f_phases,
+        grid=grid,
     )
 
 
@@ -113,14 +120,13 @@ def test_w_mixed_reduces_to_discrete_without_ac():
     discrete = s * 0.3 - 1.3 * s * s_sum(4.0, ctx.phases, 1, 0) * 0.1
     assert w_mass(0, ctx, 1, 0) == pytest.approx(discrete, abs=1e-13)
     # a moving AC part with f constant in theta adds -gamma s f(phi)
-    moving = replace(ctx, f_const=-0.7)
-    assert moving.f(2.0) == -0.7
+    moving = replace(ctx, f_phases=np.full(2, -0.7))
     assert w_mass(0, moving, 1, 0) == pytest.approx(discrete + 1.3 * s * 0.7, abs=1e-13)
 
 
 def test_w_continuous_vanishes_for_constant_f():
     nodes = np.array([4.0, 5.0])
-    table = w_continuous(nodes, np.array([2.0, 3.0]), 0.5, np.full(2, 0.25), np.full(2, 0.25))
+    table = w_continuous(nodes, np.array([2.0, 3.0]), np.full(2, 0.5), np.full(2, 0.25), np.full(2, 0.25))
     assert table.shape == (2, 2)
     assert np.all(table == 0.0)
 
@@ -135,8 +141,9 @@ def test_motion_context_from_pipeline():
     assert ctx.gammas[0] == pytest.approx(0.4)
     assert ctx.dgammas[0] == pytest.approx(1.0)
     assert ctx.domegas[0] == pytest.approx(0.0)
-    # f = d/dt log(1-t) at t = 0.4
-    assert ctx.f(ctx.phases[tracked]) == pytest.approx(-1.0 / 0.6, abs=1e-12)
+    # f = d/dt log(1-t) at t = 0.4, at every zero; no grid, since f is constant in theta
+    assert ctx.f_phases[tracked] == pytest.approx(-1.0 / 0.6, abs=1e-12)
+    assert np.all(ctx.f_phases == ctx.f_phases[0]) and ctx.grid is None
 
 
 def test_motion_context_differentiates_each_expression_once(monkeypatch):
@@ -152,7 +159,7 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
     # d/dt of two gammas, two omegas and the Lebesgue scale, once each
     assert len(calls) == 5
     assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
-    assert ctx.f(ctx.phases[tracked]) == pytest.approx(-1.0 / 0.6, abs=1e-12)
+    assert ctx.f_phases[tracked] == pytest.approx(-1.0 / 0.6, abs=1e-12)
 
 
 # a conjugate-symmetric measure: masses at +-omega with equal weights
@@ -336,7 +343,9 @@ def test_report_json_round_trip():
 
 
 def _scalar_t23_verdict(ctx, tracked, reference):
-    """Reference t23 verdict: f and s evaluated node by node on scalars.
+    """Reference t23 verdict: s and the density functional node by node on
+    scalars, on every (nodes // VERDICT_NODES)-th node of the context's grid,
+    and f tested for monotonicity over the period that starts after theta0.
 
     Returns (label, flags, w_continuous_min, w_continuous_max, scale)."""
     if (ctx.mass_gaps < ANGLE_TOL).any():
@@ -347,24 +356,25 @@ def _scalar_t23_verdict(ctx, tracked, reference):
         return "Inconclusive", ("pole",), 0.0, 0.0, 0.0
     phi, theta0 = float(ctx.phases[tracked]), float(ctx.phases[reference])
 
-    def f(theta):
-        return ctx.f_const if ctx.f_theta is None else float(ctx.f_theta(float(theta)))
-
     def s(theta):
         return math.sin(0.5 * (phi - theta0)) / (
             2.0 * math.sin(0.5 * (phi - theta)) * math.sin(0.5 * (theta0 - theta))
         )
 
-    f_phi = f(phi)
-    nodes = theta_grid(theta0, VERDICT_NODES, midpoint=True)
-    wc = [
-        s(th) * (f(th) - f_phi)
-        for th in nodes
-        if circular_gap(th, phi) > 1e-9 and circular_gap(th, theta0) > 1e-9
-    ]
+    f_phi = float(ctx.f_phases[tracked])
+    wc, values = [], []
+    if ctx.grid is not None:
+        stride = max(1, len(ctx.grid[0]) // VERDICT_NODES)
+        nodes, f_nodes = ctx.grid[0][::stride].tolist(), ctx.grid[1][::stride].tolist()
+        wc = [
+            s(th) * (f - f_phi)
+            for th, f in zip(nodes, f_nodes)
+            if circular_gap(th, phi) > 1e-9 and circular_gap(th, theta0) > 1e-9
+        ]
+        start = next((i for i, th in enumerate(nodes) if th > theta0 % (2 * math.pi)), 0)
+        values = f_nodes[start:] + f_nodes[:start]
     wc_min, wc_max = (min(wc), max(wc)) if wc else (0.0, 0.0)
-    values = np.array([f(th) for th in nodes])
-    tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
+    tol = NONNEG_TOL * (1.0 + max(map(abs, values), default=0.0))
     nondecreasing = all(b - a >= -tol for a, b in zip(values, values[1:]))
     nonincreasing = all(b - a <= tol for a, b in zip(values, values[1:]))
     flags = [] if nondecreasing else ["f_not_nondecreasing"]
@@ -500,20 +510,33 @@ PHASES_ONLY = ZeroSet(np.array([0.5, 2.5]), np.zeros(2), 0.0)
 )
 def test_separable_weight_has_the_pointwise_constant_f(weight, t, thetas):
     ctx = motion_context(Measure.of(ACWeight.custom(weight)), PHASES_ONLY, t)
-    assert ctx.f_theta is None
+    assert ctx.grid is None
+    f_const = ctx.f_phases[0]
+    assert np.all(ctx.f_phases == f_const)
     w = parse(weight)
     for theta in thetas:
         bindings = {"theta": theta, "t": t}
         expected = evaluate(differentiate(w, "t"), bindings) / evaluate(w, bindings)
         # each factor's own A'/A is at most 2 in size, so this bound is relative to the terms
-        assert abs(ctx.f_const - expected) <= 1e-12 * (1.0 + abs(expected))
+        assert abs(f_const - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
 @settings(deadline=None, max_examples=50)
-@given(separable_weights(mixed=True), st.floats(-0.5, 0.5))
-def test_weight_with_a_mixed_factor_keeps_f_theta(weight, t):
-    ctx = motion_context(Measure.of(ACWeight.custom(weight)), PHASES_ONLY, t)
-    assert ctx.f_theta is not None
+@given(separable_weights(mixed=True), st.floats(-0.5, 0.5), st.sampled_from([64, 1000]))
+def test_weight_with_a_mixed_factor_samples_f_on_the_grid(weight, t, nodes):
+    # far phases: f is read at them reduced into [0, 2 pi)
+    zs = ZeroSet(np.array([-2.0, 0.5, 8.0]), np.zeros(3), 0.0)
+    ctx = motion_context(Measure.of(ACWeight.custom(weight)), zs, t, nodes)
+    grid, f_grid, w_grid = ctx.grid
+    assert np.array_equal(grid, theta_grid(0.0, nodes))
+    w = parse(weight)
+    dw = differentiate(w, "t")
+    for thetas, f in ((grid[[0, 7, -1]], f_grid[[0, 7, -1]]), (zs.phases % (2 * math.pi), ctx.f_phases)):
+        for theta, value in zip(thetas.tolist(), f.tolist()):
+            bindings = {"theta": theta, "t": t}
+            expected = evaluate(dw, bindings) / evaluate(w, bindings)
+            assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
+    assert np.allclose(w_grid, ACWeight.custom(weight).density(grid, t), rtol=1e-13, atol=0.0)
 
 
 # fixed and moving masses together, with a moving Lebesgue part (f constant,
@@ -576,6 +599,20 @@ def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
         assert checked >= len(traj.ts) * 2
 
 
+def test_t22_pass_with_skipped_rows_keeps_each_reference_phase():
+    # zeros 0 and 3 are each other's partner but not conjugate, so their rows
+    # are skipped ahead of the conjugate pair 1, 2 that reads the grid
+    zs = ZeroSet(np.array([-2.5, -1.0, 1.0, 2.0]), np.zeros(4), 0.0)
+    m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]))
+    reports = predicates.verdicts_at(m, zs, 0.5, "t22", 1024)
+    ctx = motion_context(m, zs, 0.5, 1024)
+    assert [rep.flags == ("non_conjugate_pair",) for rep in reports.values()] == [True, False, False, True]
+    for k, rep in reports.items():
+        ref = reference_index(zs, k, "t22")
+        assert rep.fixed_phase == zs.phases[ref]
+        assert rep.to_json() == verdict(ctx, k, ref, "t22").to_json()
+
+
 @pytest.mark.parametrize("theorem", ["t23", "t22"])
 def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theorem):
     cfg = PASS_CASES["custom" if theorem == "t23" else "t22_custom"]
@@ -594,14 +631,44 @@ def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theo
     entries = sweep_verdicts(cfg, traj)
     rows = [len(entry["verdicts"]) for entry in entries]
     assert all("verdict" in item for entry in entries for item in entry["verdicts"])
-    if theorem == "t23":
-        # the pinned zero is every zero's reference: one pass on the nodes
-        expected = [4, VERDICT_NODES] * len(traj.ts)
-    else:
-        # each zero of a conjugate pair is the other's reference
-        assert rows == [2] * len(traj.ts)
-        expected = [2, VERDICT_NODES, VERDICT_NODES] * len(traj.ts)
-    assert sizes == expected
+    # under t22 each zero of a conjugate pair is the other's reference
+    assert rows == [4 if theorem == "t23" else 2] * len(traj.ts)
+    # one pass per grid point at the zero phases and on the moments' nodes,
+    # whatever the number of references
+    assert sizes == [cfg.degree + cfg.nodes] * len(traj.ts)
+
+
+@st.composite
+def periodic_f_tables(draw):
+    """(nodes, f, theta0s): f on the M nodes of theta_grid(0, M), either a
+    sorted table rolled round the circle (monotone but for one step) and
+    perhaps negated, or any table; and 1-3 theta0 each on a node, between two
+    nodes, or past the last node."""
+    m = draw(st.integers(16, 48))
+    nodes = theta_grid(0.0, m)
+    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        values = np.roll(np.sort(values), draw(st.integers(0, m - 1))) * draw(st.sampled_from([1.0, -1.0]))
+    theta0s = []
+    for _ in range(draw(st.integers(1, 3))):
+        j, frac = draw(st.integers(0, m - 1)), draw(st.floats(0.01, 0.99))
+        where = draw(st.sampled_from(["on", "between", "past"]))
+        theta0s.append({"on": nodes[j], "between": nodes[j], "past": nodes[-1]}[where]
+                       + (0.0 if where == "on" else frac * 2 * math.pi / m))
+    return nodes, values, np.array(theta0s)
+
+
+@settings(deadline=None, max_examples=200)
+@given(periodic_f_tables())
+def test_one_pass_monotonicity_is_the_rolled_diff_per_reference(case):
+    nodes, values, theta0s = case
+    table = predicates._f_monotone(nodes, values, theta0s)
+    tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values))))
+    for theta0, row in zip(theta0s, table.tolist()):
+        # f over the period that starts at the first node after theta0
+        start = next((i for i, th in enumerate(nodes) if th > theta0 % (2 * math.pi)), 0)
+        diffs = np.diff(np.roll(values, -start))
+        assert row == [bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))]
 
 
 def test_mass_functionals_poles_match_the_scalar_functionals():
