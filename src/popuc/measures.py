@@ -55,13 +55,12 @@ def circular_gap(a: float | np.ndarray, b: float | np.ndarray) -> float | np.nda
     return min(d, 2.0 * math.pi - d)
 
 
-def theta_grid(theta0: float, nodes: int, midpoint: bool = False) -> np.ndarray:
+def theta_grid(theta0: float, nodes: int) -> np.ndarray:
     """``nodes`` equispaced angles over one period from ``theta0``: the
-    trapezoid nodes theta0 + 2 pi j / nodes, or with ``midpoint`` the
-    midpoints theta0 + 2 pi (j + 1/2) / nodes."""
+    trapezoid nodes theta0 + 2 pi j / nodes."""
     if nodes < MIN_NODES:
         raise MeasureError(f"a theta grid needs at least {MIN_NODES} nodes, got {nodes}")
-    return theta0 + 2.0 * math.pi * (np.arange(nodes) + (0.5 if midpoint else 0.0)) / nodes
+    return theta0 + 2.0 * math.pi * np.arange(nodes) / nodes
 
 
 def known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> dict:
@@ -191,18 +190,21 @@ class ACWeight:
     @cached_property
     def d_dt(self) -> Expr | None:
         """d/dt of the scale (the weight for ``custom``; None for ``none``), built
-        once.  A ``custom`` weight reads it only when it has no :attr:`t_factor`,
-        where f = (d/dt w)/w is taken on arrays of angles."""
+        once: dA/dt of a closed kind's :attr:`t_factor`, and for a ``custom``
+        weight with none, the d/dt that f = (d/dt w)/w takes on arrays of angles."""
         expr = self.weight if self.kind == "custom" else self.scale
         return None if expr is None else differentiate(expr, "t")
 
     @cached_property
     def t_factor(self) -> tuple[Expr, Expr] | None:
-        """(A, dA/dt), built once, when the ``custom`` weight factors as
-        A(t) B(theta) along its product/quotient spine, so that
-        f = (d/dt w)/w = A'/A at every theta; None for another kind or when
+        """(A, dA/dt), built once, when the weight is A(t) B(theta), so that
+        f = (d/dt w)/w = A'/A at every theta: the scale and its d/dt for
+        ``lebesgue`` and ``bernstein_szego``, and for a ``custom`` weight the
+        t-factors along its product/quotient spine.  None for ``none`` or when
         a factor on that spine holds both t and theta."""
-        a = _t_factor(self.weight) if self.kind == "custom" else None
+        if self.kind != "custom":
+            return None if self.kind == "none" else (self.scale, self.d_dt)
+        a = _t_factor(self.weight)
         return None if a is None else (a, differentiate(a, "t"))
 
     def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
@@ -211,13 +213,12 @@ class ACWeight:
         theta = np.asarray(theta, dtype=float)
         if self.kind == "none":
             return np.zeros_like(theta)
-        if self.kind == "lebesgue":
-            return np.full_like(theta, evaluate(self.scale, {"t": t}))
-        if self.kind == "bernstein_szego":
-            s = evaluate(self.scale, {"t": t})
-            z = np.cos(theta) + 1j * np.sin(theta)
-            return s * (1.0 - abs(self.lam) ** 2) / np.abs(1.0 - self.lam * z) ** 2
-        return np.broadcast_to(evaluate(self.weight, {"theta": theta, "t": t}), theta.shape)
+        if self.kind == "custom":
+            return np.broadcast_to(evaluate(self.weight, {"theta": theta, "t": t}), theta.shape)
+        # the Poisson kernel; lebesgue is its lam = 0 case, exactly the scale
+        s = evaluate(self.scale, {"t": t})
+        z = np.cos(theta) + 1j * np.sin(theta)
+        return s * (1.0 - abs(self.lam) ** 2) / np.abs(1.0 - self.lam * z) ** 2
 
 
 @dataclass(frozen=True)

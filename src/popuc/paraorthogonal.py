@@ -32,10 +32,6 @@ RESIDUAL_TOL = 1e-9
 WRAP_TOL = 1e-12
 MAX_SWEEPS = 200  # Aberth-Ehrlich sweep cap
 STEP_TOL = 1e-14  # the sweeps end once every step is below STEP_TOL * max(1, max|z|)
-# ... or at the roundoff floor, once every step is below FLOOR_FACTOR times that
-# and the largest has stopped shrinking: the floors seen over the benchmark's
-# balance solves, seeds 0-59, wander at 1-6.3 times it
-FLOOR_FACTOR = 8.0
 # ... or once the next step, predicted from the last two under quadratic
 # convergence, is below EPS * max(1, max|z|), one ulp (Aberth converges cubically)
 EPS = np.finfo(float).eps
@@ -128,12 +124,10 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     below EPS max(1, max|z|); Aberth converges cubically at simple zeros, so
     the true next step is smaller still.  That takes a cold solve from the
     sign-change guesses about 2.2-2.4 sweeps and a warm one about 2.0-2.2, at
-    degree 4 to 120.  At the roundoff floor (every step below FLOOR_FACTOR
-    times STEP_TOL, the largest no smaller than the sweep before) or at
-    MAX_SWEEPS they stop too, and the iterate stands if its residual is
-    below 1e-8 max|coeff|.  The iterate is returned as it is.  Raises
-    :class:`RootFindingError` when the iteration does not converge or ends
-    at a point where P' vanishes and P does not.
+    degree 4 to 120.  At MAX_SWEEPS they stop too, and the iterate stands if
+    its residual is below 1e-8 max|coeff|.  The iterate is returned as it is.
+    Raises :class:`RootFindingError` when the iteration does not converge or
+    ends at a point where P' vanishes and P does not.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     m = len(coeffs) - 1
@@ -161,11 +155,9 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
             step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
             z = z - step
             largest, scale = np.max(np.abs(step)), max(1.0, np.max(np.abs(z)))
-            tol = STEP_TOL * scale
-            if largest < tol or (sweep > 1 and largest**3 < EPS * scale * last**2):
+            if largest < STEP_TOL * scale or (sweep > 1 and largest**3 < EPS * scale * last**2):
                 break
-            if sweep == MAX_SWEEPS or last <= largest < FLOOR_FACTOR * tol:
-                # the cap, or the roundoff floor: the iterate stands if its residual does
+            if sweep == MAX_SWEEPS:  # the iterate stands if its residual does
                 if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
                     raise RootFindingError("Aberth-Ehrlich iteration did not converge")
                 break

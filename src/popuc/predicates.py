@@ -1,13 +1,14 @@
 """Motion functionals and verdicts for the POPUC zeros at one parameter value.
 
 The measure decides the continuous terms.  With f(theta) = (d/dt weight)/weight,
-the per-mass functional W_j (:func:`w_mass`) gains -gamma_j s f(phi) when the
-AC part moves, and verdicts also test the density functional
+the per-mass functional W_j gains -gamma_j s f(phi) when the AC part moves,
+and verdicts also test the density functional
 W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f when f can
-depend on theta.  Only a ``custom`` weight with a factor that mixes t and
-theta can: one that factors as A(t) B(theta) along its product/quotient spine
-(``ACWeight.t_factor``) has f = A'/A, and for it, as for the other kinds,
-W(theta) is exactly zero.
+depend on theta.  One rule takes f = A'/A for every weight A(t) B(theta)
+(``ACWeight.t_factor``): the closed kinds, whose A is the scale, and a
+``custom`` weight whose product/quotient spine splits so; for them W(theta)
+is exactly zero.  Only a ``custom`` weight with a factor that mixes t and
+theta takes f on a grid.
 
 The regime (``theorem``) only picks the reference zero theta0, in
 :func:`reference_index`: the pinned zero under ``t21`` and ``t23`` (one
@@ -24,8 +25,7 @@ decides every zero in one array pass: the W_j of all zeros form one
 (zeros x masses) table built from one cotangent table, and W(theta) one
 (zeros x nodes) table on the context's one grid, the moments' nodes.
 :func:`verdict` and :func:`mass_functionals` are the one-zero case of that
-pass; the scalar :func:`s_factor`, :func:`s_sum` and :func:`w_mass` are its
-reference.
+pass; the scalar :func:`s_factor` and :func:`s_sum` are its reference.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ __all__ = [
     "motion_context",
     "s_factor",
     "s_sum",
-    "w_mass",
     "w_continuous",
     "THEOREMS",
     "mass_functionals",
@@ -93,17 +92,12 @@ class MotionContext:
 
 def _ac_log_derivative(m: Measure, phases: np.ndarray, t: float, nodes: int) -> tuple:
     """(f_phases, grid) of :class:`MotionContext` for the AC part.  Only a
-    ``custom`` weight with a factor that mixes t and theta has a grid: it and
-    its d/dt are evaluated in one pass at the phases, reduced into [0, 2 pi),
-    and on ``theta_grid(0, nodes)``, the period the moments integrate."""
+    weight with no t-factor has a grid: it and its d/dt are evaluated in one
+    pass at the phases, reduced into [0, 2 pi), and on
+    ``theta_grid(0, nodes)``, the period the moments integrate."""
     ac = m.ac
     if ac.kind == "none":
         return np.zeros(len(phases)), None
-    if ac.kind in ("lebesgue", "bernstein_szego"):
-        s = evaluate(ac.scale, {"t": t})
-        if s <= 0:
-            raise PredicateError(f"AC scale {s} not positive at t={t}")
-        return np.full(len(phases), evaluate(ac.d_dt, {"t": t}) / s), None
     if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
         a, da = ac.t_factor
         value = evaluate(a, {"t": t})
@@ -181,28 +175,14 @@ def s_sum(theta: float, phases: np.ndarray, tracked: int, reference: int) -> flo
     return total
 
 
-def w_mass(j: int, ctx: MotionContext, tracked: int, reference: int) -> float:
-    """W_j of zero ``tracked`` measured against zero ``reference``:
-    s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s and the
-    cotangent sum S at omega_j."""
-    phi = float(ctx.phases[tracked])
-    s = s_factor(ctx.omegas[j], phi, float(ctx.phases[reference]))
-    value = s * ctx.dgammas[j]
-    if ctx.domegas[j] != 0.0:
-        cot_sum = s_sum(ctx.omegas[j], ctx.phases, tracked, reference)
-        value -= ctx.gammas[j] * s * cot_sum * ctx.domegas[j]
-    f_phi = float(ctx.f_phases[tracked])
-    if f_phi != 0.0:
-        value -= ctx.gammas[j] * s * f_phi
-    return value
-
-
 def _mass_table(
     ctx: MotionContext, tracked: np.ndarray, reference: np.ndarray, f_phi: np.ndarray
 ) -> np.ndarray:
-    """W_j of :func:`w_mass` as a (rows x masses) table, row i for zero
-    ``tracked[i]`` measured against zero ``reference[i]`` with f(phi) =
-    ``f_phi[i]``, all from one table of the half-angles (phase_l - omega_j)/2.
+    """W_j = s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s
+    (:func:`s_factor`) and the cotangent sum S (:func:`s_sum`) at omega_j, as
+    a (rows x masses) table, row i for zero ``tracked[i]`` measured against
+    zero ``reference[i]`` with f(phi) = ``f_phi[i]``, all from one table of
+    the half-angles (phase_l - omega_j)/2.
     No mass may lie on a zero (see :func:`mass_functionals`)."""
     angles = 0.5 * (ctx.phases - ctx.omegas[:, None])
     sines = np.sin(angles)
@@ -328,57 +308,50 @@ def _verdict_rows(
 ) -> list[VerdictReport]:
     """Verdicts for zero ``tracked[i]`` measured against zero ``reference[i]``,
     every row from one pass over the tables of :func:`_mass_table` and
-    :func:`w_continuous`."""
+    :func:`w_continuous`; a t22 row that is no conjugate pair is Inconclusive."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
-    phis = [float(ctx.phases[k]) for k in tracked]
-    theta0s = [float(ctx.phases[r]) for r in reference]
+    tracked, reference = np.asarray(tracked), np.asarray(reference)
+    phis, theta0s = ctx.phases[tracked].tolist(), ctx.phases[reference].tolist()
     if (ctx.mass_gaps < ANGLE_TOL).any():
         return [_inconclusive(p, r, theorem, "collision") for p, r in zip(phis, theta0s)]
-    reports: list[VerdictReport | None] = [None] * len(tracked)
-    rows = []
-    for i, (phi, theta0) in enumerate(zip(phis, theta0s)):
-        if theorem == "t22" and not conjugate_pair(phi, theta0):
-            reports[i] = _inconclusive(phi, theta0, theorem, "non_conjugate_pair")
-        else:
-            rows.append(i)
-    if not rows:
-        return reports
-    tracked_ok = np.array([tracked[i] for i in rows])
-    reference_ok = np.array([reference[i] for i in rows])
-    f_phis = ctx.f_phases[tracked_ok]
-    w_masses = _mass_table(ctx, tracked_ok, reference_ok, f_phis)
+    f_phis = ctx.f_phases[tracked]
+    w_masses = _mass_table(ctx, tracked, reference, f_phis)
 
-    n = len(rows)
+    n = len(tracked)
     wc_min, wc_max = np.zeros(n), np.zeros(n)
     monotone = np.ones((n, 2), dtype=bool)  # f nondecreasing, nonincreasing
     if ctx.grid is not None:
         stride = max(1, len(ctx.grid[0]) // VERDICT_NODES)
         nodes, f_nodes = ctx.grid[0][::stride], ctx.grid[1][::stride]
-        ref_phases = ctx.phases[reference_ok]
-        wc = w_continuous(nodes, ctx.phases[tracked_ok], ref_phases, f_nodes, f_phis)
+        ref_phases = ctx.phases[reference]
+        wc = w_continuous(nodes, ctx.phases[tracked], ref_phases, f_nodes, f_phis)
         wc_min, wc_max = np.fmin.reduce(wc, axis=1), np.fmax.reduce(wc, axis=1)
         monotone = _f_monotone(nodes, f_nodes, ref_phases)
 
     w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0).tolist()
     w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0).tolist()
     wc_min, wc_max, monotone = wc_min.tolist(), wc_max.tolist(), monotone.tolist()
-    for row, i in enumerate(rows):
-        label = _label(w_min[row], w_max[row], wc_min[row], wc_max[row], *monotone[row])
-        flags = [] if monotone[row][0] else ["f_not_nondecreasing"]
+    reports = []
+    for i, (phi, theta0) in enumerate(zip(phis, theta0s)):
+        if theorem == "t22" and not conjugate_pair(phi, theta0):
+            reports.append(_inconclusive(phi, theta0, theorem, "non_conjugate_pair"))
+            continue
+        label = _label(w_min[i], w_max[i], wc_min[i], wc_max[i], *monotone[i])
+        flags = [] if monotone[i][0] else ["f_not_nondecreasing"]
         if label == "CW":
             flags.append("mirrored")
-        reports[i] = VerdictReport(
+        reports.append(VerdictReport(
             verdict=label,
             theorem=theorem,
-            w_masses=w_masses[row],
-            w_continuous_min=wc_min[row],
-            w_continuous_max=wc_max[row],
+            w_masses=w_masses[i],
+            w_continuous_min=wc_min[i],
+            w_continuous_max=wc_max[i],
             flags=tuple(flags),
             mirrored=label == "CW",
-            tracked_phase=phis[i],
-            fixed_phase=theta0s[i],
-        )
+            tracked_phase=phi,
+            fixed_phase=theta0,
+        ))
     return reports
 
 

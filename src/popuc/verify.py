@@ -406,7 +406,7 @@ def check_identities() -> CheckResult:
     d2 = deflate(deflate(coeffs, xi), zeta)
     pref = 1j * (zeta - xi)
     nodes = 2048
-    thetas = theta_grid(math.pi / 2, nodes, midpoint=True)
+    thetas = theta_grid(math.pi / 2, nodes)
     zsn = np.exp(1j * thetas)
     integrand = (pref * zsn * polyval(d2, zsn) * np.conj(polyval(coeffs, zsn))).real
     ac_part = float(np.mean(integrand * (1 - 0.4)))

@@ -20,7 +20,7 @@ from popuc.dynamics import (
     tracked_velocity,
 )
 from popuc.expressions import evaluate_all
-from popuc.measures import ACWeight, MassPoint, Measure, moments, theta_grid
+from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import inner_product, polyval
 from popuc.paraorthogonal import ZeroSet, deflate
 from popuc.predicates import PredicateError, motion_context, reference_index, verdicts_at
@@ -361,11 +361,12 @@ def test_separable_weight_with_a_vanishing_t_factor_gives_error_entry():
 
 
 def test_shared_context_error_reaches_every_zero_at_its_grid_point():
-    # the AC scale t vanishes at t = 0, where the motion context cannot be built
+    # the AC scale t, the weight's t-factor, vanishes at t = 0, where the motion
+    # context cannot be built
     m = Measure.of(ACWeight.lebesgue("t"), [MassPoint.of("1", w) for w in ("0.5", "2.5", "4.5")])
     cfg = SweepConfig(m, 3, 0.0, 1.0, 5, ZeroPolicy.fixed_xi(1j), theorem="t23")
     entries = sweep_verdicts(cfg, sweep(cfg))
-    error = "AC scale 0.0 not positive at t=0.0"
+    error = "weight vanishes at t=0.0: its t-factor is zero"
     assert entries[0]["verdicts"] == [{"zero_index": k, "error": error} for k in (1, 2)]
     assert [item["zero_index"] for item in entries[1]["verdicts"]] == [1, 2]
     assert all("verdict" in item for item in entries[1]["verdicts"])
@@ -381,7 +382,7 @@ def _d2_ac_integral(m, state, f, tracked, reference, nodes=2048):
     phi, theta0 = state.zero_set.phases[[tracked, reference]]
     zeta, xi = complex(np.exp(1j * phi)), complex(np.exp(1j * theta0))
     d2 = deflate(deflate(p, xi), zeta)
-    thetas = theta_grid(0.0, nodes, midpoint=True)
+    thetas = 2.0 * math.pi * (np.arange(nodes) + 0.5) / nodes
     z = np.exp(1j * thetas)
     s_p2 = (1j * (zeta - xi) * z * polyval(d2, z) * np.conj(polyval(p, z))).real
     integrand = s_p2 * (f(thetas) - f(np.array([phi]))) * m.ac.density(thetas, state.t)

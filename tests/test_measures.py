@@ -255,6 +255,10 @@ def test_t_factor_walks_the_product_spine(weight, factor):
         assert evaluate(da, {"t": t}) == pytest.approx(evaluate(differentiate(expected, "t"), {"t": t}), rel=1e-15)
 
 
-def test_only_custom_weights_have_a_t_factor():
-    for ac in (ACWeight.none(), ACWeight.lebesgue("1 + t"), ACWeight.bernstein_szego(0.3, "1 + t")):
-        assert ac.t_factor is None
+def test_closed_kinds_take_their_scale_as_the_t_factor():
+    # the closed kinds are scale(t) B(theta): their t-factor is the scale
+    assert ACWeight.none().t_factor is None
+    for ac in (ACWeight.lebesgue("1 + t"), ACWeight.bernstein_szego(0.3, "1 + t")):
+        a, da = ac.t_factor
+        assert a is ac.scale and da is ac.d_dt
+        assert evaluate(a, {"t": 0.4}) == 1.4 and evaluate(da, {"t": 0.4}) == 1.0

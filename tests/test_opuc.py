@@ -268,6 +268,22 @@ def test_popuc_zeros_for_two_b_strictly_interlace(case, arg_b, delta):
     assert np.all(np.diff(np.sort(merged)) > 0)
 
 
+@settings(deadline=None, max_examples=50)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi))
+def test_popuc_zeros_move_clockwise_as_arg_b_increases(case, arg_b):
+    # z Q_n / Q_n* is a Blaschke product, whose argument increases along the
+    # circle at rate at least 1, and P = 0 where it equals conj(b): raising
+    # arg b by delta lowers every zero's phase, by at most delta
+    m, n = case
+    q = gram_opuc(moments(m, 0.0, n + 1), n)[n]
+    before = zeros_on_circle(build_popuc(q, cmath.exp(1j * arg_b)))
+    delta = 1e-3 * before.min_gap  # so each zero's nearest zero after the step is its own
+    after = zeros_on_circle(build_popuc(q, cmath.exp(1j * (arg_b + delta)))).phases
+    moves = np.angle(np.exp(1j * (after[None, :] - before.phases[:, None])))
+    step = moves[np.arange(n + 1), np.argmin(np.abs(moves), axis=1)]
+    assert np.all(step < 0) and np.all(step >= -delta * (1 + 1e-9))
+
+
 def _popuc_zeros(m, n, b):
     p = build_popuc(gram_opuc(moments(m, 0.0, n + 1), n)[n], b)
     return p, zeros_on_circle(p)

@@ -244,11 +244,11 @@ def test_self_inversive():
     assert np.max(np.abs(reversed_poly(p.poly.coeffs) + b * p.poly.coeffs)) < 1e-10
 
 
-def _aberth_one_table_per_sweep(coeffs, start=None, sweeps=paraorthogonal.MAX_SWEEPS, rate_exit=True):
+def _aberth_one_table_per_sweep(coeffs, start=None, rate_exit=True):
     """The zero finder with a fresh polyval table and matrix every sweep, and the
     nested np.where: the loop before its workspace, kept as a bitwise reference.
-    It has no roundoff-floor exit, so it runs on to ``sweeps`` where that exit
-    stops; with ``rate_exit=False`` it stops by the STEP_TOL rule alone."""
+    It has no residual check at MAX_SWEEPS; with ``rate_exit=False`` it stops
+    by the STEP_TOL rule alone."""
     from popuc.paraorthogonal import EPS, STEP_TOL
 
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -256,7 +256,7 @@ def _aberth_one_table_per_sweep(coeffs, start=None, sweeps=paraorthogonal.MAX_SW
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
     last = math.inf
-    for sweep in range(1, sweeps + 1):
+    for sweep in range(1, paraorthogonal.MAX_SWEEPS + 1):
         p, dp = polyval(pair, z)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dp != 0, p / np.where(dp != 0, dp, 1.0), 0.0)
@@ -365,27 +365,23 @@ def _balance_seed_50_popuc():
 def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_roundoff_floor(monkeypatch):
     # from the quarter-slot guesses the largest step of this solve drops from
     # 8.7e-4 to 1.2e-9 at the sixth sweep, and the rate exit stops it there;
-    # before that exit it wandered at 1-6e-14 and ran on to the floor exit
+    # before that exit it wandered at 1-6e-14
     p, _ = _balance_seed_50_popuc()
     coeffs = p.poly.coeffs
     sweeps = _count_sweeps(monkeypatch)
     converged = aberth_roots(coeffs)
     assert len(sweeps) == 6
-    # the converged roots turned by 2e-14 rad: the largest step goes 2e-14,
-    # 1e-14, 1e-14, above STEP_TOL and without a sharp drop, so the sweeps stop
-    # at the first one whose largest step is below FLOOR_FACTOR * STEP_TOL and
-    # no smaller than the one before, and the iterate there, accepted by its
-    # residual, is returned as it is
+    # the converged roots turned by 2e-14 rad: the largest step wanders at the
+    # roundoff floor, above STEP_TOL and without a sharp drop, so the sweeps run
+    # on to MAX_SWEEPS, and the iterate there, accepted by its residual, is
+    # returned as it is, within roundoff of the converged roots
     start = converged * cmath.exp(2e-14j)
     sweeps.clear()
     roots = aberth_roots(coeffs, start)
-    assert len(sweeps) == 3
+    assert len(sweeps) == paraorthogonal.MAX_SWEEPS
     assert np.max(np.abs(polyval(coeffs, roots))) <= 1e-8 * np.max(np.abs(coeffs))
-    assert roots.tobytes() == _aberth_one_table_per_sweep(coeffs, start, sweeps=3).tobytes()
-    # without the floor exit the same loop runs on and leaves the roots within roundoff
-    capped = _aberth_one_table_per_sweep(coeffs, start)
-    assert capped.tobytes() != roots.tobytes()
-    assert np.max(np.min(np.abs(roots[:, None] - capped[None, :]), axis=1)) <= 1e-13
+    assert roots.tobytes() == _aberth_one_table_per_sweep(coeffs, start).tobytes()
+    assert np.max(np.min(np.abs(roots[:, None] - converged[None, :]), axis=1)) <= 1e-13
 
 
 def test_the_seed_50_solve_converges_from_the_sign_changes(monkeypatch):

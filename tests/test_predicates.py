@@ -25,7 +25,6 @@ from popuc.predicates import (
     s_sum,
     verdict,
     w_continuous,
-    w_mass,
 )
 from popuc.scenarios import scenario_config
 
@@ -47,6 +46,22 @@ def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None, f_con
         f_phases=f_phases,
         grid=grid,
     )
+
+
+def w_mass(j: int, ctx: MotionContext, tracked: int, reference: int) -> float:
+    """The scalar reference for the verdict tables' W_j of zero ``tracked``
+    measured against zero ``reference``: s gamma_j' - gamma_j s S omega_j' -
+    gamma_j s f(phi), with s and the cotangent sum S at omega_j."""
+    phi = float(ctx.phases[tracked])
+    s = s_factor(ctx.omegas[j], phi, float(ctx.phases[reference]))
+    value = s * ctx.dgammas[j]
+    if ctx.domegas[j] != 0.0:
+        cot_sum = s_sum(ctx.omegas[j], ctx.phases, tracked, reference)
+        value -= ctx.gammas[j] * s * cot_sum * ctx.domegas[j]
+    f_phi = float(ctx.f_phases[tracked])
+    if f_phi != 0.0:
+        value -= ctx.gammas[j] * s * f_phi
+    return value
 
 
 def test_s_factor_exact_value():
