@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    _dump_json(scenario_json(args.name, args.b), args.out)
+    _dump_json(scenario_json(args.name), args.out)
     return EXIT_OK
 
 
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="emit a built-in scenario config as JSON")
     p.add_argument("name", choices=sorted(SCENARIOS))
-    p.add_argument("--b", type=_complex_pair, default=None, metavar="RE,IM")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scenario)
 

@@ -115,9 +115,8 @@ class SweepConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "SweepConfig":
         """The run config of the documented JSON schema; an absent key takes
-        its default, an unknown (say, misspelt) key raises ValueError, and the
-        retired top-level ``h`` is ignored."""
-        known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes", "h"))
+        its default, and an unknown (say, misspelt) key raises ValueError."""
+        known_keys(obj, "config", ("measure", "degree", "grid", "policy", "theorem", "nodes"))
         grid = known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
         policy = known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
         return cls(

@@ -41,6 +41,9 @@ MIN_NODES = 16
 # coincidence / collision tolerance for angles, modulo 2 pi
 ANGLE_TOL = 1e-9
 
+# the keys besides "kind" that Measure.from_json reads from each kind's ac object
+AC_KEYS = {"none": (), "lebesgue": ("scale",), "bernstein_szego": ("lambda", "scale"), "custom": ("w",)}
+
 
 class MeasureError(ValueError):
     """Invalid measure data at the queried parameter value."""
@@ -153,8 +156,8 @@ class ACWeight:
 
     kinds:
       - ``none``: no continuous part
-      - ``lebesgue``: scale(t), constant in theta
-      - ``bernstein_szego``: scale(t) * (1-|lam|^2)/|1-lam e^{i theta}|^2
+      - ``bernstein_szego``: scale(t) * (1-|lam|^2)/|1-lam e^{i theta}|^2;
+        its lam = 0 case, scale(t) alone, is :meth:`lebesgue`
       - ``custom``: arbitrary nonnegative expression in theta and t
     """
 
@@ -164,7 +167,7 @@ class ACWeight:
     weight: Expr | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "lebesgue", "bernstein_szego", "custom"):
+        if self.kind not in ("none", "bernstein_szego", "custom"):
             raise MeasureError(f"unknown AC kind {self.kind!r}")
         if self.kind == "bernstein_szego" and abs(self.lam) >= 1.0:
             raise MeasureError("bernstein_szego requires |lambda| < 1")
@@ -177,7 +180,7 @@ class ACWeight:
 
     @classmethod
     def lebesgue(cls, scale: Expr | str | float = 1.0) -> "ACWeight":
-        return cls("lebesgue", scale=_as_expr(scale))
+        return cls.bernstein_szego(0, scale)
 
     @classmethod
     def bernstein_szego(cls, lam: complex, scale: Expr | str | float = 1.0) -> "ACWeight":
@@ -190,7 +193,7 @@ class ACWeight:
     @cached_property
     def d_dt(self) -> Expr | None:
         """d/dt of the scale (the weight for ``custom``; None for ``none``), built
-        once: dA/dt of a closed kind's :attr:`t_factor`, and for a ``custom``
+        once: dA/dt of ``bernstein_szego``'s :attr:`t_factor`, and for a ``custom``
         weight with none, the d/dt that f = (d/dt w)/w takes on arrays of angles."""
         expr = self.weight if self.kind == "custom" else self.scale
         return None if expr is None else differentiate(expr, "t")
@@ -199,7 +202,7 @@ class ACWeight:
     def t_factor(self) -> tuple[Expr, Expr] | None:
         """(A, dA/dt), built once, when the weight is A(t) B(theta), so that
         f = (d/dt w)/w = A'/A at every theta: the scale and its d/dt for
-        ``lebesgue`` and ``bernstein_szego``, and for a ``custom`` weight the
+        ``bernstein_szego``, and for a ``custom`` weight the
         t-factors along its product/quotient spine.  None for ``none`` or when
         a factor on that spine holds both t and theta."""
         if self.kind != "custom":
@@ -215,7 +218,7 @@ class ACWeight:
             return np.zeros_like(theta)
         if self.kind == "custom":
             return np.broadcast_to(evaluate(self.weight, {"theta": theta, "t": t}), theta.shape)
-        # the Poisson kernel; lebesgue is its lam = 0 case, exactly the scale
+        # the Poisson kernel; at lam = 0 (lebesgue) it is exactly the scale
         s = evaluate(self.scale, {"t": t})
         z = np.cos(theta) + 1j * np.sin(theta)
         return s * (1.0 - abs(self.lam) ** 2) / np.abs(1.0 - self.lam * z) ** 2
@@ -247,19 +250,18 @@ class Measure:
         """The measure of the documented JSON schema; an unknown key or a value
         of the wrong JSON shape in it, its ``ac`` object or a mass raises ValueError."""
         known_keys(obj, "measure", ("ac", "masses"))
-        ac_obj = known_keys(obj.get("ac", {"kind": "none"}), "ac", ("kind", "scale", "lambda", "w"))
-        kind = ac_obj.get("kind", "none")
+        ac_obj = obj.get("ac", {"kind": "none"})
+        kind = ac_obj.get("kind", "none") if isinstance(ac_obj, dict) else "none"
+        if not isinstance(kind, str) or kind not in AC_KEYS:
+            raise MeasureError(f"unknown AC kind {kind!r}")
+        known_keys(ac_obj, "ac", ("kind", *AC_KEYS[kind]))
         if kind == "none":
             ac = ACWeight.none()
-        elif kind == "lebesgue":
-            ac = ACWeight.lebesgue(_json_expr(ac_obj.get("scale", "1"), "ac.scale"))
-        elif kind == "bernstein_szego":
-            scale = _json_expr(ac_obj.get("scale", "1"), "ac.scale")
-            ac = ACWeight.bernstein_szego(json_pair(ac_obj, "lambda"), scale)
         elif kind == "custom":
             ac = ACWeight.custom(_json_expr(ac_obj["w"], "ac.w"))
-        else:
-            raise MeasureError(f"unknown AC kind {kind!r}")
+        else:  # lebesgue is bernstein_szego with lambda 0
+            lam = json_pair(ac_obj, "lambda") if kind == "bernstein_szego" else 0
+            ac = ACWeight.bernstein_szego(lam, _json_expr(ac_obj.get("scale", "1"), "ac.scale"))
         masses = obj.get("masses", ())
         if not isinstance(masses, (list, tuple)):
             raise ValueError(f"measure key 'masses' must be a JSON array, got {masses!r}")
@@ -326,7 +328,7 @@ def _ac_moments(ac: ACWeight, t: float, K: int, nodes: int) -> np.ndarray:
     if s < 0:
         raise MeasureError(f"AC density is negative: scale {s} at t={t}")
     # geometric moments of the Poisson-kernel (squared-modulus) weight;
-    # lebesgue is its lam = 0 case, with c_0 = s and c_k = 0 for k > 0
+    # at lam = 0 (lebesgue) c_0 = s and c_k = 0 for k > 0
     return s * ac.lam ** np.arange(K + 1)
 
 

@@ -5,7 +5,7 @@ the per-mass functional W_j gains -gamma_j s f(phi) when the AC part moves,
 and verdicts also test the density functional
 W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f when f can
 depend on theta.  One rule takes f = A'/A for every weight A(t) B(theta)
-(``ACWeight.t_factor``): the closed kinds, whose A is the scale, and a
+(``ACWeight.t_factor``): ``bernstein_szego``, whose A is the scale, and a
 ``custom`` weight whose product/quotient spine splits so; for them W(theta)
 is exactly zero.  Only a ``custom`` weight with a factor that mixes t and
 theta takes f on a grid.
@@ -30,7 +30,7 @@ pass; the scalar :func:`s_factor` and :func:`s_sum` are its reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -91,10 +91,11 @@ class MotionContext:
 
 
 def _ac_log_derivative(m: Measure, phases: np.ndarray, t: float, nodes: int) -> tuple:
-    """(f_phases, grid) of :class:`MotionContext` for the AC part.  Only a
-    weight with no t-factor has a grid: it and its d/dt are evaluated in one
-    pass at the phases, reduced into [0, 2 pi), and on
-    ``theta_grid(0, nodes)``, the period the moments integrate."""
+    """(f_phases, grid) of :class:`MotionContext` for the AC part; a zero
+    t-factor or a negative scale raises.  Only a weight with no t-factor has
+    a grid: it and its d/dt are evaluated in one pass at the phases, reduced
+    into [0, 2 pi), and on ``theta_grid(0, nodes)``, the period the moments
+    integrate."""
     ac = m.ac
     if ac.kind == "none":
         return np.zeros(len(phases)), None
@@ -103,6 +104,8 @@ def _ac_log_derivative(m: Measure, phases: np.ndarray, t: float, nodes: int) -> 
         value = evaluate(a, {"t": t})
         if value == 0.0:
             raise PredicateError(f"weight vanishes at t={t}: its t-factor is zero")
+        if value < 0 and ac.kind == "bernstein_szego":  # a custom A(t) < 0 may have B(theta) < 0
+            raise PredicateError(f"AC scale {value} is negative at t={t}")
         return np.full(len(phases), evaluate(da, {"t": t}) / value), None
 
     reduced = np.mod(phases, 2.0 * math.pi)  # 2 pi for a phase an ulp below 0
@@ -247,17 +250,8 @@ class VerdictReport:
     fixed_phase: float
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "theorem": self.theorem,
-            "w_masses": [float(w) for w in self.w_masses],
-            "w_continuous_min": self.w_continuous_min,
-            "w_continuous_max": self.w_continuous_max,
-            "flags": list(self.flags),
-            "mirrored": self.mirrored,
-            "tracked_phase": self.tracked_phase,
-            "fixed_phase": self.fixed_phase,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(obj, w_masses=[float(w) for w in self.w_masses], flags=list(self.flags))
 
 
 def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> VerdictReport:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 
-from .dynamics import SweepConfig, ZeroPolicy
+from .dynamics import SweepConfig
 
 __all__ = ["SCENARIOS", "scenario_config", "scenario_json"]
 
@@ -56,17 +56,12 @@ SCENARIOS = {
 }
 
 
-def scenario_json(name: str, b: complex | None = None) -> dict:
-    """A copy of the scenario's run config; ``b`` replaces its policy with
-    ``fixed_b(b)``."""
+def scenario_json(name: str) -> dict:
+    """A copy of the scenario's run config."""
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}")
-    obj = copy.deepcopy(SCENARIOS[name])
-    if b is not None:
-        ZeroPolicy.fixed_b(b)  # an off-circle b is rejected here, as sweep rejects it
-        obj["policy"] = {"kind": "fixed_b", "value": [float(b.real), float(b.imag)]}
-    return obj
+    return copy.deepcopy(SCENARIOS[name])
 
 
-def scenario_config(name: str, b: complex | None = None) -> SweepConfig:
-    return SweepConfig.from_json(scenario_json(name, b))
+def scenario_config(name: str) -> SweepConfig:
+    return SweepConfig.from_json(scenario_json(name))

@@ -45,7 +45,7 @@ class CheckResult:
     seconds: float
 
 
-def _random_measure(rng: np.random.Generator, max_masses: int = 8, allow_ac: bool = True) -> Measure:
+def _random_measure(rng: np.random.Generator, max_masses: int = 8) -> Measure:
     """Random admissible measure: 1..max_masses separated masses, optional AC."""
     n_masses = int(rng.integers(1, max_masses + 1))
     base = np.sort(rng.uniform(0, 2 * math.pi, n_masses))
@@ -55,7 +55,7 @@ def _random_measure(rng: np.random.Generator, max_masses: int = 8, allow_ac: boo
         om = base[k] + 0.05 * k / n_masses
         gam = float(rng.uniform(0.05, 2.0))
         masses.append(MassPoint.of(gam, om))
-    kind = rng.integers(0, 3) if allow_ac else 2
+    kind = rng.integers(0, 3)
     if kind == 0:
         ac = ACWeight.lebesgue(float(rng.uniform(0.1, 2.0)))
     elif kind == 1:

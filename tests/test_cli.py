@@ -314,6 +314,28 @@ def test_misspelt_measure_key_exits_2_and_names_it(tmp_path, mixed_config, capsy
     assert repr(key) in capsys.readouterr().err
 
 
+# each AC kind with the keys it reads, and each key with a value its reader takes
+_AC_OBJECTS = {
+    "none": {"kind": "none"},
+    "lebesgue": {"kind": "lebesgue", "scale": "1"},
+    "bernstein_szego": {"kind": "bernstein_szego", "lambda": [0.5, 0.0], "scale": "1"},
+    "custom": {"kind": "custom", "w": "1"},
+}
+_AC_VALUES = {"scale": "1", "lambda": [0.5, 0.0], "w": "1"}
+
+
+@pytest.mark.parametrize(
+    "kind, key", [(kind, key) for kind, ac in _AC_OBJECTS.items() for key in _AC_VALUES if key not in ac]
+)
+def test_an_ac_key_its_kind_does_not_read_exits_2_and_names_it(tmp_path, capsys, kind, key):
+    # a lebesgue weight with a lambda stayed Lebesgue: c_1 printed the mass alone, exit 0
+    ac = dict(_AC_OBJECTS[kind], **{key: _AC_VALUES[key]})
+    path = _write(tmp_path, "ac.json", {"measure": {"ac": ac, "masses": [{"gamma": "1", "omega": "0"}]}})
+    assert main(["moments", "--config", path, "--order", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and repr(key) in err
+
+
 _MASS = {"gamma": "t", "omega": "0"}
 
 

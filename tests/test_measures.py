@@ -44,6 +44,16 @@ def test_lebesgue_moments():
         assert ms[k] == 0.0
 
 
+def test_lebesgue_is_the_lambda_zero_bernstein_szego_weight():
+    for scale in (1.0, 2.0, "1 - t"):
+        assert ACWeight.lebesgue(scale) == ACWeight.bernstein_szego(0, scale)
+    with pytest.raises(MeasureError, match="unknown AC kind"):
+        ACWeight("lebesgue", scale=parse("1"))
+    # the JSON spelling stays, read through the bernstein_szego branch
+    obj = {"ac": {"kind": "lebesgue", "scale": "1 - t"}}
+    assert Measure.from_json(obj) == Measure.of(ACWeight.lebesgue("1 - t"))
+
+
 def test_point_mass_moments():
     om = 0.9
     m = Measure.of(ACWeight.none(), [MassPoint.of(1.5, om)])

@@ -1,6 +1,6 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,11 +19,13 @@ from popuc.predicates import (
     VERDICT_NODES,
     MotionContext,
     PredicateError,
+    VerdictReport,
     motion_context,
     reference_index,
     s_factor,
     s_sum,
     verdict,
+    verdicts_at,
     w_continuous,
 )
 from popuc.scenarios import scenario_config
@@ -175,6 +177,25 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
     assert len(calls) == 5
     assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
     assert ctx.f_phases[tracked] == pytest.approx(-1.0 / 0.6, abs=1e-12)
+
+
+def test_motion_context_rejects_a_negative_lebesgue_scale():
+    # moments reject this scale as well; a direct call once returned CCW, CCW, CCW, CW
+    masses = [MassPoint.of("t", "0")]
+    zs = solve_at(Measure.of(ACWeight.lebesgue("1 + t"), masses), 5, ZeroPolicy.fixed_xi(1j), 0.4).zero_set
+    with pytest.raises(PredicateError, match="AC scale -1.4 is negative"):
+        verdicts_at(Measure.of(ACWeight.lebesgue("-1 - t"), masses), zs, 0.4, "t23")
+
+
+def test_a_custom_weight_may_have_a_negative_t_factor():
+    # the same weight as A(t) B(theta) with both factors negated: the same verdicts
+    masses = [MassPoint.of("t", "2*pi/3")]
+    reports = []
+    for weight in ("(-1 - t)*(cos(theta) - 2)", "(1 + t)*(2 - cos(theta))"):
+        m = Measure.of(ACWeight.custom(weight), masses)
+        zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
+        reports.append([r.to_json() for r in verdicts_at(m, zs, 0.4, "t23", nodes=512).values()])
+    assert len(reports[0]) == 4 and reports[0] == reports[1]
 
 
 # a conjugate-symmetric measure: masses at +-omega with equal weights
@@ -351,6 +372,7 @@ def test_report_json_round_trip():
         gammas=[1.0], omegas=[4.0], dgammas=[0.7], domegas=[0.0],
     )
     obj = verdict(ctx, 1, 0, "t21").to_json()
+    assert list(obj) == [f.name for f in fields(VerdictReport)]
     assert obj["verdict"] == "CCW"
     assert obj["theorem"] == "t21"
     assert isinstance(obj["w_masses"], list)

@@ -5,7 +5,7 @@ import pytest
 
 from popuc import cli
 from popuc.cli import main
-from popuc.dynamics import SweepConfig, ZeroPolicy, sweep, sweep_verdicts
+from popuc.dynamics import SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts
 from popuc.measures import ACWeight, MassPoint, Measure
 from popuc.scenarios import SCENARIOS, scenario_config, scenario_json
 
@@ -73,15 +73,18 @@ def test_scenario_prints_expressions_in_source_form(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_b_sets_fixed_b_for_any_scenario(capsys, name):
-    assert main(["scenario", name, "--b", "1,0"]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["policy"] == {"kind": "fixed_b", "value": [1, 0]}
-    assert scenario_config(name, 1 + 0j).policy == ZeroPolicy.fixed_b(1)
-
-
-def test_scenario_rejects_an_off_circle_b():
-    assert main(["scenario", "lebesgue_mass_b", "--b", "2,0"]) == 2
+def test_scenario_b_sets_fixed_b_for_any_scenario(tmp_path, name):
+    # zeros --b replaces the printed scenario's policy; scenario takes no --b
+    cfg_path, out = str(tmp_path / "scenario.json"), tmp_path / "zeros.json"
+    assert main(["scenario", name, "--out", cfg_path]) == 0
+    assert main(["zeros", "--config", cfg_path, "--b", "1,0", "--out", str(out)]) == 0
+    cfg = scenario_config(name)
+    zs = solve_at(cfg.measure, cfg.degree, ZeroPolicy.fixed_b(1), 0.0, cfg.nodes).zero_set
+    payload = json.loads(out.read_text())
+    assert payload["b"] == [1.0, 0.0] and payload["phases"] == zs.phases.tolist()
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", name, "--b", "1,0"])
+    assert exc.value.code == 2
 
 
 def test_from_json_fills_defaults():
@@ -91,12 +94,13 @@ def test_from_json_fills_defaults():
     )
 
 
-def test_from_json_ignores_h_and_rejects_other_unknown_keys():
-    # the retired top-level h still loads; any other unknown key is a typo
-    obj = dict(scenario_json("lebesgue_mass_b"), h=0.5)
-    assert SweepConfig.from_json(obj) == REFERENCE["lebesgue_mass_b"]
-    with pytest.raises(ValueError, match="'comment'"):
-        SweepConfig.from_json(dict(obj, comment="old file"))
+@pytest.mark.parametrize("key", ["h", "comment"])
+def test_from_json_rejects_h_like_any_unknown_key(tmp_path, capsys, key):
+    # the retired top-level h is read by nothing, so it fails as a typo does
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(scenario_json("lebesgue_mass_b"), **{key: 0.5})))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_from_json_takes_python_sequences_and_numpy_numbers():
