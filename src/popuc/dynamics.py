@@ -1,14 +1,15 @@
 """Parameter sweeps: zero trajectories, velocities, and balance identities.
 
-The per-grid-point pipeline is moments -> OPUC -> paraorthogonality
-parameter (per policy) -> POPUC -> zero set; consecutive zero sets are
-matched by nearest circular phase, a rotation of their sorted order, and
-chained into continuous trajectories.
+The per-grid-point pipeline is moments -> OPUC -> paraorthogonality parameter
+(per policy) -> POPUC -> zero set, with the measure's record (``measures.MeasureSample``)
+that its verdicts and balance check read; consecutive zero sets are matched by nearest
+circular phase, a rotation of their sorted order, and chained into continuous trajectories.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .measures import (
     MIN_NODES,
     Measure,
     MeasureError,
+    MeasureSample,
     json_number,
     json_pair,
     known_keys,
@@ -142,6 +144,7 @@ class PipelineState:
     family: OpucFamily
     popuc: PopucInstance
     zero_set: ZeroSet
+    sample: MeasureSample
 
 
 def solve_at(
@@ -166,7 +169,7 @@ def solve_at(
     else:
         popuc = build_popuc(q, policy.value)
         zs = zeros_on_circle(popuc, start=start)
-    return PipelineState(t=t, family=family, popuc=popuc, zero_set=zs)
+    return PipelineState(t=t, family=family, popuc=popuc, zero_set=zs, sample=ms.sample)
 
 
 @dataclass(frozen=True)
@@ -174,13 +177,15 @@ class Trajectory:
     """Matched zero chains over the sweep grid.
 
     ``chains[i, k]`` is the unwrapped phase of zero ``k`` at grid point
-    ``i``; chain indices follow the sorted order of the first zero set.
+    ``i``; chain indices follow the sorted order of the first zero set,
+    and ``samples[i]`` is the measure record that set was solved on.
     """
 
     ts: np.ndarray
     zero_sets: tuple[ZeroSet, ...]
     chains: np.ndarray
     fixed_chain: int | None
+    samples: tuple[MeasureSample, ...]
 
     @property
     def n_zeros(self) -> int:
@@ -209,6 +214,9 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
     return perm
 
 
+_POINT = attrgetter("zero_set", "sample")  # all a sweep keeps of each PipelineState
+
+
 def sweep(cfg: SweepConfig) -> Trajectory:
     """Track all zeros of the POPUC across the t grid.
 
@@ -216,21 +224,23 @@ def sweep(cfg: SweepConfig) -> Trajectory:
     the previous point, and is matched to the chains before the next is solved.
     """
     ts = cfg.grid()
-    zs = solve_at(cfg.measure, cfg.degree, cfg.policy, ts[0], cfg.nodes).zero_set
-    zero_sets = [zs]
+    zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[0], cfg.nodes))
+    zero_sets, samples = [zs], [sample]
     chains = np.zeros((len(ts), len(zs)))
     chains[0] = current = zs.phases
     for i in range(1, len(ts)):
-        zs = solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros).zero_set
+        zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros))
         matched = zs.phases[_match(current, zs, zero_sets[-1].min_gap, ts[i])]
         chains[i] = chains[i - 1] + np.angle(np.exp(1j * (matched - current)))
         current = matched
         zero_sets.append(zs)
+        samples.append(sample)
     return Trajectory(
         ts=ts,
         zero_sets=tuple(zero_sets),
         chains=chains,
         fixed_chain=zero_sets[0].fixed_index,
+        samples=tuple(samples),
     )
 
 
@@ -320,7 +330,7 @@ def balance_check(
     phi, theta0 = float(zs.phases[tracked]), float(zs.phases[reference])
     if theorem == "t22" and not conjugate_pair(phi, theta0):
         raise PredicateError(f"the zeros at {phi!r} and {theta0!r} are not a conjugate pair")
-    ctx = motion_context(m, zs, t, nodes)
+    ctx = motion_context(state.sample, zs)
     coeffs = state.popuc.poly.coeffs
     pvals_at_masses = np.abs(polyval(coeffs, np.exp(1j * ctx.omegas))) ** 2
     rhs = float(np.sum(mass_functionals(ctx, tracked, reference) * pvals_at_masses))
@@ -340,15 +350,13 @@ def balance_check(
     return BalanceEntry(t=t, C=C, dphi_dt=dphi, lhs=lhs, rhs=rhs, mismatch=mismatch)
 
 
-def sweep_verdicts(
-    cfg: SweepConfig, traj: Trajectory
-) -> list[dict]:
+def sweep_verdicts(cfg: SweepConfig, traj: Trajectory) -> list[dict]:
     """Per-grid-point verdicts for every zero that has a reference zero, all
-    zeros of a grid point from one :func:`~popuc.predicates.verdicts_at` pass."""
+    zeros of a grid point from one :func:`~popuc.predicates.verdicts_at` pass on its record."""
     out = []
-    for t, zs in zip(traj.ts, traj.zero_sets):
+    for t, zs, sample in zip(traj.ts, traj.zero_sets, traj.samples):
         try:
-            reports = verdicts_at(cfg.measure, zs, float(t), cfg.theorem, cfg.nodes)
+            reports = verdicts_at(sample, zs, cfg.theorem)
             items = [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
         except (PredicateError, MeasureError, ExprError) as exc:
             # bad measure data at one grid point degrades gracefully: its zeros get the error

@@ -5,6 +5,8 @@ plus a finite list of point masses whose weights and locations are
 expressions in the parameter ``t``.  Moments c_k = int e^{-ik theta} dmu
 are produced in closed form where available and otherwise by the periodic
 trapezoid rule, every c_k at once from one FFT of the density on the node grid.
+Only this module evaluates the measure: once per grid point, into the
+:class:`MeasureSample` that :func:`moments` hands on to the motion functionals.
 """
 from __future__ import annotations
 
@@ -16,12 +18,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .expressions import BinOp, Const, Expr, Neg, differentiate, evaluate, free_variables, parse
+from .expressions import BinOp, Const, Expr, Neg, differentiate, evaluate, evaluate_all, free_variables, parse
 
 __all__ = [
     "MassPoint",
     "ACWeight",
     "Measure",
+    "MeasureSample",
     "MomentSequence",
     "MeasureError",
     "moments",
@@ -169,8 +172,8 @@ class ACWeight:
     def __post_init__(self):
         if self.kind not in ("none", "bernstein_szego", "custom"):
             raise MeasureError(f"unknown AC kind {self.kind!r}")
-        if self.kind == "bernstein_szego" and abs(self.lam) >= 1.0:
-            raise MeasureError("bernstein_szego requires |lambda| < 1")
+        if self.kind == "bernstein_szego" and (self.scale is None or abs(self.lam) >= 1.0):
+            raise MeasureError("bernstein_szego requires a scale and |lambda| < 1")
         if self.kind == "custom" and self.weight is None:
             raise MeasureError("custom weight requires an expression")
 
@@ -233,8 +236,8 @@ class Measure:
     def of(cls, ac: ACWeight, masses: Iterable[MassPoint] = ()) -> "Measure":
         return cls(ac, tuple(masses))
 
-    def mass_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma_j(t), omega_j(t)) arrays, with invariant checks."""
+    def at(self, t: float, nodes: int = DEFAULT_NODES) -> "MeasureSample":
+        """The :class:`MeasureSample` at ``t``; a negative or coincident mass raises MeasureError."""
         gam = np.array([evaluate(m.gamma, {"t": t}) for m in self.masses], dtype=float)
         om = np.array([evaluate(m.omega, {"t": t}) for m in self.masses], dtype=float)
         if np.any(gam < 0):
@@ -243,7 +246,7 @@ class Measure:
             ordered = np.sort(om % (2.0 * math.pi))
             if circular_gap(ordered, ordered[np.arange(-1, len(om) - 1)]).min() < ANGLE_TOL:
                 raise MeasureError(f"coincident mass points at t={t}")
-        return gam, om
+        return MeasureSample(self, t, nodes, gam, om)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Measure":
@@ -258,7 +261,7 @@ class Measure:
         if kind == "none":
             ac = ACWeight.none()
         elif kind == "custom":
-            ac = ACWeight.custom(_json_expr(ac_obj["w"], "ac.w"))
+            ac = ACWeight.custom(_json_expr(ac_obj.get("w"), "ac.w"))
         else:  # lebesgue is bernstein_szego with lambda 0
             lam = json_pair(ac_obj, "lambda") if kind == "bernstein_szego" else 0
             ac = ACWeight.bernstein_szego(lam, _json_expr(ac_obj.get("scale", "1"), "ac.scale"))
@@ -268,9 +271,65 @@ class Measure:
         points = []
         for j, mass in enumerate(masses):
             known_keys(mass, "mass", ("gamma", "omega"))
-            gamma, omega = (_json_expr(mass[key], f"masses[{j}].{key}") for key in ("gamma", "omega"))
+            gamma, omega = (_json_expr(mass.get(key), f"masses[{j}].{key}") for key in ("gamma", "omega"))
             points.append(MassPoint(gamma, omega))
         return cls.of(ac, points)
+
+
+@dataclass(frozen=True, eq=False)
+class MeasureSample:
+    """A measure at one ``t``, read by a grid point's moments, verdicts and balance checks:
+    gamma_j(t), omega_j(t), and all else on first read, so a solve evaluates only what it reads."""
+
+    measure: Measure
+    t: float
+    nodes: int
+    gammas: np.ndarray = field(repr=False)
+    omegas: np.ndarray = field(repr=False)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return theta_grid(0.0, self.nodes)
+
+    @cached_property
+    def d_masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gamma_j'(t), omega_j'(t)) from ``MassPoint.d_dt``."""
+        masses = self.measure.masses
+        return tuple(np.array([evaluate(mp.d_dt[i], {"t": self.t}) for mp in masses]) for i in (0, 1))
+
+    @cached_property
+    def factor(self) -> float:
+        """A(t) of ``ACWeight.t_factor``; a closed kind's A, its scale, may not be negative."""
+        ac = self.measure.ac
+        a = evaluate(ac.t_factor[0] if ac.kind == "custom" else ac.scale, {"t": self.t})
+        if a < 0 and ac.kind != "custom":
+            raise MeasureError(f"AC density is negative: scale {a} at t={self.t}")
+        return a
+
+    @cached_property
+    def d_factor(self) -> float:
+        """A'(t) of the weight's t-factor."""
+        return evaluate(self.measure.ac.t_factor[1], {"t": self.t})
+
+    @cached_property
+    def density(self) -> np.ndarray:
+        """The density on :attr:`grid` that the moments take, finite and nonnegative."""
+        vals = self.measure.ac.density(self.grid, self.t)
+        if not np.all(np.isfinite(vals)):
+            raise MeasureError("weight evaluates non-finite at a quadrature node")
+        if np.any(vals < 0):
+            raise MeasureError(f"weight is negative at a quadrature node at t={self.t}")
+        return vals
+
+    @cached_property
+    def d_density(self) -> float | np.ndarray:
+        """d/dt of a ``custom`` weight on :attr:`grid` (a number when it holds no theta)."""
+        return evaluate(self.measure.ac.d_dt, {"theta": self.grid, "t": self.t})
+
+    def weight_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(w, d/dt w) at the angles ``theta``, in one pass, of a weight with no t-factor."""
+        ac = self.measure.ac
+        return evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": self.t})
 
 
 @dataclass(frozen=True)
@@ -283,6 +342,7 @@ class MomentSequence:
     t: float
     K: int
     c: np.ndarray = field(repr=False)
+    sample: MeasureSample = field(repr=False)
 
     def __getitem__(self, k: int) -> complex:
         if abs(k) > self.K:
@@ -297,52 +357,37 @@ class MomentSequence:
         return self.c[self.K + idx[:, None] - idx[None, :]]
 
 
-def quadrature_moment(w: ACWeight, t: float, K: int, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Composite trapezoid values of int e^{-ik theta} w(theta; t) dtheta/2pi
-    for k = 0..K, as an array.
-
-    The density is evaluated once, on ``nodes`` points over one period
-    starting at 0, and every value comes from one FFT:
-    c_k = fft(w)[k mod nodes] / nodes.  Orders k >= nodes alias
-    exactly as the trapezoid rule aliases them.  For smooth periodic
-    integrands the convergence is spectral.  A non-finite or negative value
-    at any node raises :class:`MeasureError`.
-    """
-    thetas = theta_grid(0.0, nodes)
-    vals = w.density(thetas, t)
-    if not np.all(np.isfinite(vals)):
-        raise MeasureError("weight evaluates non-finite at a quadrature node")
-    if np.any(vals < 0):
-        raise MeasureError(f"weight is negative at a quadrature node at t={t}")
-    return np.fft.fft(vals)[np.arange(K + 1) % nodes] / nodes
+def quadrature_moment(sample: MeasureSample, K: int) -> np.ndarray:
+    """Composite trapezoid values of int e^{-ik theta} w(theta; t) dtheta/2pi for k = 0..K,
+    as an array, from one FFT of :attr:`MeasureSample.density`: c_k = fft(w)[k mod nodes] / nodes.
+    Orders k >= nodes alias exactly as the trapezoid rule aliases them; for smooth periodic
+    integrands the convergence is spectral."""
+    return np.fft.fft(sample.density)[np.arange(K + 1) % sample.nodes] / sample.nodes
 
 
-def _ac_moments(ac: ACWeight, t: float, K: int, nodes: int) -> np.ndarray:
-    """c_0..c_K of the absolutely continuous part; a density negative
-    anywhere (for the closed forms, a negative scale) is rejected."""
+def _ac_moments(sample: MeasureSample, K: int) -> np.ndarray:
+    """c_0..c_K of the absolutely continuous part, which the record checks."""
+    ac = sample.measure.ac
     if ac.kind == "custom":
-        return quadrature_moment(ac, t, K, nodes)
+        return quadrature_moment(sample, K)
     if ac.kind == "none":
         return np.zeros(K + 1, dtype=complex)
-    s = evaluate(ac.scale, {"t": t})
-    if s < 0:
-        raise MeasureError(f"AC density is negative: scale {s} at t={t}")
     # geometric moments of the Poisson-kernel (squared-modulus) weight;
     # at lam = 0 (lebesgue) c_0 = s and c_k = 0 for k > 0
-    return s * ac.lam ** np.arange(K + 1)
+    return sample.factor * ac.lam ** np.arange(K + 1)
 
 
 def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentSequence:
-    """Moments c_k, k = -K..K, of ``m`` at parameter value ``t``.  This is the
-    one admissibility check: a negative or coincident mass, a negative density
-    or a total mass that is not positive raises :class:`MeasureError`."""
+    """Moments c_k, k = -K..K, of ``m`` at ``t`` and their record ``m.at(t, nodes)``.
+    This is the one admissibility check: a negative or coincident mass, a negative
+    density or a total mass that is not positive raises :class:`MeasureError`."""
     if K < 0:
         raise MeasureError("K must be nonnegative")
-    gam, om = m.mass_values(t)
-    k = np.arange(K + 1)
-    half = _ac_moments(m.ac, t, K, nodes) + np.sum(gam * np.exp(-1j * np.outer(k, om)), axis=1)
+    sample, k = m.at(t, nodes), np.arange(K + 1)
+    gam, om = sample.gammas, sample.omegas
+    half = _ac_moments(sample, K) + np.sum(gam * np.exp(-1j * np.outer(k, om)), axis=1)
     c = np.concatenate([np.conj(half[:0:-1]), half])
     c[K] = c[K].real
     if c[K].real <= 0:
         raise MeasureError(f"total mass {c[K].real} is not positive at t={t}")
-    return MomentSequence(t=t, K=K, c=c)
+    return MomentSequence(t=t, K=K, c=c, sample=sample)

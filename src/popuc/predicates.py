@@ -1,14 +1,15 @@
 """Motion functionals and verdicts for the POPUC zeros at one parameter value.
 
-The measure decides the continuous terms.  With f(theta) = (d/dt weight)/weight,
-the per-mass functional W_j gains -gamma_j s f(phi) when the AC part moves,
-and verdicts also test the density functional
-W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f when f can
-depend on theta.  One rule takes f = A'/A for every weight A(t) B(theta)
-(``ACWeight.t_factor``): ``bernstein_szego``, whose A is the scale, and a
-``custom`` weight whose product/quotient spine splits so; for them W(theta)
-is exactly zero.  Only a ``custom`` weight with a factor that mixes t and
-theta takes f on a grid.
+The measure decides the continuous terms, from the numbers of its record at
+one t (``measures.MeasureSample``): this module evaluates no expression.
+With f(theta) = (d/dt weight)/weight, the per-mass functional W_j gains
+-gamma_j s f(phi) when the AC part moves, and verdicts also test the density
+functional W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f
+when f can depend on theta.  One rule takes f = A'/A for every weight
+A(t) B(theta) (``ACWeight.t_factor``): ``bernstein_szego``, whose A is the
+scale, and a ``custom`` weight whose product/quotient spine splits so; for
+them W(theta) is exactly zero.  Only a ``custom`` weight with a factor that
+mixes t and theta takes f on a grid.
 
 The regime (``theorem``) only picks the reference zero theta0, in
 :func:`reference_index`: the pinned zero under ``t21`` and ``t23`` (one
@@ -18,9 +19,9 @@ A verdict of CCW (counterclockwise), CW, Stationary, or Inconclusive is
 returned together with the supporting numbers.
 
 All zeros at one parameter value share the masses, f and the zero phases:
-:func:`motion_context` gathers them once per grid point in a
-:class:`MotionContext`, and every functional takes the zero pair it reads,
-the tracked zero and its reference, as arguments.  :func:`verdicts_at`
+:func:`motion_context` gathers them once per grid point in a :class:`MotionContext`
+from the record they were solved on, and every functional takes the zero pair it
+reads, the tracked zero and its reference, as arguments.  :func:`verdicts_at`
 decides every zero in one array pass: the W_j of all zeros form one
 (zeros x masses) table built from one cotangent table, and W(theta) one
 (zeros x nodes) table on the context's one grid, the moments' nodes.
@@ -35,8 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expressions import evaluate, evaluate_all
-from .measures import ANGLE_TOL, DEFAULT_NODES, Measure, circular_gap, theta_grid
+from .measures import ANGLE_TOL, MeasureSample, circular_gap
 from .paraorthogonal import ZeroSet
 
 __all__ = [
@@ -90,33 +90,25 @@ class MotionContext:
         return circular_gap(self.omegas[:, None], self.phases[None, :])
 
 
-def _ac_log_derivative(m: Measure, phases: np.ndarray, t: float, nodes: int) -> tuple:
-    """(f_phases, grid) of :class:`MotionContext` for the AC part; a zero
-    t-factor or a negative scale raises.  Only a weight with no t-factor has
-    a grid: it and its d/dt are evaluated in one pass at the phases, reduced
-    into [0, 2 pi), and on ``theta_grid(0, nodes)``, the period the moments
-    integrate."""
-    ac = m.ac
+def _ac_log_derivative(sample: MeasureSample, phases: np.ndarray) -> tuple:
+    """(f_phases, grid) of :class:`MotionContext` for the AC part; a zero t-factor or a
+    vanishing weight raises.  Only a weight with no t-factor has a grid, the record's: f is
+    read there and at the phases reduced into [0, 2 pi), the period the moments integrate."""
+    ac = sample.measure.ac
     if ac.kind == "none":
         return np.zeros(len(phases)), None
     if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
-        a, da = ac.t_factor
-        value = evaluate(a, {"t": t})
-        if value == 0.0:
-            raise PredicateError(f"weight vanishes at t={t}: its t-factor is zero")
-        if value < 0 and ac.kind == "bernstein_szego":  # a custom A(t) < 0 may have B(theta) < 0
-            raise PredicateError(f"AC scale {value} is negative at t={t}")
-        return np.full(len(phases), evaluate(da, {"t": t}) / value), None
+        if sample.factor == 0.0:
+            raise PredicateError(f"weight vanishes at t={sample.t}: its t-factor is zero")
+        return np.full(len(phases), sample.d_factor / sample.factor), None
 
     reduced = np.mod(phases, 2.0 * math.pi)  # 2 pi for a phase an ulp below 0
-    grid = theta_grid(0.0, nodes)
-    theta = np.concatenate([np.where(reduced < 2.0 * math.pi, reduced, 0.0), grid])
-    w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": t})
-    w = np.broadcast_to(w, theta.shape)
-    if np.any(w <= 0):
-        raise PredicateError(f"weight vanishes at theta={float(theta[w <= 0][0])!r}")
-    f = dw / w
-    return f[: len(phases)], (grid, f[len(phases) :], w[len(phases) :])
+    theta = np.where(reduced < 2.0 * math.pi, reduced, 0.0)
+    (w, dw), dw_grid = sample.weight_at(theta), sample.d_density
+    theta_all, w_all = np.concatenate([theta, sample.grid]), np.concatenate([w, sample.density])
+    if np.any(w_all <= 0):
+        raise PredicateError(f"weight vanishes at theta={float(theta_all[w_all <= 0][0])!r}")
+    return dw / w, (sample.grid, dw_grid / sample.density, sample.density)
 
 
 def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
@@ -134,25 +126,16 @@ def conjugate_pair(phi: float, theta0: float) -> bool:
     return abs(math.remainder(phi + theta0, 2.0 * math.pi)) <= 1e-8
 
 
-def motion_context(m: Measure, zs: ZeroSet, t: float, nodes: int = DEFAULT_NODES) -> MotionContext:
-    """Assemble the :class:`MotionContext` of ``m`` at ``t`` for the zeros
-    ``zs``, with f on ``theta_grid(0, nodes)`` when it can depend on theta.
+def motion_context(sample: MeasureSample, zs: ZeroSet) -> MotionContext:
+    """Assemble the :class:`MotionContext` of the measure record ``sample``
+    for the zeros ``zs`` solved on it, with f on the record's grid when it
+    can depend on theta.
 
     Mass derivative data comes from exact symbolic differentiation of the
     gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
     """
-    gam, om = m.mass_values(t)
-    dgam = np.array([evaluate(mp.d_dt[0], {"t": t}) for mp in m.masses])
-    dom = np.array([evaluate(mp.d_dt[1], {"t": t}) for mp in m.masses])
-    f_phases, grid = _ac_log_derivative(m, zs.phases, t, nodes)
     return MotionContext(
-        phases=zs.phases,
-        gammas=gam,
-        omegas=om,
-        dgammas=dgam,
-        domegas=dom,
-        f_phases=f_phases,
-        grid=grid,
+        zs.phases, sample.gammas, sample.omegas, *sample.d_masses, *_ac_log_derivative(sample, zs.phases)
     )
 
 
@@ -358,16 +341,14 @@ def verdict(ctx: MotionContext, tracked: int, reference: int, theorem: str) -> V
     return _verdict_rows(ctx, [tracked], [reference], theorem)[0]
 
 
-def verdicts_at(
-    m: Measure, zs: ZeroSet, t: float, theorem: str, nodes: int = DEFAULT_NODES
-) -> dict[int, VerdictReport]:
-    """The verdict of every zero of ``zs`` that has a reference zero (see
-    :func:`reference_index`), keyed by zero index in increasing order.  The
-    motion data of ``m`` at ``t`` is built once, on ``nodes`` grid nodes, and
-    every zero's functionals come from one table pass; an error in either
-    reaches the caller."""
+def verdicts_at(sample: MeasureSample, zs: ZeroSet, theorem: str) -> dict[int, VerdictReport]:
+    """The verdict of every zero of ``zs``, solved on the measure record
+    ``sample``, that has a reference zero (see :func:`reference_index`),
+    keyed by zero index in increasing order.  The motion data is built once
+    from the record, and every zero's functionals come from one table pass;
+    an error in either reaches the caller."""
     rows = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
     if not rows:
         return {}
-    ctx = motion_context(m, zs, t, nodes)
+    ctx = motion_context(sample, zs)
     return dict(zip(rows, _verdict_rows(ctx, list(rows), list(rows.values()), theorem)))

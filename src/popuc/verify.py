@@ -272,7 +272,7 @@ def check_conjugate_pair() -> CheckResult:
         k = tracked[0]
         partner = reference_index(zs, k, "t22")
         worst_sym = max(worst_sym, abs(zs.phases[k] + zs.phases[partner]))
-        rep = verdicts_at(m, zs, float(t), "t22")[k]
+        rep = verdicts_at(st.sample, zs, "t22")[k]
         be = balance_check(m, 4, pol, float(t), zs.phases[k], "t22", h=1e-5)
         if rep.verdict == "CCW" and be.dphi_dt <= 1e-8:
             return _result("conjugate", False, f"CCW verdict but velocity {be.dphi_dt:.2e} at t={t}")
@@ -385,7 +385,7 @@ def check_identities() -> CheckResult:
         if m.ac.kind == "none" and len(zs) >= 2:
             others = [k for k in range(len(zs)) if circular_gap(zs.phases[k], float(np.angle(zeta))) > 1e-9]
             xi = complex(np.exp(1j * zs.phases[others[0]]))
-            gam, om = m.mass_values(0.0)
+            gam, om = ms.sample.gammas, ms.sample.omegas
             zm = np.exp(1j * om)
             pv = polyval(coeffs, zm)
             total = np.sum(gam * zm * pv * np.conj(pv) / ((zm - xi) * (zm - zeta)))
@@ -410,7 +410,7 @@ def check_identities() -> CheckResult:
     zsn = np.exp(1j * thetas)
     integrand = (pref * zsn * polyval(d2, zsn) * np.conj(polyval(coeffs, zsn))).real
     ac_part = float(np.mean(integrand * (1 - 0.4)))
-    gam, om = m.mass_values(0.4)
+    gam, om = st.sample.gammas, st.sample.omegas
     zm = np.exp(1j * om)
     pv = np.abs(polyval(coeffs, zm)) ** 2
     svals = _unit_mass_functionals(zs.phases, om, tracked, zs.fixed_index, moving=False)

@@ -248,6 +248,9 @@ def test_a_long_flat_sum_exits_2_and_says_so(tmp_path, capsys):
         ({"ac": {"kind": "bernstein_szego", "lambda": [0.1, 0.0], "scale": ")"}}, "ac.scale"),
         ({"ac": {"kind": "custom", "w": "theta theta"}}, "ac.w"),
         ({"masses": [{"gamma": True, "omega": "0"}]}, "masses[0].gamma"),
+        # a missing expression: a custom ac object without w once printed the bare 'w'
+        ({"ac": {"kind": "custom"}}, "ac.w"),
+        ({"masses": [{"omega": "0"}]}, "masses[0].gamma"),
     ],
 )
 def test_a_malformed_expression_is_named_by_its_place(tmp_path, capsys, measure, where):

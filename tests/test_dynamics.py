@@ -1,13 +1,14 @@
 import cmath
 import inspect
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc import dynamics, measures, predicates
+from popuc import dynamics, expressions, measures
 from popuc.dynamics import (
     SweepConfig,
     TrackingError,
@@ -278,7 +279,7 @@ def test_t22_balance_rejects_a_partner_that_is_not_the_conjugate():
     k = zs.nearest_index(1.6314)
     partner = zs.phases[reference_index(zs, k, "t22")]
     assert abs(zs.phases[k] + partner) == pytest.approx(0.43, abs=0.005)
-    assert verdicts_at(m, zs, 0.1, "t22")[k].flags == ("non_conjugate_pair",)
+    assert verdicts_at(m.at(0.1), zs, "t22")[k].flags == ("non_conjugate_pair",)
     with pytest.raises(PredicateError, match="not a conjugate pair"):
         balance_check(m, 4, pol, 0.1, zs.phases[k], "t22")
 
@@ -313,7 +314,7 @@ def test_sweep_verdicts_propagates_defects(monkeypatch):
     cfg = SweepConfig(MIXED, 5, 0.2, 0.4, 3, ZeroPolicy.fixed_xi(1j), theorem="t23")
     traj = sweep(cfg)
 
-    def broken_verdicts(m, zs, t, theorem, nodes):
+    def broken_verdicts(sample, zs, theorem):
         raise ZeroDivisionError("defect in a motion functional")
 
     monkeypatch.setattr(dynamics, "verdicts_at", broken_verdicts)
@@ -397,7 +398,7 @@ def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
     for k in range(len(zs)):
         if k == zs.fixed_index:
             continue
-        ctx = motion_context(m, zs, 0.4)
+        ctx = motion_context(m.at(0.4), zs)
         assert ctx.grid is None and np.all(ctx.f_phases == ctx.f_phases[k])
         f = lambda theta: np.full(len(theta), ctx.f_phases[k])  # noqa: E731
         assert _d2_ac_integral(m, state, f, k, zs.fixed_index)[0] == 0.0
@@ -429,13 +430,17 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
         solve_at(m, 5, pol, s, nodes)
     solves = len(calls)
     calls.clear()
-    passes = _count_calls(monkeypatch, predicates, "evaluate_all")
+    passes = _count_calls(monkeypatch, measures, "evaluate_all")
+    evaluations = _count_calls(monkeypatch, measures, "evaluate")
     balance_check(m, 5, pol, t, phi, "t23", h, nodes)
-    # no density beyond the solves: a varying f takes the weight from the
-    # motion context's one pass at the zeros and on the moments' nodes
+    # no density beyond the solves: a varying f takes the weight on the
+    # moments' nodes from the solve's record, and adds one pass at the zeros
+    # and one d/dt on those nodes
     assert len(calls) == solves
     varies = m.ac.kind == "custom" and m.ac.t_factor is None
-    assert [np.size(args[1]["theta"]) for args in passes] == [5 + nodes] * varies
+    assert [np.size(args[1]["theta"]) for args in passes] == [5] * varies
+    on_grid = [args for args in evaluations if "theta" in args[1] and args[0] is m.ac.d_dt]
+    assert [np.size(args[1]["theta"]) for args in on_grid] == [nodes] * varies
 
 
 # the conjugate-symmetric masses of verify's "conjugate" check under four
@@ -480,7 +485,7 @@ def test_balance_ac_sum_is_the_deflated_midpoint_integral(ac, nodes):
     for degree in range(4, 17):
         state = solve_at(m, degree, pol, t, nodes)
         zs = state.zero_set
-        assert motion_context(m, zs, t, nodes).grid is not None
+        assert motion_context(state.sample, zs).grid is not None
         for k in {(zs.fixed_index + 1) % degree, (zs.fixed_index + degree // 2) % degree}:
             be = balance_check(m, degree, pol, t, zs.phases[k], "t23", nodes=nodes)
             oracle, scale = _d2_ac_integral(m, state, f, k, zs.fixed_index, nodes)
@@ -496,8 +501,9 @@ def test_weight_is_read_only_on_the_period_the_moments_integrate(monkeypatch):
     traj = sweep(cfg)
     assert np.max(traj.zero_sets[0].phases) > 2 * math.pi
     thetas = []
-    # the weight is evaluated by the density (moments) and by the motion context
-    for module, name in ((measures, "evaluate"), (predicates, "evaluate_all")):
+    # the weight and its d/dt are evaluated in measures alone: on the moments'
+    # grid and at the zero phases
+    for module, name in ((measures, "evaluate"), (measures, "evaluate_all")):
         real = getattr(module, name)
 
         def recording(e, bindings, real=real):
@@ -605,3 +611,68 @@ def test_sweep_stops_at_the_first_point_that_fails_to_match(monkeypatch):
     with pytest.raises(TrackingError, match="at t=1.25; refine the grid"):
         sweep(cfg)
     assert len(starts) == 3
+
+
+def _record_evaluations(monkeypatch) -> list:
+    """(expressions, bindings) of every outermost ``evaluate`` and
+    ``evaluate_all`` call, wrapped in every popuc module that binds them, as
+    perfbench's tracer wraps ``evaluate``."""
+    calls, depth = [], [0]
+    for name in ("evaluate", "evaluate_all"):
+        real = getattr(expressions, name)
+
+        def wrapped(exprs, bindings, real=real, many=name == "evaluate_all"):
+            if not depth[0]:
+                calls.append((tuple(exprs) if many else (exprs,), bindings))
+            depth[0] += 1
+            try:
+                return real(exprs, bindings)
+            finally:
+                depth[0] -= 1
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "popuc" and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def _evaluations_of(calls, exprs) -> int:
+    return sum(any(e is x for e in evaluated for x in exprs) for evaluated, _ in calls)
+
+
+def test_each_grid_point_samples_the_measure_once(monkeypatch):
+    cfg = scenario_config("bs_mass_gamma")
+    m, (mass,) = cfg.measure, cfg.measure.masses
+    d_dts = (*mass.d_dt, m.ac.d_dt)
+    calls = _record_evaluations(monkeypatch)
+    traj = sweep(cfg)
+    assert _evaluations_of(calls, d_dts) == 0  # a sweep reads no derivative
+    sweep_verdicts(cfg, traj)
+    # one record per point serves its moments and its verdicts
+    assert cfg.steps == 50
+    assert [_evaluations_of(calls, [e]) for e in (mass.gamma, mass.omega, m.ac.scale)] == [50] * 3
+    assert [_evaluations_of(calls, [e]) for e in d_dts] == [50] * 3
+
+    zs = traj.zero_sets[10]
+    phi = float(zs.phases[(zs.fixed_index + 1) % len(zs)])
+    calls.clear()
+    balance_check(m, cfg.degree, cfg.policy, float(traj.ts[10]), phi, cfg.theorem)
+    # its own solve and the two solves at t +- h
+    assert [_evaluations_of(calls, [e]) for e in (mass.gamma, mass.omega, m.ac.scale)] == [3] * 3
+    calls.clear()
+    tracked_velocity(m, cfg.degree, cfg.policy, float(traj.ts[10]), phi)
+    assert _evaluations_of(calls, d_dts) == 0
+
+
+def test_a_varying_f_reads_the_weight_on_the_grid_from_the_solve(monkeypatch):
+    ac = ACWeight.custom("exp(t*cos(theta - 1))")
+    cfg = SweepConfig(Measure.of(ac, [MassPoint.of("t", "2*pi/3")]), 5, 0.5, 1.0, 20,
+                      ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=4096)
+    calls = _record_evaluations(monkeypatch)
+    entries = sweep_verdicts(cfg, sweep(cfg))
+    assert all("verdict" in item for entry in entries for item in entry["verdicts"])
+    on_grid = [
+        exprs for exprs, bindings in calls
+        if any(e is ac.weight for e in exprs) and np.size(bindings.get("theta")) >= cfg.nodes
+    ]
+    assert len(on_grid) == 20

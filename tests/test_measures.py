@@ -73,7 +73,7 @@ def test_bernstein_szego_moments_are_geometric():
 def test_bernstein_szego_closed_form_matches_quadrature():
     lam = 0.5 + 0.3j
     w = ACWeight.bernstein_szego(lam)
-    quad = quadrature_moment(w, 0.0, 4, nodes=2048)
+    quad = quadrature_moment(Measure.of(w).at(0.0, 2048), 4)
     for k in range(5):
         assert quad[k] == pytest.approx(lam**k, abs=1e-12)
 
@@ -131,7 +131,7 @@ def test_example_two_moments():
 def test_negative_mass_rejected():
     m = Measure.of(ACWeight.none(), [MassPoint.of("t", "1.0")])
     with pytest.raises(MeasureError):
-        m.mass_values(-0.5)
+        m.at(-0.5)
 
 
 def test_coincident_masses_rejected():
@@ -150,12 +150,12 @@ def test_coincidence_is_decided_round_the_circle():
     for omegas in ([1e-10, 2 * math.pi - 1e-10], [3.0, 1e-10, 1.5, 2 * math.pi - 1e-10]):
         m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, w) for w in omegas])
         with pytest.raises(MeasureError, match="coincident"):
-            m.mass_values(0.0)
+            m.at(0.0)
     # 30 separated masses, the last 1e-3 short of the first across the wrap
     omegas = np.linspace(0.0, 2 * math.pi, 30, endpoint=False)
     omegas[-1] = 2 * math.pi - 1e-3
     m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, float(w)) for w in omegas])
-    assert m.mass_values(0.0)[1].tolist() == omegas.tolist()
+    assert m.at(0.0).omegas.tolist() == omegas.tolist()
 
 
 def test_vanishing_total_mass_rejected():
@@ -167,6 +167,12 @@ def test_vanishing_total_mass_rejected():
 def test_bernstein_szego_needs_lambda_inside_disc():
     with pytest.raises(MeasureError):
         ACWeight.bernstein_szego(1.0 + 0.0j)
+
+
+def test_bernstein_szego_needs_a_scale():
+    # built without one, its moments once raised AttributeError on None
+    with pytest.raises(MeasureError, match="bernstein_szego requires a scale"):
+        ACWeight("bernstein_szego")
 
 
 def test_toeplitz_layout():
@@ -192,9 +198,8 @@ def test_json_round_trip():
     again = Measure.from_json(json.loads(json.dumps(obj)))
     assert again == m
     t = 0.7
-    g1, o1 = m.mass_values(t)
-    g2, o2 = again.mass_values(t)
-    assert np.allclose(g1, g2) and np.allclose(o1, o2)
+    s1, s2 = m.at(t), again.at(t)
+    assert np.allclose(s1.gammas, s2.gammas) and np.allclose(s1.omegas, s2.omegas)
     ms1 = moments(m, t, 3)
     ms2 = moments(again, t, 3)
     assert np.allclose(ms1.c, ms2.c)

@@ -118,7 +118,7 @@ def test_inner_product_matches_direct_sum():
     rng = np.random.default_rng(5)
     p = rng.normal(size=3) + 1j * rng.normal(size=3)
     q = rng.normal(size=4) + 1j * rng.normal(size=4)
-    gam, om = m.mass_values(0.0)
+    gam, om = ms.sample.gammas, ms.sample.omegas
     zm = np.exp(1j * om)
     direct = np.sum(gam * polyval(p, zm) * np.conj(polyval(q, zm)))
     assert inner_product(p, q, ms) == pytest.approx(direct, abs=1e-12)

@@ -11,7 +11,9 @@ from popuc.dynamics import (
     SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts, tracked_velocity
 )
 from popuc.expressions import differentiate, evaluate, parse
-from popuc.measures import ANGLE_TOL, ACWeight, MassPoint, Measure, circular_gap, theta_grid
+from popuc.measures import (
+    ANGLE_TOL, ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments, theta_grid
+)
 from popuc.paraorthogonal import ZeroSet
 from popuc.predicates import (
     NONNEG_TOL,
@@ -151,9 +153,10 @@ def test_w_continuous_vanishes_for_constant_f():
 def test_motion_context_from_pipeline():
     m = Measure.of(ACWeight.lebesgue("1 - t"), [MassPoint.of("t", "0")])
     pol = ZeroPolicy.fixed_xi(cmath.exp(1j * math.pi / 2))
-    zs = solve_at(m, 5, pol, 0.4, nodes=512).zero_set
+    state = solve_at(m, 5, pol, 0.4, nodes=512)
+    zs = state.zero_set
     tracked = (zs.fixed_index + 2) % len(zs)
-    ctx = motion_context(m, zs, 0.4)
+    ctx = motion_context(state.sample, zs)
     assert ctx.phases[zs.fixed_index] == pytest.approx(math.pi / 2, abs=1e-9)
     assert ctx.gammas[0] == pytest.approx(0.4)
     assert ctx.dgammas[0] == pytest.approx(1.0)
@@ -172,7 +175,7 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
     )
     zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
     for tracked in (1, 2, 3):
-        ctx = motion_context(m, zs, 0.4)
+        ctx = motion_context(m.at(0.4), zs)
     # d/dt of two gammas, two omegas and the Lebesgue scale, once each
     assert len(calls) == 5
     assert ctx.dgammas.tolist() == [1.0, 0.0] and ctx.domegas.tolist() == [0.0, 0.3]
@@ -180,11 +183,14 @@ def test_motion_context_differentiates_each_expression_once(monkeypatch):
 
 
 def test_motion_context_rejects_a_negative_lebesgue_scale():
-    # moments reject this scale as well; a direct call once returned CCW, CCW, CCW, CW
-    masses = [MassPoint.of("t", "0")]
-    zs = solve_at(Measure.of(ACWeight.lebesgue("1 + t"), masses), 5, ZeroPolicy.fixed_xi(1j), 0.4).zero_set
-    with pytest.raises(PredicateError, match="AC scale -1.4 is negative"):
-        verdicts_at(Measure.of(ACWeight.lebesgue("-1 - t"), masses), zs, 0.4, "t23")
+    # the record's one scale check rejects it for the moments and the motion
+    # context alike; a motion context built past it once returned CCW, CCW, CCW, CW
+    sample = Measure.of(ACWeight.lebesgue("-1 - t"), [MassPoint.of("t", "0")]).at(0.4)
+    for read in (lambda: sample.factor, lambda: motion_context(sample, PHASES_ONLY)):
+        with pytest.raises(MeasureError, match=r"AC density is negative: scale -1.4 at t=0.4"):
+            read()
+    with pytest.raises(MeasureError, match=r"AC density is negative: scale -1.4 at t=0.4"):
+        moments(sample.measure, 0.4, 4)
 
 
 def test_a_custom_weight_may_have_a_negative_t_factor():
@@ -193,8 +199,8 @@ def test_a_custom_weight_may_have_a_negative_t_factor():
     reports = []
     for weight in ("(-1 - t)*(cos(theta) - 2)", "(1 + t)*(2 - cos(theta))"):
         m = Measure.of(ACWeight.custom(weight), masses)
-        zs = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512).zero_set
-        reports.append([r.to_json() for r in verdicts_at(m, zs, 0.4, "t23", nodes=512).values()])
+        state = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512)
+        reports.append([r.to_json() for r in verdicts_at(state.sample, state.zero_set, "t23").values()])
     assert len(reports[0]) == 4 and reports[0] == reports[1]
 
 
@@ -284,10 +290,10 @@ def test_t22_functionals_are_the_conjugate_pair_functionals(m):
     cfg = SweepConfig(m, 4, -0.5, 0.5, 11, ZeroPolicy.fixed_b(1 + 0j), theorem="t22")
     traj = sweep(cfg)
     checked = 0
-    for entry, zs in zip(sweep_verdicts(cfg, traj), traj.zero_sets):
+    for entry, zs, sample in zip(sweep_verdicts(cfg, traj), traj.zero_sets, traj.samples):
         for item in entry["verdicts"]:
             k = item["zero_index"]
-            ctx, partner = motion_context(m, zs, entry["t"]), reference_index(zs, k, "t22")
+            ctx, partner = motion_context(sample, zs), reference_index(zs, k, "t22")
             expected = 2.0 * math.sin(ctx.phases[k]) * np.array(
                 [_w_tilde(j, ctx, k, partner) for j in range(len(ctx.gammas))]
             )
@@ -457,8 +463,8 @@ def test_array_t23_verdict_matches_scalar_reference(name):
         cfg = replace(scenario_config(name), steps=20)
     traj = sweep(cfg)
     checked = 0
-    for t, zs in zip(traj.ts, traj.zero_sets):
-        ctx = motion_context(cfg.measure, zs, float(t))
+    for zs, sample in zip(traj.zero_sets, traj.samples):
+        ctx = motion_context(sample, zs)
         # no collision, so the reference runs its whole node-by-node pass
         assert not (ctx.mass_gaps < ANGLE_TOL).any()
         for k in range(len(zs)):
@@ -546,7 +552,7 @@ PHASES_ONLY = ZeroSet(np.array([0.5, 2.5]), np.zeros(2), 0.0)
     st.lists(st.floats(0.0, 2 * math.pi), min_size=1, max_size=4),
 )
 def test_separable_weight_has_the_pointwise_constant_f(weight, t, thetas):
-    ctx = motion_context(Measure.of(ACWeight.custom(weight)), PHASES_ONLY, t)
+    ctx = motion_context(Measure.of(ACWeight.custom(weight)).at(t), PHASES_ONLY)
     assert ctx.grid is None
     f_const = ctx.f_phases[0]
     assert np.all(ctx.f_phases == f_const)
@@ -563,7 +569,7 @@ def test_separable_weight_has_the_pointwise_constant_f(weight, t, thetas):
 def test_weight_with_a_mixed_factor_samples_f_on_the_grid(weight, t, nodes):
     # far phases: f is read at them reduced into [0, 2 pi)
     zs = ZeroSet(np.array([-2.0, 0.5, 8.0]), np.zeros(3), 0.0)
-    ctx = motion_context(Measure.of(ACWeight.custom(weight)), zs, t, nodes)
+    ctx = motion_context(Measure.of(ACWeight.custom(weight)).at(t, nodes), zs)
     grid, f_grid, w_grid = ctx.grid
     assert np.array_equal(grid, theta_grid(0.0, nodes))
     w = parse(weight)
@@ -613,11 +619,11 @@ def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
     cfg = PASS_CASES[name]
     traj = sweep(cfg)
     checked = 0
-    for t, zs in zip(traj.ts, traj.zero_sets):
-        reports = predicates.verdicts_at(cfg.measure, zs, float(t), cfg.theorem)
+    for t, zs, sample in zip(traj.ts, traj.zero_sets, traj.samples):
+        reports = predicates.verdicts_at(sample, zs, cfg.theorem)
         expected_rows = [k for k in range(len(zs)) if reference_index(zs, k, cfg.theorem) is not None]
         assert list(reports) == expected_rows
-        ctx = motion_context(cfg.measure, zs, float(t))
+        ctx = motion_context(cfg.measure.at(float(t), cfg.nodes), zs)
         for k, rep in reports.items():
             ref = reference_index(zs, k, cfg.theorem)
             assert rep.to_json() == verdict(ctx, k, ref, cfg.theorem).to_json()
@@ -641,8 +647,8 @@ def test_t22_pass_with_skipped_rows_keeps_each_reference_phase():
     # are skipped ahead of the conjugate pair 1, 2 that reads the grid
     zs = ZeroSet(np.array([-2.5, -1.0, 1.0, 2.0]), np.zeros(4), 0.0)
     m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]))
-    reports = predicates.verdicts_at(m, zs, 0.5, "t22", 1024)
-    ctx = motion_context(m, zs, 0.5, 1024)
+    reports = predicates.verdicts_at(m.at(0.5, 1024), zs, "t22")
+    ctx = motion_context(m.at(0.5, 1024), zs)
     assert [rep.flags == ("non_conjugate_pair",) for rep in reports.values()] == [True, False, False, True]
     for k, rep in reports.items():
         ref = reference_index(zs, k, "t22")
@@ -654,25 +660,29 @@ def test_t22_pass_with_skipped_rows_keeps_each_reference_phase():
 def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theorem):
     cfg = PASS_CASES["custom" if theorem == "t23" else "t22_custom"]
     traj = sweep(cfg)
-    weight = cfg.measure.ac.weight
-    sizes = []
-    real = predicates.evaluate_all
+    ac = cfg.measure.ac
+    passes = []
 
-    def counting(exprs, bindings):
-        # one pass over the weight and its d/dt: f at these angles
-        if exprs[0] is weight:
-            sizes.append(np.size(bindings["theta"]))
-        return real(exprs, bindings)
+    def counting(name, real):
+        def wrapped(exprs, bindings):
+            # the expressions each evaluation on angles reads, and at how many
+            if "theta" in bindings:
+                passes.append((name, exprs, np.size(bindings["theta"])))
+            return real(exprs, bindings)
+        return wrapped
 
-    monkeypatch.setattr(predicates, "evaluate_all", counting)
+    for name in ("evaluate", "evaluate_all"):
+        monkeypatch.setattr(measures, name, counting(name, getattr(measures, name)))
     entries = sweep_verdicts(cfg, traj)
     rows = [len(entry["verdicts"]) for entry in entries]
     assert all("verdict" in item for entry in entries for item in entry["verdicts"])
     # under t22 each zero of a conjugate pair is the other's reference
     assert rows == [4 if theorem == "t23" else 2] * len(traj.ts)
-    # one pass per grid point at the zero phases and on the moments' nodes,
-    # whatever the number of references
-    assert sizes == [cfg.degree + cfg.nodes] * len(traj.ts)
+    # whatever the number of references, per grid point one pass over the
+    # weight and its d/dt at the zero phases and one d/dt on the moments'
+    # nodes; the weight on those nodes is the sweep's own
+    per_point = [("evaluate_all", (ac.weight, ac.d_dt), cfg.degree), ("evaluate", ac.d_dt, cfg.nodes)]
+    assert passes == per_point * len(traj.ts)
 
 
 @st.composite
@@ -751,8 +761,9 @@ def test_conclusive_verdicts_have_the_sign_of_the_velocity(case, t, arg_xi):
     # way; velocities below verify's floor of 1e-8 are not signed
     m, degree = case
     policy = ZeroPolicy.fixed_xi(cmath.exp(1j * arg_xi))
-    zs = solve_at(m, degree, policy, t).zero_set
-    for k, rep in predicates.verdicts_at(m, zs, t, "t21").items():
+    state = solve_at(m, degree, policy, t)
+    zs = state.zero_set
+    for k, rep in predicates.verdicts_at(state.sample, zs, "t21").items():
         if rep.verdict == "Inconclusive":
             continue
         v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5)
