@@ -7,8 +7,7 @@ circular phase, a rotation of their sorted order, and chained into continuous tr
 """
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -153,22 +152,17 @@ def solve_at(
 ) -> PipelineState:
     """Run moments -> OPUC -> b -> POPUC -> zeros at a single t.
 
-    Under the fixed_xi policy the zero window starts at the fixed zero's
-    phase and ``fixed_index`` is marked (it is always index 0 there).
+    Under the fixed_xi policy b puts a zero at xi, which the zero set holds as
+    xi itself, zero 0 (see :func:`~popuc.paraorthogonal.zeros_on_circle`).
     ``start`` seeds the zero finder (e.g. with the zeros at a nearby t);
     without it the search starts cold.
     """
     ms = moments(m, t, degree - 1, nodes)  # the orders gram_opuc reads
     family = gram_opuc(ms, degree - 1)
     q = family[degree - 1]
-    if policy.kind == "fixed_xi":
-        popuc = build_popuc(q, fix_zero_param(q, policy.value))
-        theta_ref = cmath.phase(policy.value)
-        zs = zeros_on_circle(popuc, theta_ref, start)
-        zs = replace(zs, fixed_index=zs.nearest_index(theta_ref))
-    else:
-        popuc = build_popuc(q, policy.value)
-        zs = zeros_on_circle(popuc, start=start)
+    xi = policy.value if policy.kind == "fixed_xi" else None
+    popuc = build_popuc(q, policy.value if xi is None else fix_zero_param(q, xi))
+    zs = zeros_on_circle(popuc, xi, start)
     return PipelineState(t=t, family=family, popuc=popuc, zero_set=zs, sample=ms.sample)
 
 

@@ -3,11 +3,12 @@
 P(z) = z Q_n(z) - conj(b) Q_n*(z) with |b| = 1.  All zeros of a valid
 POPUC lie on the unit circle and are simple; they are located by Aberth-
 Ehrlich iteration (P and P' from one table of powers per sweep) to roundoff,
-projected to modulus one and sorted into [theta_ref, theta_ref + 2 pi).  A
-cold search starts from the sign changes of P on the circle.
+projected to modulus one and sorted round the circle from a pinned zero xi
+(xi itself) or from -pi.  A cold search starts from the sign changes of P.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ __all__ = [
 UNIMODULAR_TOL = 1e-12
 MODULUS_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
-WRAP_TOL = 1e-12
 MAX_SWEEPS = 200  # Aberth-Ehrlich sweep cap
 STEP_TOL = 1e-14  # the sweeps end once every step is below STEP_TOL * max(1, max|z|)
 # ... or once the next step, predicted from the last two under quadratic
@@ -61,7 +61,7 @@ class ZeroSet:
     """Sorted unit-circle zero phases of a POPUC.
 
     Phases ascend within one period window (see :func:`zeros_on_circle`);
-    ``fixed_index`` designates the pinned zero, if there is one.
+    ``fixed_index`` designates the pinned zero, if there is one: it is 0.
     """
 
     phases: np.ndarray
@@ -193,16 +193,18 @@ def _circle_guesses(coeffs: np.ndarray) -> np.ndarray | None:
 
 
 def zeros_on_circle(
-    p: PopucInstance, theta_ref: float = -math.pi, start: np.ndarray | None = None
+    p: PopucInstance, xi: complex | None = None, start: np.ndarray | None = None
 ) -> ZeroSet:
     """Locate all zeros of a POPUC, project them to the circle, sort phases.
 
-    ``start`` (initial guesses, one per zero) is passed to :func:`aberth_roots`;
-    without it the guesses are :func:`_circle_guesses`, or when those do not
-    number one per zero, Aberth's own quarter-slot guesses.
+    The root nearest ``xi``, a zero that b put there (:func:`fix_zero_param`),
+    is xi itself: first, at ``cmath.phase(xi)`` to the bit, with ``fixed_index``
+    0; without xi the phases ascend from -pi.  ``start`` (one guess per zero)
+    seeds :func:`aberth_roots`; by default it is :func:`_circle_guesses`, or
+    Aberth's own quarter-slot guesses when those do not number one per zero.
     Raises :class:`RootFindingError` when a root strays further than 1e-6
     from the circle before projection (the input was not a POPUC) or when a
-    projected residual exceeds 1e-9 * max|coeff|.
+    projected residual, the pinned zero's among them, exceeds 1e-9 * max|coeff|.
     """
     coeffs = p.poly.coeffs
     roots = aberth_roots(coeffs, _circle_guesses(coeffs) if start is None else start)
@@ -211,10 +213,10 @@ def zeros_on_circle(
         raise RootFindingError(
             f"root modulus deviates {deviation:.3e} from 1; input is not a POPUC"
         )
-    # reduce into [theta_ref, theta_ref + 2 pi); a zero less than WRAP_TOL below
-    # theta_ref + 2 pi is the zero at theta_ref (a pinned xi found an ulp low)
-    offsets = np.mod(np.angle(roots) - theta_ref, 2.0 * math.pi)
-    phases = theta_ref + np.sort(np.where(offsets > 2.0 * math.pi - WRAP_TOL, 0.0, offsets))
+    angles, theta_start = np.angle(roots), -math.pi
+    if xi is not None:  # the root nearest xi is xi, with phase offset 0 exactly
+        theta_start = angles[np.argmin(np.abs(roots - xi))] = cmath.phase(xi)
+    phases = theta_start + np.sort(np.mod(angles - theta_start, 2.0 * math.pi))
     scale = float(np.max(np.abs(coeffs)))
     residuals = np.abs(polyval(coeffs, np.exp(1j * phases)))
     if not np.max(residuals) <= RESIDUAL_TOL * scale:
@@ -225,6 +227,7 @@ def zeros_on_circle(
         phases=phases,
         residuals=residuals,
         pre_projection_deviation=deviation,
+        fixed_index=None if xi is None else 0,
     )
     if not zs.min_gap > 0:
         raise RootFindingError("coincident zeros; POPUC zeros must be simple")

@@ -252,15 +252,16 @@ def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> Verdict
 
 
 def _f_monotone(nodes: np.ndarray, values: np.ndarray, theta0s: np.ndarray) -> np.ndarray:
-    """(nondecreasing, nonincreasing) of the f ``values`` at the ascending
-    ``nodes`` of one period from 0, over the period from each of ``theta0s``,
-    as a (rows x 2) table: every cyclic step but the one across theta0."""
+    """(nondecreasing, nonincreasing) of the f ``values`` at the ascending ``nodes``
+    of one period from 0, over the open period from each of ``theta0s``, as a (rows
+    x 2) table: every cyclic step but those touching theta0 (two when it is a node)."""
     tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
     diffs = np.diff(values, append=values[0])  # the last step closes the circle
-    # the step from the last node at or before theta0
-    across = np.searchsorted(nodes, np.mod(theta0s, 2.0 * math.pi), side="right") - 1
+    theta0s = np.mod(theta0s, 2.0 * math.pi)
+    step = np.searchsorted(nodes, theta0s, side="right") - 1  # the step from the last node <= theta0
     bad = np.stack([diffs < -tol, diffs > tol], axis=1)
-    return bad.sum(axis=0) - bad[across] == 0
+    into = (nodes[step] == theta0s)[:, None] & bad[step - 1]  # and the step into theta0 on a node
+    return bad.sum(axis=0) - bad[step] - into == 0
 
 
 def _label(

@@ -92,10 +92,51 @@ def test_solve_at_marks_fixed_zero():
 
 def test_pinned_zero_found_below_arg_xi_is_index_zero():
     # the computed pinned zero used to sit an ulp below arg xi and wrap to index 7
-    m = Measure.of(ACWeight.lebesgue("1"), [])
-    zs = solve_at(m, 8, ZeroPolicy.fixed_xi(cmath.exp(-1j * math.pi / 12)), 0.0).zero_set
-    assert zs.fixed_index == 0
-    assert abs(zs.phases[0] + math.pi / 12) <= 1e-12
+    xi = cmath.exp(-1j * math.pi / 12)
+    zs = solve_at(Measure.of(ACWeight.lebesgue("1"), []), 8, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
+    assert zs.fixed_index == 0 and zs.phases[0] == cmath.phase(xi)
+
+
+@st.composite
+def pinned_sweeps(draw):
+    """A fixed_xi SweepConfig: 1-6 masses at least 0.3 apart with affine
+    gamma(t) and omega(t), an optional Lebesgue or Bernstein-Szego part, a
+    degree below a discrete measure's mass count (at degree N, N masses with
+    xi on a moving mass move zeros faster than this grid tracks), and xi
+    anywhere on the circle."""
+    kind = draw(st.sampled_from(["none", "lebesgue", "bernstein_szego"]))
+    n_masses = draw(st.integers(3 if kind == "none" else 1, 6))
+    start = draw(st.floats(0.0, 2 * math.pi))
+    omegas = start + np.cumsum(draw(st.lists(st.floats(0.3, 0.75), min_size=n_masses, max_size=n_masses)))
+    masses = [
+        MassPoint.of(
+            f"{draw(st.floats(0.3, 1.5))!r} + {draw(st.floats(-0.2, 0.2))!r}*t",
+            f"{float(o)!r} + {draw(st.floats(-0.1, 0.1))!r}*t",
+        )
+        for o in omegas
+    ]
+    if kind == "lebesgue":
+        ac = ACWeight.lebesgue(f"{draw(st.floats(0.1, 2.0))!r} + 0.5*t")
+    elif kind == "bernstein_szego":
+        ac = ACWeight.bernstein_szego(complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6))))
+    else:
+        ac = ACWeight.none()
+    degree = draw(st.integers(2, n_masses - 1 if kind == "none" else 8))
+    xi = cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    return SweepConfig(Measure.of(ac, masses), degree, 0.0, 0.2, 4, ZeroPolicy.fixed_xi(xi), nodes=1024)
+
+
+@settings(deadline=None, max_examples=60)
+@given(pinned_sweeps())
+def test_the_pinned_zero_is_xi_itself_and_its_chain_is_constant(cfg):
+    # b puts a zero at xi, and that zero is xi: index 0 at phase arg xi to the
+    # bit, cold or warm started, so its chain never moves
+    theta0 = cmath.phase(cfg.policy.value)
+    cold = solve_at(cfg.measure, cfg.degree, cfg.policy, 0.1, cfg.nodes).zero_set
+    traj = sweep(cfg)
+    for zs in (cold, *traj.zero_sets):
+        assert zs.fixed_index == 0 and zs.phases[0] == theta0
+    assert traj.fixed_chain == 0 and np.all(traj.chains[:, 0] == theta0)
 
 
 def test_solve_at_fixed_b_has_no_marker():
@@ -568,8 +609,7 @@ def test_warm_started_sweep_matches_cold_solves(cfg):
         cold = solve_at(cfg.measure, cfg.degree, cfg.policy, t, cfg.nodes).zero_set
         assert np.max(np.abs(zs.phases - cold.phases)) <= 1e-13
         if cfg.policy.kind == "fixed_xi":
-            assert zs.fixed_index == 0
-            assert abs(zs.phases[0] - cmath.phase(cfg.policy.value)) <= 1e-13
+            assert zs.fixed_index == 0 and zs.phases[0] == cmath.phase(cfg.policy.value)
 
 
 def _record_solve_starts(monkeypatch):

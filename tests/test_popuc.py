@@ -101,7 +101,8 @@ def test_fix_zero_lebesgue_example():
     fam = gram_opuc(moments(m, 0.0, 12), 4)
     b = fix_zero_param(fam[4], 1.0 + 0j)
     assert b == pytest.approx(1.0, abs=1e-14)
-    zs = zeros_on_circle(build_popuc(fam[4], b), theta_ref=0.0)
+    zs = zeros_on_circle(build_popuc(fam[4], b), xi=1.0 + 0j)
+    assert zs.fixed_index == 0 and zs.phases[0] == 0.0
     assert np.allclose(zs.phases, 2 * math.pi * np.arange(5) / 5, atol=1e-12)
 
 
@@ -153,38 +154,41 @@ def test_zeros_match_bisection_oracle():
         fam = _family(rng, degree)
         b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = build_popuc(fam[degree - 1], b)
-        zs = zeros_on_circle(p, theta_ref=0.0)
+        zs = zeros_on_circle(p)
         oracle = _bisection_zero_oracle(p)
         assert len(oracle) == degree
-        assert np.max(np.abs(np.sort(zs.phases) - oracle)) < 1e-7
+        # the oracle's phases lie in [0, 2 pi), the zero set's in [-pi, pi): compare mod 2 pi
+        assert np.max(np.abs(np.angle(np.exp(1j * (np.sort(np.mod(zs.phases, 2 * math.pi)) - oracle))))) < 1e-7
 
 
 def test_zero_set_window_and_sorting():
+    # phases ascend in [-pi, pi), or from the pinned zero at xi, which comes first
     rng = np.random.default_rng(43)
     fam = _family(rng, 5)
-    p = build_popuc(fam[4], 1j)
-    ref = 0.7
-    zs = zeros_on_circle(p, theta_ref=ref)
-    assert np.all(zs.phases >= ref)
-    assert np.all(zs.phases < ref + 2 * math.pi)
-    assert np.all(np.diff(zs.phases) > 0)
-    assert len(zs) == 5
+    xi = cmath.exp(0.7j)
+    for p, pin, ref in ((build_popuc(fam[4], 1j), None, -math.pi),
+                        (build_popuc(fam[4], fix_zero_param(fam[4], xi)), xi, cmath.phase(xi))):
+        zs = zeros_on_circle(p, pin)
+        assert np.all(zs.phases >= ref)
+        assert np.all(zs.phases < ref + 2 * math.pi)
+        assert np.all(np.diff(zs.phases) > 0)
+        assert len(zs) == 5
+        assert zs.fixed_index == (None if pin is None else 0)
 
 
-def test_zero_just_below_window_start_is_the_zero_at_theta_ref():
-    # z^8 - conj(b): a window starting a few ulps above a zero's computed
-    # phase puts that zero first at theta_ref, not last at theta_ref + 2 pi
+def test_each_zero_passed_as_xi_comes_back_first_as_xi_itself():
+    # z^8 - conj(b): each root, exact or a few ulps above or below the one the
+    # zero finder computes, passed as xi is that zero, first at phase arg xi
+    # to the bit, never last at arg xi + 2 pi
     p = build_popuc(MonicPoly(np.array([0, 0, 0, 0, 0, 0, 0, 1.0])), cmath.exp(0.4j))
-    for raw in np.angle(aberth_roots(p.poly.coeffs)):
-        for ulps in (1, 3, 64):
-            ref = raw + ulps * np.spacing(abs(raw))
-            zs = zeros_on_circle(p, theta_ref=ref)
-            assert zs.phases[0] == ref
+    for k in range(8):
+        root = cmath.exp(1j * (-0.4 + 2 * math.pi * k) / 8)
+        for ulps in (0, 1, -1, 3, -3, 64, -64):
+            xi = root * cmath.exp(1j * ulps * np.spacing(1.0))
+            zs = zeros_on_circle(p, xi)
+            assert zs.fixed_index == 0 and zs.phases[0] == cmath.phase(xi)
             assert np.all(np.diff(zs.phases) > 0.5)
-            assert zs.phases[-1] < ref + 2 * math.pi
-        # a zero further below the start than roundoff stays at the end of the window
-        zs = zeros_on_circle(p, theta_ref=raw + 1e-9)
-        assert zs.phases[-1] == pytest.approx(raw + 2 * math.pi, abs=1e-14)
+            assert zs.phases[-1] < cmath.phase(xi) + 2 * math.pi
 
 
 def test_zero_set_helpers():
@@ -387,9 +391,9 @@ def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_roundoff_fl
 def test_the_seed_50_solve_converges_from_the_sign_changes(monkeypatch):
     p, xi = _balance_seed_50_popuc()
     sweeps = _count_sweeps(monkeypatch)
-    zs = zeros_on_circle(p, theta_ref=cmath.phase(xi))
+    zs = zeros_on_circle(p, xi)
     assert len(sweeps) <= 5
-    assert len(zs) == 5 and zs.phases[0] == pytest.approx(cmath.phase(xi), abs=1e-12)
+    assert len(zs) == 5 and zs.phases[0] == cmath.phase(xi)
 
 
 def _t22_popuc(rng, b):

@@ -712,9 +712,12 @@ def test_one_pass_monotonicity_is_the_rolled_diff_per_reference(case):
     table = predicates._f_monotone(nodes, values, theta0s)
     tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values))))
     for theta0, row in zip(theta0s, table.tolist()):
-        # f over the period that starts at the first node after theta0
-        start = next((i for i, th in enumerate(nodes) if th > theta0 % (2 * math.pi)), 0)
-        diffs = np.diff(np.roll(values, -start))
+        # f over the open period from theta0: from the first node after it,
+        # round to the last node before theta0 + 2 pi, so not at a node on theta0
+        theta0 %= 2 * math.pi
+        start = next((i for i, th in enumerate(nodes) if th > theta0), 0)
+        rolled = np.roll(values, -start)
+        diffs = np.diff(rolled[:-1] if theta0 in nodes else rolled)
         assert row == [bool(np.all(diffs >= -tol)), bool(np.all(diffs <= tol))]
 
 
@@ -769,3 +772,50 @@ def test_conclusive_verdicts_have_the_sign_of_the_velocity(case, t, arg_xi):
         v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5)
         if abs(v) > 1e-8:
             assert rep.verdict == ("CCW" if v > 0 else "CW"), (k, rep.verdict, v)
+
+
+@st.composite
+def nonperiodic_weights(draw):
+    """A custom weight, positive on [0, 2 pi) for |t| <= 1/2, whose f =
+    (d/dt w)/w varies with theta and is not 2 pi-periodic: read on [0, 2 pi),
+    it jumps at theta = 0, where xi = 1 pins theta0."""
+    form = draw(st.sampled_from(["{a} + {c}*t*theta", "{a} + {c}*t*theta*theta/20", "1 + exp({c}*t*theta)"]))
+    a, c = draw(st.floats(2.0, 4.0)), draw(st.floats(0.05, 0.3)) * draw(st.sampled_from([1.0, -1.0]))
+    return form.format(a=repr(a), c=repr(c))
+
+
+@settings(deadline=None, max_examples=100)
+@given(moving_discrete_measures(), nonperiodic_weights(), st.floats(-0.5, 0.5))
+def test_conclusive_verdicts_on_a_nonperiodic_weight_have_the_sign_of_the_velocity(case, weight, t):
+    # the mixed theorem with theta0 = 0 at the weight's jump: the open period
+    # from theta0 is where f must be monotone, and W(theta) decides there too
+    masses, degree = case[0].masses, case[1]
+    m = Measure.of(ACWeight.custom(weight), masses)
+    policy = ZeroPolicy.fixed_xi(1.0 + 0j)
+    state = solve_at(m, degree, policy, t, nodes=1024)
+    zs = state.zero_set
+    for k, rep in predicates.verdicts_at(state.sample, zs, "t23").items():
+        if rep.verdict == "Inconclusive":
+            continue
+        v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5, nodes=1024)
+        if abs(v) > 1e-8:
+            assert rep.verdict == ("CCW" if v > 0 else "CW"), (k, rep.verdict, v)
+
+
+def test_a_weight_pinned_at_its_jump_gets_verdicts_with_the_sign_of_the_velocity():
+    # f of 1 + exp(t theta/8), read on [0, 2 pi), rises but for its jump at
+    # theta = 0, and xi = 1 puts theta0 on that node: skipping the steps into
+    # and out of theta0 leaves f monotone, so W(theta) can decide; counting the
+    # step into theta0 flagged all 18 verdicts f_not_nondecreasing
+    m = Measure.of(
+        ACWeight.custom("1 + exp(t*theta/8)"), [MassPoint.of("0.5 + t", "2"), MassPoint.of("0.3 + t/2", "4.5")]
+    )
+    cfg = SweepConfig(m, 4, 0.2, 0.8, 6, ZeroPolicy.fixed_xi(1.0 + 0j), theorem="t23", nodes=1024)
+    items = [(e["t"], item) for e in sweep_verdicts(cfg, sweep(cfg)) for item in e["verdicts"]]
+    assert len(items) == 18
+    assert not any("f_not_nondecreasing" in item["flags"] for _, item in items)
+    conclusive = [(t, item) for t, item in items if item["verdict"] != "Inconclusive"]
+    assert len(conclusive) >= 6
+    for t, item in conclusive:
+        v = tracked_velocity(m, 4, cfg.policy, t, item["tracked_phase"], nodes=1024)
+        assert item["verdict"] == ("CCW" if v > 0 else "CW"), (t, item, v)
