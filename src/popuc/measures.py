@@ -3,8 +3,9 @@
 A measure is an optional absolutely continuous weight (against dtheta/2pi)
 plus a finite list of point masses whose weights and locations are
 expressions in the parameter ``t``.  Moments c_k = int e^{-ik theta} dmu
-are produced in closed form where available and otherwise by the periodic
-trapezoid rule, every c_k at once from one FFT of the density on the node grid.
+are produced in closed form for ``bernstein_szego`` and otherwise by the periodic
+trapezoid rule, every c_k at once from one FFT on the node grid: of B once per node
+count for a ``custom`` weight A(t) B(theta), of the whole density at each t for others.
 Only this module evaluates the measure: once per grid point, into the
 :class:`MeasureSample` that :func:`moments` hands on to the motion functionals.
 """
@@ -121,19 +122,22 @@ def _json_expr(value, where: str) -> Expr:
         raise
 
 
-def _t_factor(e: Expr) -> Expr | None:
-    """A(t) when ``e`` = A(t) B(theta) along its spine of products, quotients
-    and minus signs: ``e`` with its constant and theta-only factors as 1 and
-    its signs dropped.  None when a factor holds both t and theta."""
+def _factors(e: Expr) -> tuple[Expr, Expr] | None:
+    """(A(t), B(theta)) with ``e`` = A B along its spine of products, quotients and
+    minus signs: A is ``e`` with its constant and theta-only factors as 1 and its signs
+    dropped, B the rest.  None when a factor holds both t and theta."""
     if isinstance(e, Neg):
-        return _t_factor(e.operand)
+        split = _factors(e.operand)
+        return None if split is None else (split[0], Neg(split[1]))
     if isinstance(e, BinOp) and e.op in ("*", "/"):
-        left, right = _t_factor(e.left), _t_factor(e.right)
-        return None if left is None or right is None else BinOp(e.op, left, right)
+        left, right = _factors(e.left), _factors(e.right)
+        if left is None or right is None:
+            return None
+        return BinOp(e.op, left[0], right[0]), BinOp(e.op, left[1], right[1])
     names = free_variables(e)
     if "t" not in names:
-        return Const(1.0)
-    return None if "theta" in names else e
+        return Const(1.0), e
+    return None if "theta" in names else (e, Const(1.0))
 
 
 @dataclass(frozen=True)
@@ -168,6 +172,7 @@ class ACWeight:
     scale: Expr | None = None
     lam: complex = 0j
     weight: Expr | None = None
+    _b_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("none", "bernstein_szego", "custom"):
@@ -203,15 +208,26 @@ class ACWeight:
 
     @cached_property
     def t_factor(self) -> tuple[Expr, Expr] | None:
-        """(A, dA/dt), built once, when the weight is A(t) B(theta), so that
-        f = (d/dt w)/w = A'/A at every theta: the scale and its d/dt for
-        ``bernstein_szego``, and for a ``custom`` weight the
-        t-factors along its product/quotient spine.  None for ``none`` or when
-        a factor on that spine holds both t and theta."""
+        """(A, dA/dt), built once, when the weight is A(t) B(theta), so that f =
+        (d/dt w)/w = A'/A at every theta: the scale for ``bernstein_szego``, and
+        A of :attr:`factors` for ``custom``.  None for ``none`` or a mixed factor."""
         if self.kind != "custom":
             return None if self.kind == "none" else (self.scale, self.d_dt)
-        a = _t_factor(self.weight)
-        return None if a is None else (a, differentiate(a, "t"))
+        return None if self.factors is None else (self.factors[0], differentiate(self.factors[0], "t"))
+
+    @cached_property
+    def factors(self) -> tuple[Expr, Expr] | None:
+        """(A, B) of a ``custom`` weight whose product/quotient spine splits as A(t) B(theta),
+        built once; None when a factor on that spine holds both t and theta."""
+        return _factors(self.weight) if self.kind == "custom" else None
+
+    def b_moments(self, nodes: int) -> tuple[np.ndarray, bool, bool]:
+        """(fft(B)/nodes, B < 0 at a node, B > 0 at a node) of the weight's
+        :attr:`factors` on theta_grid(0, nodes), evaluated once per ``nodes``."""
+        if nodes not in self._b_moments:
+            b = np.broadcast_to(evaluate(self.factors[1], {"theta": theta_grid(0.0, nodes)}), (nodes,))
+            self._b_moments[nodes] = np.fft.fft(b) / nodes, bool(np.any(b < 0)), bool(np.any(b > 0))
+        return self._b_moments[nodes]
 
     def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
         """The density w(theta; t) against dtheta/2pi, as an array of the
@@ -299,10 +315,16 @@ class MeasureSample:
 
     @cached_property
     def factor(self) -> float:
-        """A(t) of ``ACWeight.t_factor``; a closed kind's A, its scale, may not be negative."""
+        """A(t) of ``ACWeight.t_factor``, of a sign that keeps the weight nonnegative: a
+        closed kind's A, its scale, may not be negative, and a ``custom`` A(t) may not
+        have the sign opposite to B(theta) at a node, so it is 0 when B changes sign."""
         ac = self.measure.ac
-        a = evaluate(ac.t_factor[0] if ac.kind == "custom" else ac.scale, {"t": self.t})
-        if a < 0 and ac.kind != "custom":
+        a = evaluate(ac.t_factor[0], {"t": self.t})
+        if ac.kind == "custom":
+            _, negative, positive = ac.b_moments(self.nodes)
+            if (a < 0 and positive) or (a > 0 and negative):
+                raise MeasureError(f"weight is negative at a quadrature node at t={self.t}")
+        elif a < 0:
             raise MeasureError(f"AC density is negative: scale {a} at t={self.t}")
         return a
 
@@ -313,7 +335,7 @@ class MeasureSample:
 
     @cached_property
     def density(self) -> np.ndarray:
-        """The density on :attr:`grid` that the moments take, finite and nonnegative."""
+        """The density on :attr:`grid`, finite and nonnegative, that :func:`quadrature_moment` takes."""
         vals = self.measure.ac.density(self.grid, self.t)
         if not np.all(np.isfinite(vals)):
             raise MeasureError("weight evaluates non-finite at a quadrature node")
@@ -361,17 +383,21 @@ def quadrature_moment(sample: MeasureSample, K: int) -> np.ndarray:
     """Composite trapezoid values of int e^{-ik theta} w(theta; t) dtheta/2pi for k = 0..K,
     as an array, from one FFT of :attr:`MeasureSample.density`: c_k = fft(w)[k mod nodes] / nodes.
     Orders k >= nodes alias exactly as the trapezoid rule aliases them; for smooth periodic
-    integrands the convergence is spectral."""
+    integrands the convergence is spectral.  :func:`moments` takes this route for a ``custom``
+    weight with no t-factor; for A(t) B(theta) it scales B's moments, cached per ``nodes``."""
     return np.fft.fft(sample.density)[np.arange(K + 1) % sample.nodes] / sample.nodes
 
 
 def _ac_moments(sample: MeasureSample, K: int) -> np.ndarray:
-    """c_0..c_K of the absolutely continuous part, which the record checks."""
+    """c_0..c_K of the absolutely continuous part, which the record checks: A(t) times
+    the moments of B(theta) for a weight A(t) B(theta), else by :func:`quadrature_moment`."""
     ac = sample.measure.ac
-    if ac.kind == "custom":
-        return quadrature_moment(sample, K)
     if ac.kind == "none":
         return np.zeros(K + 1, dtype=complex)
+    if ac.t_factor is None:
+        return quadrature_moment(sample, K)
+    if ac.kind == "custom":
+        return sample.factor * ac.b_moments(sample.nodes)[0][np.arange(K + 1) % sample.nodes]
     # geometric moments of the Poisson-kernel (squared-modulus) weight;
     # at lam = 0 (lebesgue) c_0 = s and c_k = 0 for k > 0
     return sample.factor * ac.lam ** np.arange(K + 1)

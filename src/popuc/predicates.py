@@ -233,8 +233,11 @@ class VerdictReport:
     fixed_phase: float
 
     def to_json(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj = {name: getattr(self, name) for name in REPORT_FIELDS}
         return dict(obj, w_masses=[float(w) for w in self.w_masses], flags=list(self.flags))
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(VerdictReport))
 
 
 def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> VerdictReport:
@@ -316,16 +319,15 @@ def _verdict_rows(
             reports.append(_inconclusive(phi, theta0, theorem, "non_conjugate_pair"))
             continue
         label = _label(w_min[i], w_max[i], wc_min[i], wc_max[i], *monotone[i])
-        flags = [] if monotone[i][0] else ["f_not_nondecreasing"]
-        if label == "CW":
-            flags.append("mirrored")
+        # CW needs only f nonincreasing, so its flag says only that it is mirrored
+        flags = ("mirrored",) if label == "CW" else () if monotone[i][0] else ("f_not_nondecreasing",)
         reports.append(VerdictReport(
             verdict=label,
             theorem=theorem,
             w_masses=w_masses[i],
             w_continuous_min=wc_min[i],
             w_continuous_max=wc_max[i],
-            flags=tuple(flags),
+            flags=flags,
             mirrored=label == "CW",
             tracked_phase=phi,
             fixed_phase=theta0,

@@ -466,10 +466,13 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
     t, h, nodes = 0.4, 1e-5, 1024
     zs = solve_at(m, 5, pol, t, nodes).zero_set
     phi = zs.phases[(zs.fixed_index + 2) % len(zs)]
+    varies = m.ac.kind == "custom" and m.ac.t_factor is None
     calls = _count_calls(monkeypatch, ACWeight, "density")
     for s in (t, t - h, t + h):
         solve_at(m, 5, pol, s, nodes)
+    # only a weight with no t-factor takes its moments from the density
     solves = len(calls)
+    assert solves == 3 * varies
     calls.clear()
     passes = _count_calls(monkeypatch, measures, "evaluate_all")
     evaluations = _count_calls(monkeypatch, measures, "evaluate")
@@ -478,10 +481,22 @@ def test_t23_balance_evaluates_the_density_only_when_f_varies(monkeypatch, m):
     # moments' nodes from the solve's record, and adds one pass at the zeros
     # and one d/dt on those nodes
     assert len(calls) == solves
-    varies = m.ac.kind == "custom" and m.ac.t_factor is None
     assert [np.size(args[1]["theta"]) for args in passes] == [5] * varies
     on_grid = [args for args in evaluations if "theta" in args[1] and args[0] is m.ac.d_dt]
     assert [np.size(args[1]["theta"]) for args in on_grid] == [nodes] * varies
+
+
+def test_a_separable_sweep_evaluates_b_once_per_node_count(monkeypatch):
+    # A(t) B(theta): each solve takes A(t) times B's moments, which one
+    # evaluation of B on the grid gives for every sweep at that node count
+    m = Measure.of(ACWeight.custom("(1 + 0.5*t)*(2 + cos(theta - 1))"), [MassPoint.of("t", "2")])
+    densities = _count_calls(monkeypatch, ACWeight, "density")
+    evaluations = _count_calls(monkeypatch, measures, "evaluate")
+    for nodes in (256, 512, 256):
+        cfg = SweepConfig(m, 5, 0.2, 0.8, 6, ZeroPolicy.fixed_xi(1j), theorem="t23", nodes=nodes)
+        sweep_verdicts(cfg, sweep(cfg))
+    assert densities == []
+    assert [np.size(args[1]["theta"]) for args in evaluations if "theta" in args[1]] == [256, 512]
 
 
 # the conjugate-symmetric masses of verify's "conjugate" check under four

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc.expressions import ExprSyntaxError, differentiate, evaluate, parse
+from popuc.expressions import EvalError, ExprSyntaxError, differentiate, evaluate, parse
 
 from popuc.measures import (
     ACWeight,
@@ -17,6 +17,7 @@ from popuc.measures import (
     moments,
     quadrature_moment,
 )
+from strategies import separable_weights
 
 
 def test_circular_gap_wraps():
@@ -277,3 +278,41 @@ def test_closed_kinds_take_their_scale_as_the_t_factor():
         a, da = ac.t_factor
         assert a is ac.scale and da is ac.d_dt
         assert evaluate(a, {"t": 0.4}) == 1.4 and evaluate(da, {"t": 0.4}) == 1.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(separable_weights(), st.floats(-0.5, 0.5), st.sampled_from([64, 1000]))
+def test_separable_moments_are_the_quadrature_of_the_whole_weight(weight, t, nodes):
+    # A(t) times B's cached moments against one FFT of the whole density
+    m = Measure.of(ACWeight.custom(weight))
+    c = moments(m, t, 6, nodes).c[6:]
+    whole = quadrature_moment(m.at(t, nodes), 6)
+    assert np.max(np.abs(c - whole)) <= 1e-13 * whole[0].real
+
+
+@pytest.mark.parametrize(
+    "weight, t, error, message",
+    [
+        # B changes sign and A(t) is not 0; B of one sign, A(t) of the other
+        ("(1 + t)*cos(theta)", 0.5, MeasureError, "weight is negative at a quadrature node at t=0.5"),
+        ("(1 + t)*(cos(theta) - 2)", 0.5, MeasureError, "weight is negative at a quadrature node at t=0.5"),
+        # B overflows at every node; A(t) overflows or divides by zero
+        ("(1 + t)*(2 + cos(theta))*1e300*1e300", 0.5, EvalError, "non-finite result in array evaluation"),
+        ("exp(800*t)*(2 + cos(theta))", 1.0, EvalError, "exp: math range error"),
+        ("(2 + cos(theta))/t", 0.0, EvalError, "division by zero"),
+    ],
+)
+def test_a_separable_weight_is_rejected_as_its_whole_density_is(weight, t, error, message):
+    m = Measure.of(ACWeight.custom(weight), [MassPoint.of("1", "0")])
+    assert m.ac.t_factor is not None
+    for moments_of in (lambda: quadrature_moment(m.at(t, 64), 4), lambda: moments(m, t, 4, 64)):
+        with pytest.raises(error) as err:
+            moments_of()
+        assert str(err.value) == message
+
+
+def test_a_zero_t_factor_admits_a_b_of_either_sign():
+    # A(0) = 0 makes the whole weight 0 whatever the sign of B, as on the whole grid
+    m = Measure.of(ACWeight.custom("t*cos(theta)"), [MassPoint.of("1", "0")])
+    assert np.array_equal(moments(m, 0.0, 4, 64).c, np.ones(9))
+    assert np.array_equal(quadrature_moment(m.at(0.0, 64), 4), np.zeros(5))

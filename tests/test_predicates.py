@@ -31,6 +31,7 @@ from popuc.predicates import (
     w_continuous,
 )
 from popuc.scenarios import scenario_config
+from strategies import separable_weights
 
 
 def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None, f_const=0.0):
@@ -420,7 +421,6 @@ def _scalar_t23_verdict(ctx, tracked, reference):
     tol = NONNEG_TOL * (1.0 + max(map(abs, values), default=0.0))
     nondecreasing = all(b - a >= -tol for a, b in zip(values, values[1:]))
     nonincreasing = all(b - a <= tol for a, b in zip(values, values[1:]))
-    flags = [] if nondecreasing else ["f_not_nondecreasing"]
     scale = float(np.max(np.abs(w_masses), initial=0.0)) + max(abs(wc_min), abs(wc_max))
     if np.all(np.abs(w_masses) <= NONNEG_TOL) and max(abs(wc_min), abs(wc_max)) <= NONNEG_TOL:
         label = "Stationary"
@@ -436,10 +436,11 @@ def _scalar_t23_verdict(ctx, tracked, reference):
         and nonincreasing
     ):
         label = "CW"
-        flags.append("mirrored")
     else:
         label = "Inconclusive"
-    return label, tuple(flags), wc_min, wc_max, scale
+    # a CW verdict needs f nonincreasing only, so it is flagged mirrored alone
+    flags = ("mirrored",) if label == "CW" else () if nondecreasing else ("f_not_nondecreasing",)
+    return label, flags, wc_min, wc_max, scale
 
 
 CUSTOM_WEIGHTS = {
@@ -521,26 +522,6 @@ def test_custom_bernstein_szego_weight_gives_the_closed_form_verdicts(monkeypatc
         assert x["w_continuous_min"] == x["w_continuous_max"] == y["w_continuous_max"] == 0.0
         scale = max(abs(w) for w in y["w_masses"])
         assert max(abs(a - b) for a, b in zip(x["w_masses"], y["w_masses"], strict=True)) <= 1e-13 * scale
-
-
-# positive factors in t alone (|t| <= 1/2) and in theta alone, as source templates
-T_FACTORS = ("({a!r} + {b!r}*t)", "exp({b!r}*t)", "sqrt({a!r} + {b!r}*t)", "({a!r} + sin({b!r}*t))")
-THETA_FACTORS = ("({a!r} + {b!r}*cos(theta - {c!r}))", "exp({b!r}*sin(theta))", "{a!r}")
-
-
-@st.composite
-def separable_weights(draw, mixed=False):
-    """A product/quotient of 1-5 factors, each in t alone or in theta alone,
-    as source text; with ``mixed``, one more factor holds t and theta together."""
-    factors = []
-    for _ in range(draw(st.integers(1, 5))):
-        templates = draw(st.sampled_from((T_FACTORS, THETA_FACTORS)))
-        a, b, c = draw(st.floats(1.5, 3.0)), draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 6.0))
-        factors.append(draw(st.sampled_from(templates)).format(a=a, b=b, c=c))
-    if mixed:
-        factors.insert(draw(st.integers(0, len(factors))), "(1 + 0.3*t*cos(theta))")
-    ops = draw(st.lists(st.sampled_from("*/"), min_size=len(factors) - 1, max_size=len(factors) - 1))
-    return factors[0] + "".join(op + factor for op, factor in zip(ops, factors[1:]))
 
 
 PHASES_ONLY = ZeroSet(np.array([0.5, 2.5]), np.zeros(2), 0.0)
@@ -819,3 +800,21 @@ def test_a_weight_pinned_at_its_jump_gets_verdicts_with_the_sign_of_the_velocity
     for t, item in conclusive:
         v = tracked_velocity(m, 4, cfg.policy, t, item["tracked_phase"], nodes=1024)
         assert item["verdict"] == ("CCW" if v > 0 else "CW"), (t, item, v)
+
+
+def test_a_cw_verdict_on_a_weight_whose_f_falls_is_flagged_mirrored_alone():
+    # f of 1 + exp(-t theta/8) falls on the open period from theta0 = 0, which
+    # a CW verdict needs; it is not nondecreasing, and that flag is for the
+    # verdicts it leaves Inconclusive
+    m = Measure.of(
+        ACWeight.custom("1 + exp(-t*theta/8)"), [MassPoint.of("0.5 + t", "2"), MassPoint.of("0.3 + t/2", "4.5")]
+    )
+    cfg = SweepConfig(m, 4, 0.2, 0.8, 6, ZeroPolicy.fixed_xi(1.0 + 0j), theorem="t23", nodes=1024)
+    items = [(e["t"], item) for e in sweep_verdicts(cfg, sweep(cfg)) for item in e["verdicts"]]
+    cw = [(t, item) for t, item in items if item["verdict"] == "CW"]
+    assert len(cw) >= 6
+    for t, item in cw:
+        assert item["flags"] == ["mirrored"]
+        assert tracked_velocity(m, 4, cfg.policy, t, item["tracked_phase"], nodes=1024) < 0, (t, item)
+    others = [item["flags"] for _, item in items if item["verdict"] != "CW"]
+    assert others and all(flags == ["f_not_nondecreasing"] for flags in others)
