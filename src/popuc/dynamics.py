@@ -12,12 +12,10 @@ from operator import attrgetter
 
 import numpy as np
 
-from .expressions import ExprError
 from .measures import (
     DEFAULT_NODES,
     MIN_NODES,
     Measure,
-    MeasureError,
     MeasureSample,
     json_number,
     json_pair,
@@ -40,7 +38,7 @@ from .predicates import (
     mass_functionals,
     motion_context,
     reference_index,
-    verdicts_at,
+    verdicts_along,
     w_continuous,
 )
 
@@ -186,8 +184,9 @@ class Trajectory:
         return self.chains.shape[1]
 
 
-def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) -> np.ndarray:
-    """Permutation p with new_set.phases[p[k]] continuing chain k.
+def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) -> tuple[np.ndarray, ...]:
+    """Permutation p with new_set.phases[p[k]] continuing chain k, and each
+    chain's step, the jump wrapped into [-pi, pi].
 
     Both phase sets ascend cyclically, so p is the rotation that sends chain 0
     to its nearest new zero.  A jump beyond half the previous minimum gap
@@ -199,13 +198,13 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
         raise TrackingError(f"zero count changed at t={t}")
     nearest = np.abs(np.angle(np.exp(1j * (new_set.phases - prev_phases[0]))))
     perm = (int(np.argmin(nearest)) + np.arange(m)) % m
-    jumps = np.abs(np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases))))
-    if np.max(jumps) >= min_gap / 2:
+    steps = np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases)))
+    if np.max(np.abs(steps)) >= min_gap / 2:
         raise TrackingError(
-            f"phase jump {np.max(jumps):.3e} exceeds half the minimum gap at t={t}; "
+            f"phase jump {np.max(np.abs(steps)):.3e} exceeds half the minimum gap at t={t}; "
             "refine the grid"
         )
-    return perm
+    return perm, steps
 
 
 _POINT = attrgetter("zero_set", "sample")  # all a sweep keeps of each PipelineState
@@ -224,9 +223,9 @@ def sweep(cfg: SweepConfig) -> Trajectory:
     chains[0] = current = zs.phases
     for i in range(1, len(ts)):
         zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros))
-        matched = zs.phases[_match(current, zs, zero_sets[-1].min_gap, ts[i])]
-        chains[i] = chains[i - 1] + np.angle(np.exp(1j * (matched - current)))
-        current = matched
+        perm, steps = _match(current, zs, zero_sets[-1].min_gap, ts[i])
+        chains[i] = chains[i - 1] + steps
+        current = zs.phases[perm]
         zero_sets.append(zs)
         samples.append(sample)
     return Trajectory(
@@ -345,19 +344,18 @@ def balance_check(
 
 
 def sweep_verdicts(cfg: SweepConfig, traj: Trajectory) -> list[dict]:
-    """Per-grid-point verdicts for every zero that has a reference zero, all
-    zeros of a grid point from one :func:`~popuc.predicates.verdicts_at` pass on its record."""
+    """Per-grid-point verdicts for every zero that has a reference zero, every
+    grid point from one :func:`~popuc.predicates.verdicts_along` pass over the
+    trajectory; bad measure data at one grid point degrades gracefully, its
+    zeros getting the error."""
     out = []
-    for t, zs, sample in zip(traj.ts, traj.zero_sets, traj.samples):
-        try:
-            reports = verdicts_at(sample, zs, cfg.theorem)
-            items = [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
-        except (PredicateError, MeasureError, ExprError) as exc:
-            # bad measure data at one grid point degrades gracefully: its zeros get the error
-            items = [
-                {"zero_index": k, "error": str(exc)}
-                for k in range(len(zs))
-                if reference_index(zs, k, cfg.theorem) is not None
-            ]
+    for t, reports in zip(traj.ts, verdicts_along(traj.samples, traj.zero_sets, cfg.theorem)):
+        items = []
+        for k, rep in reports.items():
+            if isinstance(rep, Exception):
+                items.append({"zero_index": k, "error": str(rep)})
+            else:
+                items.append(rep.to_json())
+                items[-1]["zero_index"] = k
         out.append({"t": float(t), "verdicts": items})
     return out

@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .opuc import MonicPoly, horner, polyval, power_table, reversed_poly, szego_step
+from .opuc import MonicPoly, horner, polyval, power_table, szego_step
 
 __all__ = [
     "PopucInstance",
@@ -76,10 +77,10 @@ class ZeroSet:
     def zeros(self) -> np.ndarray:
         return np.exp(1j * self.phases)
 
-    @property
+    @cached_property
     def min_gap(self) -> float:
-        ph = np.sort(self.phases)
-        gaps = np.diff(np.concatenate([ph, [ph[0] + 2.0 * math.pi]]))
+        """The smallest gap round the circle between neighbouring (ascending) phases."""
+        gaps = np.diff(np.concatenate([self.phases, [self.phases[0] + 2.0 * math.pi]]))
         return float(np.min(gaps))
 
     def nearest_index(self, phase: float) -> int:
@@ -97,15 +98,19 @@ def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
 def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     """Unimodular b such that the POPUC built from ``q`` vanishes at ``xi``.
 
-    b = conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)); on the circle
-    |Q_n*| = |Q_n| so |b| = 1 up to roundoff, and it is renormalized exactly.
+    b = conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)), and on the circle Q_n*(xi) =
+    xi^n conj(Q_n(xi)), so b = xi^(n-1) (conj(Q_n(xi)) / |Q_n(xi)|)^2 from one
+    Horner pass; |b| = 1 up to roundoff, and it is renormalized exactly.
     """
     if not abs(abs(xi) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|xi| = {abs(xi)} is off the unit circle")
-    q_xi, qs = polyval(np.stack([q.coeffs, reversed_poly(q.coeffs)]), xi)
-    if not abs(qs) >= 1e-14:
+    q_xi = 0j
+    for c in reversed(q.coeffs.tolist()):
+        q_xi = q_xi * xi + c
+    if not abs(q_xi) >= 1e-14:  # |Q_n*(xi)| = |Q_n(xi)|
         raise ValueError("reversed polynomial vanishes at xi (degenerate input)")
-    b = np.conj(xi) * np.conj(q_xi) / np.conj(qs)
+    u = q_xi.conjugate() / abs(q_xi)
+    b = xi ** (len(q.coeffs) - 2) * u * u
     return complex(b / abs(b))
 
 

@@ -21,22 +21,24 @@ returned together with the supporting numbers.
 All zeros at one parameter value share the masses, f and the zero phases:
 :func:`motion_context` gathers them once per grid point in a :class:`MotionContext`
 from the record they were solved on, and every functional takes the zero pair it
-reads, the tracked zero and its reference, as arguments.  :func:`verdicts_at`
-decides every zero in one array pass: the W_j of all zeros form one
-(zeros x masses) table built from one cotangent table, and W(theta) one
-(zeros x nodes) table on the context's one grid, the moments' nodes.
-:func:`verdict` and :func:`mass_functionals` are the one-zero case of that
-pass; the scalar :func:`s_factor` and :func:`s_sum` are its reference.
+reads, the tracked zero and its reference, as arguments.  :func:`verdicts_along`
+decides every zero of every grid point of a sweep in one array pass, each row a
+(point, tracked, reference): the W_j form one (rows x masses) table from one
+cotangent table per point, and W(theta) one (rows x nodes) table on the moments'
+nodes.  Its one-point case is :func:`verdicts_at`, its one-zero case :func:`verdict`
+and :func:`mass_functionals`; the scalar :func:`s_factor` and :func:`s_sum` are its reference.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .measures import ANGLE_TOL, MeasureSample, circular_gap
+from .expressions import ExprError
+from .measures import ANGLE_TOL, MeasureError, MeasureSample, circular_gap
 from .paraorthogonal import ZeroSet
 
 __all__ = [
@@ -53,6 +55,7 @@ __all__ = [
     "mass_functionals",
     "verdict",
     "verdicts_at",
+    "verdicts_along",
 ]
 
 # "nonnegative" slack and "strictly positive" threshold, relative to scale
@@ -162,31 +165,42 @@ def s_sum(theta: float, phases: np.ndarray, tracked: int, reference: int) -> flo
 
 
 def _mass_table(
-    ctx: MotionContext, tracked: np.ndarray, reference: np.ndarray, f_phi: np.ndarray
+    table: list[np.ndarray], point: np.ndarray, tracked: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
     """W_j = s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s
     (:func:`s_factor`) and the cotangent sum S (:func:`s_sum`) at omega_j, as
-    a (rows x masses) table, row i for zero ``tracked[i]`` measured against
-    zero ``reference[i]`` with f(phi) = ``f_phi[i]``, all from one table of
-    the half-angles (phase_l - omega_j)/2.
+    a (rows x masses) table, row i for zero ``tracked[i]`` of grid point
+    ``point[i]`` measured against its zero ``reference[i]``, all from one
+    table of the half-angles (phase_l - omega_j)/2 per point; ``table`` is
+    the points' :func:`_stack`.
     No mass may lie on a zero (see :func:`mass_functionals`)."""
-    angles = 0.5 * (ctx.phases - ctx.omegas[:, None])
+    phases, gammas, omegas, dgammas, domegas, f_phases = table
+    f_phi = f_phases[point, tracked]
+    angles = 0.5 * (phases[:, None, :] - omegas[:, :, None])  # points x masses x zeros
     sines = np.sin(angles)
-    numer = np.sin(0.5 * (ctx.phases[tracked] - ctx.phases[reference]))
-    s = numer[:, None] / (2.0 * sines[:, tracked].T * sines[:, reference].T)
-    w = s * ctx.dgammas
-    moving = ctx.domegas != 0.0
+    numer = np.sin(0.5 * (phases[point, tracked] - phases[point, reference]))
+    s = numer[:, None] / (2.0 * sines[point, :, tracked] * sines[point, :, reference])
+    w = s * dgammas[point]
+    moving = domegas[point] != 0.0
     if moving.any():
-        cot = 1.0 / np.tan(angles[moving])
-        zeros = np.arange(len(ctx.phases))
+        # a mass that does not move may sit on a zero: its cotangents are not read
+        cot = 1.0 / np.tan(np.where(domegas[:, :, None] != 0.0, angles, 1.0))
+        zeros = np.arange(phases.shape[1])
         halved = (zeros == tracked[:, None]) | (zeros == reference[:, None])
         # the cotangent sums add their terms in zero order, as s_sum does
-        terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot
+        terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot[point]
         cot_sum = np.cumsum(terms, axis=2)[:, :, -1]
-        w[:, moving] -= ctx.gammas[moving] * s[:, moving] * cot_sum * ctx.domegas[moving]
+        w = np.where(moving, w - gammas[point] * s * cot_sum * domegas[point], w)
     if f_phi.any():
-        w -= np.where(f_phi[:, None] != 0.0, ctx.gammas * s * f_phi[:, None], 0.0)
+        w -= np.where(f_phi[:, None] != 0.0, gammas[point] * s * f_phi[:, None], 0.0)
     return w
+
+
+def _stack(ctxs: list[MotionContext]) -> list[np.ndarray]:
+    """The phases, the masses' gamma, omega, gamma' and omega', and f at the
+    phases, of contexts with as many zeros and masses: one row per context."""
+    names = ("phases", "gammas", "omegas", "dgammas", "domegas", "f_phases")
+    return [np.stack([getattr(c, name) for c in ctxs]) for name in names]
 
 
 def w_continuous(
@@ -194,9 +208,10 @@ def w_continuous(
 ) -> np.ndarray:
     """Density functional s(theta) (f(theta) - f(phi)) for mixed measures as a
     (rows x nodes) table, row i for the tracked phase ``phis[i]`` measured
-    against ``theta0s[i]``; f is ``f_nodes`` at the nodes and ``f_phis`` at
-    the phases.  NaN at nodes within 1e-9 of phi or theta0, which verdicts
-    skip and where the balance integrand s |P|^2 vanishes."""
+    against ``theta0s[i]``; f is ``f_nodes`` at the nodes (one row for all
+    rows, or one row each) and ``f_phis`` at the phases.  NaN at nodes
+    within 1e-9 of phi or theta0, which verdicts skip and where the balance
+    integrand s |P|^2 vanishes."""
     phis, theta0s = phis[:, None], theta0s[:, None]
     usable = (circular_gap(nodes, phis) > 1e-9) & (circular_gap(nodes, theta0s) > 1e-9)
     den = 2.0 * np.sin(0.5 * (phis - nodes)) * np.sin(0.5 * (theta0s - nodes))
@@ -216,8 +231,7 @@ def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.nda
     near = ctx.mass_gaps < POLE_TOL
     if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         raise PredicateError("pole: a mass collides with a zero its functional reads")
-    row = np.array([tracked])
-    return _mass_table(ctx, row, np.array([reference]), ctx.f_phases[row])[0]
+    return _mass_table(_stack([ctx]), np.array([0]), np.array([tracked]), np.array([reference]))[0]
 
 
 @dataclass(frozen=True)
@@ -233,38 +247,26 @@ class VerdictReport:
     fixed_phase: float
 
     def to_json(self) -> dict:
-        obj = {name: getattr(self, name) for name in REPORT_FIELDS}
-        return dict(obj, w_masses=[float(w) for w in self.w_masses], flags=list(self.flags))
-
-
-REPORT_FIELDS = tuple(f.name for f in fields(VerdictReport))
+        """The fields in order, as JSON values."""
+        return dict(vars(self), w_masses=self.w_masses.tolist(), flags=list(self.flags))
 
 
 def _inconclusive(phi: float, theta0: float, theorem: str, flag: str) -> VerdictReport:
-    return VerdictReport(
-        verdict="Inconclusive",
-        theorem=theorem,
-        w_masses=np.array([]),
-        w_continuous_min=0.0,
-        w_continuous_max=0.0,
-        flags=(flag,),
-        mirrored=False,
-        tracked_phase=phi,
-        fixed_phase=theta0,
-    )
+    return VerdictReport("Inconclusive", theorem, np.array([]), 0.0, 0.0, (flag,), False, phi, theta0)
 
 
 def _f_monotone(nodes: np.ndarray, values: np.ndarray, theta0s: np.ndarray) -> np.ndarray:
-    """(nondecreasing, nonincreasing) of the f ``values`` at the ascending ``nodes``
-    of one period from 0, over the open period from each of ``theta0s``, as a (rows
-    x 2) table: every cyclic step but those touching theta0 (two when it is a node)."""
-    tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values), initial=0.0)))
-    diffs = np.diff(values, append=values[0])  # the last step closes the circle
+    """(nondecreasing, nonincreasing) of row i's f ``values[i]`` at the ascending ``nodes``
+    of one period from 0, over the open period from ``theta0s[i]``, as a (rows x 2)
+    table: every cyclic step but those touching theta0 (two when it is a node)."""
+    tol = NONNEG_TOL * (1.0 + np.max(np.abs(values), axis=1, initial=0.0))
+    diffs = np.diff(values, axis=1, append=values[:, :1])  # the last step closes the circle
     theta0s = np.mod(theta0s, 2.0 * math.pi)
     step = np.searchsorted(nodes, theta0s, side="right") - 1  # the step from the last node <= theta0
-    bad = np.stack([diffs < -tol, diffs > tol], axis=1)
-    into = (nodes[step] == theta0s)[:, None] & bad[step - 1]  # and the step into theta0 on a node
-    return bad.sum(axis=0) - bad[step] - into == 0
+    bad = np.stack([diffs < -tol[:, None], diffs > tol[:, None]], axis=2)
+    rows = np.arange(len(theta0s))
+    into = (nodes[step] == theta0s)[:, None] & bad[rows, step - 1]  # and the step into theta0 on a node
+    return bad.sum(axis=1) - bad[rows, step] - into == 0
 
 
 def _label(
@@ -285,36 +287,47 @@ def _label(
 
 
 def _verdict_rows(
-    ctx: MotionContext, tracked: list[int], reference: list[int], theorem: str
+    ctxs: list[MotionContext], rows: list[tuple[int, int, int]], theorem: str
 ) -> list[VerdictReport]:
-    """Verdicts for zero ``tracked[i]`` measured against zero ``reference[i]``,
-    every row from one pass over the tables of :func:`_mass_table` and
-    :func:`w_continuous`; a t22 row that is no conjugate pair is Inconclusive."""
+    """Verdicts for the rows (point, tracked, reference): zero ``tracked`` of
+    context ``ctxs[point]`` measured against its zero ``reference``, every row
+    from one pass over the tables of :func:`_mass_table` and :func:`w_continuous`;
+    the contexts share one measure and node count, as a sweep's do.  The rows of
+    a context with a mass within ANGLE_TOL of a zero are collisions and enter no
+    table; a t22 row that is no conjugate pair is Inconclusive."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
-    tracked, reference = np.asarray(tracked), np.asarray(reference)
-    phis, theta0s = ctx.phases[tracked].tolist(), ctx.phases[reference].tolist()
-    if (ctx.mass_gaps < ANGLE_TOL).any():
-        return [_inconclusive(p, r, theorem, "collision") for p, r in zip(phis, theta0s)]
-    f_phis = ctx.f_phases[tracked]
-    w_masses = _mass_table(ctx, tracked, reference, f_phis)
+    if not rows:
+        return []
+    point, tracked, reference = np.array(rows, dtype=int).T
+    table = _stack(ctxs)
+    phis, theta0s = table[0][point, tracked].tolist(), table[0][point, reference].tolist()
+    clear = ~(circular_gap(table[2][:, :, None], table[0][:, None, :]) < ANGLE_TOL).any(axis=(1, 2))
+    is_clear = clear[point]
+    slot = np.cumsum(clear) - 1  # a clear context's row in the tables
+    point, tracked, reference = slot[point[is_clear]], tracked[is_clear], reference[is_clear]
+    table = [x[clear] for x in table]
+    w_masses = _mass_table(table, point, tracked, reference)
 
-    n = len(tracked)
-    wc_min, wc_max = np.zeros(n), np.zeros(n)
-    monotone = np.ones((n, 2), dtype=bool)  # f nondecreasing, nonincreasing
-    if ctx.grid is not None:
-        stride = max(1, len(ctx.grid[0]) // VERDICT_NODES)
-        nodes, f_nodes = ctx.grid[0][::stride], ctx.grid[1][::stride]
-        ref_phases = ctx.phases[reference]
-        wc = w_continuous(nodes, ctx.phases[tracked], ref_phases, f_nodes, f_phis)
+    wc_min = wc_max = np.zeros(len(point))
+    monotone = np.ones((len(point), 2), dtype=bool)  # f nondecreasing, nonincreasing
+    if ctxs[0].grid is not None:  # each row reads its own point's f on the shared nodes
+        stride = max(1, len(ctxs[0].grid[0]) // VERDICT_NODES)
+        nodes, ref_phases = ctxs[0].grid[0][::stride], table[0][point, reference]
+        f_nodes = np.stack([c.grid[1][::stride] for c in ctxs])[clear][point]
+        wc = w_continuous(nodes, table[0][point, tracked], ref_phases, f_nodes, table[5][point, tracked])
         wc_min, wc_max = np.fmin.reduce(wc, axis=1), np.fmax.reduce(wc, axis=1)
         monotone = _f_monotone(nodes, f_nodes, ref_phases)
 
     w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0).tolist()
     w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0).tolist()
     wc_min, wc_max, monotone = wc_min.tolist(), wc_max.tolist(), monotone.tolist()
-    reports = []
-    for i, (phi, theta0) in enumerate(zip(phis, theta0s)):
+    reports, i = [], -1
+    for phi, theta0, ok in zip(phis, theta0s, is_clear.tolist()):
+        if not ok:
+            reports.append(_inconclusive(phi, theta0, theorem, "collision"))
+            continue
+        i += 1
         if theorem == "t22" and not conjugate_pair(phi, theta0):
             reports.append(_inconclusive(phi, theta0, theorem, "non_conjugate_pair"))
             continue
@@ -322,15 +335,7 @@ def _verdict_rows(
         # CW needs only f nonincreasing, so its flag says only that it is mirrored
         flags = ("mirrored",) if label == "CW" else () if monotone[i][0] else ("f_not_nondecreasing",)
         reports.append(VerdictReport(
-            verdict=label,
-            theorem=theorem,
-            w_masses=w_masses[i],
-            w_continuous_min=wc_min[i],
-            w_continuous_max=wc_max[i],
-            flags=flags,
-            mirrored=label == "CW",
-            tracked_phase=phi,
-            fixed_phase=theta0,
+            label, theorem, w_masses[i], wc_min[i], wc_max[i], flags, label == "CW", phi, theta0
         ))
     return reports
 
@@ -339,19 +344,41 @@ def verdict(ctx: MotionContext, tracked: int, reference: int, theorem: str) -> V
     """Classify the motion of zero ``tracked``, measured against zero
     ``reference``, as CCW, CW, Stationary, or Inconclusive, with a
     ``mirrored`` flag when the clockwise (sign-flipped) criterion fired: the
-    one-zero case of :func:`verdicts_at`.
+    one-zero case of :func:`verdicts_along`.
     """
-    return _verdict_rows(ctx, [tracked], [reference], theorem)[0]
+    return _verdict_rows([ctx], [(0, tracked, reference)], theorem)[0]
+
+
+def verdicts_along(
+    samples: Sequence[MeasureSample], zero_sets: Sequence[ZeroSet], theorem: str
+) -> list[dict[int, VerdictReport | Exception]]:
+    """The verdicts of a trajectory: for each measure record ``samples[i]`` and
+    the zeros ``zero_sets[i]`` solved on it, the verdict of every zero that has
+    a reference zero (see :func:`reference_index`), keyed by zero index in
+    increasing order.  Each point's motion data is built once from its record;
+    a PredicateError, MeasureError or ExprError there is that point's error,
+    the value of each of its zeros.  Every row of every other point comes from
+    one table pass (:func:`_verdict_rows`)."""
+    out, ctxs, rows = [], [], []
+    for sample, zs in zip(samples, zero_sets):
+        refs = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
+        out.append(refs)
+        try:
+            if refs:
+                ctxs.append(motion_context(sample, zs))
+                rows += [(len(ctxs) - 1, k, r) for k, r in refs.items()]
+        except (PredicateError, MeasureError, ExprError) as exc:
+            out[-1] = dict.fromkeys(refs, exc)
+    reports = iter(_verdict_rows(ctxs, rows, theorem))
+    return [{k: r if isinstance(r, Exception) else next(reports) for k, r in refs.items()} for refs in out]
 
 
 def verdicts_at(sample: MeasureSample, zs: ZeroSet, theorem: str) -> dict[int, VerdictReport]:
     """The verdict of every zero of ``zs``, solved on the measure record
-    ``sample``, that has a reference zero (see :func:`reference_index`),
-    keyed by zero index in increasing order.  The motion data is built once
-    from the record, and every zero's functionals come from one table pass;
-    an error in either reaches the caller."""
-    rows = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
-    if not rows:
-        return {}
-    ctx = motion_context(sample, zs)
-    return dict(zip(rows, _verdict_rows(ctx, list(rows), list(rows.values()), theorem)))
+    ``sample``, that has a reference zero, keyed by zero index in increasing
+    order: the one-point case of :func:`verdicts_along`, whose error in the
+    motion data reaches the caller."""
+    reports = verdicts_along([sample], [zs], theorem)[0]
+    if reports and isinstance(error := next(iter(reports.values())), Exception):
+        raise error
+    return reports

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from popuc import dynamics, expressions, measures
+from popuc import dynamics, expressions, measures, predicates
 from popuc.dynamics import (
     SweepConfig,
     TrackingError,
@@ -228,7 +228,7 @@ def test_rotation_match_is_the_full_table_match(case, ref_old, ref_new):
     new = ZeroSet(ref_new + np.sort(np.mod(moved - ref_new, 2 * math.pi)), np.zeros(len(gaps)), 0.0)
     prev = np.roll(old.phases, -shift)  # a chain order that starts anywhere in the cycle
     outcomes = []
-    for match in (dynamics._match, _match_by_table):
+    for match in (lambda *args: dynamics._match(*args)[0], _match_by_table):
         try:
             outcomes.append(match(prev, new, old.min_gap, 0.0).tolist())
         except TrackingError:
@@ -352,15 +352,41 @@ def test_stationary_scenario_sweep():
 
 
 def test_sweep_verdicts_propagates_defects(monkeypatch):
+    # the trajectory pass turns only the library's errors into error entries
     cfg = SweepConfig(MIXED, 5, 0.2, 0.4, 3, ZeroPolicy.fixed_xi(1j), theorem="t23")
     traj = sweep(cfg)
 
-    def broken_verdicts(sample, zs, theorem):
+    def broken_context(sample, zs):
         raise ZeroDivisionError("defect in a motion functional")
 
-    monkeypatch.setattr(dynamics, "verdicts_at", broken_verdicts)
+    monkeypatch.setattr(predicates, "motion_context", broken_context)
     with pytest.raises(ZeroDivisionError):
         sweep_verdicts(cfg, traj)
+
+
+def test_an_error_at_one_grid_point_stays_at_that_point():
+    # the t-factor (t - 1/2)^2 vanishes at the middle point alone, whose motion
+    # data cannot be built; the points around it get the one-point verdicts
+    masses = [MassPoint.of("1 + 0.2*t", w) for w in ("0.5", "2.5", "4.5")]
+    m = Measure.of(ACWeight.custom("(t - 0.5)*(t - 0.5)*(2 + cos(theta))"), masses)
+    cfg = SweepConfig(m, 3, 0.0, 1.0, 5, ZeroPolicy.fixed_xi(1j), theorem="t23")
+    traj = sweep(cfg)
+    entries = sweep_verdicts(cfg, traj)
+    error = "weight vanishes at t=0.5: its t-factor is zero"
+    assert entries[2]["verdicts"] == [{"zero_index": k, "error": error} for k in (1, 2)]
+    for i in (0, 1, 3, 4):
+        reports = verdicts_at(traj.samples[i], traj.zero_sets[i], "t23")
+        assert entries[i]["verdicts"] == [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
+        assert all("verdict" in item for item in entries[i]["verdicts"])
+
+
+def test_a_sweep_decides_its_verdicts_in_one_table_pass(monkeypatch):
+    cfg = replace(scenario_config("bs_mass_omega"), steps=50)
+    traj = sweep(cfg)
+    calls = _count_calls(monkeypatch, predicates, "_mass_table")
+    entries = sweep_verdicts(cfg, traj)
+    assert len(calls) == 1
+    assert len(entries) == 50 and all("verdict" in item for entry in entries for item in entry["verdicts"])
 
 
 # a double zero on the node of theta_grid(0, 256) after the pinned zero at pi/2

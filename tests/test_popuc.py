@@ -6,7 +6,7 @@ import pytest
 
 from popuc import paraorthogonal
 from popuc.measures import ACWeight, MassPoint, Measure, moments
-from popuc.opuc import MonicPoly, gram_opuc, polyval
+from popuc.opuc import MonicPoly, gram_opuc, polyval, reversed_poly
 from popuc.paraorthogonal import (
     PopucInstance,
     RootFindingError,
@@ -93,6 +93,25 @@ def test_fix_zero_param_pins_the_zero():
         assert abs(abs(b) - 1.0) < 1e-14
         p = build_popuc(q, b)
         assert abs(p(xi)) < 1e-9 * float(np.max(np.abs(p.poly.coeffs)))
+
+
+def test_fix_zero_param_is_the_two_evaluation_formula():
+    # b from Q_n(xi) alone against conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)), with
+    # Q_n* evaluated apart.  Each Horner value errs by up to about 2n eps sum|c_k|
+    # on the circle and b reads two, so the formulas differ by roundoff relative
+    # to |Q_n(xi)|: over 4000 such draws by up to 20 ulps, 1.4 n eps sum|c_k| / |Q_n(xi)|
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        fam = _family(rng, int(rng.integers(2, 9)))
+        q = fam[fam.max_degree]
+        xi = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        q_xi, qs = (complex(np.polyval(c[::-1], xi)) for c in (q.coeffs, reversed_poly(q.coeffs)))
+        two = xi.conjugate() * q_xi.conjugate() / qs.conjugate()
+        b = fix_zero_param(q, xi)
+        bound = 4 * fam.max_degree * np.finfo(float).eps * float(np.sum(np.abs(q.coeffs))) / abs(q_xi)
+        assert abs(b - two / abs(two)) <= bound
+        coeffs = build_popuc(q, b).poly.coeffs
+        assert abs(complex(np.polyval(coeffs[::-1], xi))) <= 1e-12 * float(np.max(np.abs(coeffs)))
 
 
 def test_fix_zero_lebesgue_example():
@@ -352,7 +371,9 @@ def test_aberth_takes_few_cold_sweeps_on_real_popucs(monkeypatch):
 
 def _balance_seed_50_popuc():
     """The benchmark's balance seed 50, job t21[5], solved at t = 0.05 + 1e-5 (its
-    t + h solve): six moving masses, degree 5, a zero pinned at xi."""
+    t + h solve): six moving masses, degree 5, a zero pinned at xi by the b that
+    the two-evaluation formula conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)) gave, which
+    is 4.7e-16 from fix_zero_param's b."""
     masses = [
         MassPoint.of("0.490591 + 0.083179*t", "0.302592 - 0.007137*t"),
         MassPoint.of("0.908326 - 0.160391*t", "1.058325 - 0.049778*t"),
@@ -363,7 +384,7 @@ def _balance_seed_50_popuc():
     ]
     xi = complex(0.22965421874083228, 0.9732722845198758)
     q = gram_opuc(moments(Measure.of(ACWeight.none(), masses), 0.05 + 1e-5, 4), 4)[4]
-    return build_popuc(q, fix_zero_param(q, xi)), xi
+    return build_popuc(q, 0.6946801372701313 - 0.7193187797370173j), xi
 
 
 def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_roundoff_floor(monkeypatch):

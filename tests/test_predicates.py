@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import fields, replace
 
@@ -668,33 +669,34 @@ def test_verdicts_evaluate_f_once_per_reference_per_grid_point(monkeypatch, theo
 
 @st.composite
 def periodic_f_tables(draw):
-    """(nodes, f, theta0s): f on the M nodes of theta_grid(0, M), either a
-    sorted table rolled round the circle (monotone but for one step) and
-    perhaps negated, or any table; and 1-3 theta0 each on a node, between two
-    nodes, or past the last node."""
+    """(nodes, f, theta0s): 1-3 theta0, each on a node, between two nodes, or
+    past the last node, and each with its own f on the M nodes of
+    theta_grid(0, M), either a sorted table rolled round the circle (monotone
+    but for one step) and perhaps negated, or any table."""
     m = draw(st.integers(16, 48))
     nodes = theta_grid(0.0, m)
-    values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
-    if draw(st.booleans()):
-        values = np.roll(np.sort(values), draw(st.integers(0, m - 1))) * draw(st.sampled_from([1.0, -1.0]))
-    theta0s = []
+    tables, theta0s = [], []
     for _ in range(draw(st.integers(1, 3))):
+        values = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+        if draw(st.booleans()):
+            values = np.roll(np.sort(values), draw(st.integers(0, m - 1))) * draw(st.sampled_from([1.0, -1.0]))
+        tables.append(values)
         j, frac = draw(st.integers(0, m - 1)), draw(st.floats(0.01, 0.99))
         where = draw(st.sampled_from(["on", "between", "past"]))
         theta0s.append({"on": nodes[j], "between": nodes[j], "past": nodes[-1]}[where]
                        + (0.0 if where == "on" else frac * 2 * math.pi / m))
-    return nodes, values, np.array(theta0s)
+    return nodes, np.array(tables), np.array(theta0s)
 
 
 @settings(deadline=None, max_examples=200)
 @given(periodic_f_tables())
 def test_one_pass_monotonicity_is_the_rolled_diff_per_reference(case):
-    nodes, values, theta0s = case
-    table = predicates._f_monotone(nodes, values, theta0s)
-    tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values))))
-    for theta0, row in zip(theta0s, table.tolist()):
+    nodes, tables, theta0s = case
+    table = predicates._f_monotone(nodes, tables, theta0s)
+    for values, theta0, row in zip(tables, theta0s, table.tolist()):
         # f over the open period from theta0: from the first node after it,
         # round to the last node before theta0 + 2 pi, so not at a node on theta0
+        tol = NONNEG_TOL * (1.0 + float(np.max(np.abs(values))))
         theta0 %= 2 * math.pi
         start = next((i for i, th in enumerate(nodes) if th > theta0), 0)
         rolled = np.roll(values, -start)
@@ -818,3 +820,61 @@ def test_a_cw_verdict_on_a_weight_whose_f_falls_is_flagged_mirrored_alone():
         assert tracked_velocity(m, 4, cfg.policy, t, item["tracked_phase"], nodes=1024) < 0, (t, item)
     others = [item["flags"] for _, item in items if item["verdict"] != "CW"]
     assert others and all(flags == ["f_not_nondecreasing"] for flags in others)
+
+
+@st.composite
+def trajectory_inputs(draw):
+    """(samples, zero sets, theorem): one random measure, discrete, closed-kind
+    or custom (with or without a factor that mixes t and theta), at 2-6 values
+    of t, each with the same number (2-6) of zeros drawn at random, not solved
+    for.  Under t22 the zeros come in conjugate pairs, perhaps moved off them;
+    else zero 0 is pinned or none is.  At a collision point a zero sits on a mass."""
+    theorem = draw(st.sampled_from(predicates.THEOREMS))
+    masses = []
+    gaps = draw(st.lists(st.floats(0.5, 1.5), min_size=1, max_size=3))
+    for omega in (draw(st.floats(0.0, 2 * math.pi)) + np.cumsum(gaps)).tolist():
+        g, dg, do = draw(st.floats(0.3, 1.5)), draw(st.floats(-0.2, 0.2)), draw(st.sampled_from([0.0, 0.1, -0.05]))
+        masses.append(MassPoint.of(f"{g!r} + {dg!r}*t", f"{omega!r} + {do!r}*t"))
+    ac = draw(st.sampled_from(["none", "closed", "custom"]))
+    if ac == "closed":
+        # the scale t is negative or zero at t <= 0, where the motion data raises
+        scale = draw(st.sampled_from(["1.5 + 0.5*t", "t"]))
+        weight = ACWeight.bernstein_szego(draw(st.sampled_from([0, 0.4j, -0.3 + 0.2j])), scale)
+    else:
+        weight = ACWeight.none() if ac == "none" else ACWeight.custom(draw(separable_weights(draw(st.booleans()))))
+    m = Measure.of(weight, masses)
+    samples, zero_sets = [], []
+    pinned, n = draw(st.booleans()), draw(st.integers(2, 6))
+    for t in sorted(draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=6, unique=True))):
+        sample = m.at(t, 256)
+        phases = np.array(draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)))
+        if theorem == "t22":
+            half = np.abs(phases[: n // 2]) + draw(st.sampled_from([0.0, 0.0, 0.3]))
+            phases = np.concatenate([half, -half, phases[n // 2 * 2 :]])
+        if draw(st.booleans()) and draw(st.booleans()):  # a collision
+            phases[draw(st.integers(0, n - 1))] = sample.omegas[0]
+        fixed = 0 if pinned and theorem != "t22" else None
+        zero_sets.append(ZeroSet(phases, np.zeros(n), 0.0, fixed))
+        samples.append(sample)
+    return samples, zero_sets, theorem
+
+
+def _json_or_error(reports):
+    return json.dumps([
+        (k, str(rep) if isinstance(rep, Exception) else rep.to_json()) for k, rep in reports.items()
+    ])
+
+
+# 150 examples take about 1.5 s of Tier-1's 30 s
+@settings(deadline=None, max_examples=150)
+@given(trajectory_inputs())
+def test_the_trajectory_pass_is_the_one_point_pass_at_every_point(case):
+    samples, zero_sets, theorem = case
+    along = predicates.verdicts_along(samples, zero_sets, theorem)
+    assert len(along) == len(samples)
+    for sample, zs, reports in zip(samples, zero_sets, along):
+        try:
+            alone = verdicts_at(sample, zs, theorem)
+        except (PredicateError, MeasureError) as exc:
+            alone = dict.fromkeys(reports, exc)
+        assert _json_or_error(reports) == _json_or_error(alone)
