@@ -200,7 +200,7 @@ def _stack(ctxs: list[MotionContext]) -> list[np.ndarray]:
     """The phases, the masses' gamma, omega, gamma' and omega', and f at the
     phases, of contexts with as many zeros and masses: one row per context."""
     names = ("phases", "gammas", "omegas", "dgammas", "domegas", "f_phases")
-    return [np.stack([getattr(c, name) for c in ctxs]) for name in names]
+    return [np.array([getattr(c, name) for c in ctxs]) for name in names]
 
 
 def w_continuous(
@@ -234,7 +234,7 @@ def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.nda
     return _mass_table(_stack([ctx]), np.array([0]), np.array([tracked]), np.array([reference]))[0]
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: a sweep makes hundreds, and a frozen __init__ takes five times as long
 class VerdictReport:
     verdict: str  # CCW | CW | Stationary | Inconclusive
     theorem: str  # t21 | t22 | t23
@@ -269,21 +269,18 @@ def _f_monotone(nodes: np.ndarray, values: np.ndarray, theta0s: np.ndarray) -> n
     return bad.sum(axis=1) - bad[rows, step] - into == 0
 
 
-def _label(
-    w_min: float, w_max: float, wc_min: float, wc_max: float,
-    nondecreasing: bool, nonincreasing: bool,
-) -> str:
-    """The label from the signs along one row: the extremes of 0 and its
-    W_j, the extremes of its density functional, and the monotonicity of f."""
-    w_abs, wc_abs = max(w_max, -w_min), max(abs(wc_min), abs(wc_max))
-    if w_abs <= NONNEG_TOL and wc_abs <= NONNEG_TOL:
-        return "Stationary"
+def _labels(
+    w_min: np.ndarray, w_max: np.ndarray, wc_min: np.ndarray, wc_max: np.ndarray,
+    nondecreasing: np.ndarray, nonincreasing: np.ndarray,
+) -> np.ndarray:
+    """The label of each row from its signs: the extremes of 0 and its W_j,
+    the extremes of its density functional, and the monotonicity of f."""
+    w_abs, wc_abs = np.maximum(w_max, -w_min), np.maximum(np.abs(wc_min), np.abs(wc_max))
     tol, strict = NONNEG_TOL * (w_abs + wc_abs), STRICT_TOL * (w_abs + wc_abs)
-    if w_min >= -tol and (w_max > strict or wc_max > strict) and nondecreasing:
-        return "CCW"
-    if w_max <= tol and (w_min < -strict or wc_min < -strict) and nonincreasing:
-        return "CW"
-    return "Inconclusive"
+    stationary = (w_abs <= NONNEG_TOL) & (wc_abs <= NONNEG_TOL)
+    ccw = (w_min >= -tol) & ((w_max > strict) | (wc_max > strict)) & nondecreasing
+    cw = (w_max <= tol) & ((w_min < -strict) | (wc_min < -strict)) & nonincreasing
+    return np.select([stationary, ccw, cw], ["Stationary", "CCW", "CW"], "Inconclusive")
 
 
 def _verdict_rows(
@@ -314,14 +311,15 @@ def _verdict_rows(
     if ctxs[0].grid is not None:  # each row reads its own point's f on the shared nodes
         stride = max(1, len(ctxs[0].grid[0]) // VERDICT_NODES)
         nodes, ref_phases = ctxs[0].grid[0][::stride], table[0][point, reference]
-        f_nodes = np.stack([c.grid[1][::stride] for c in ctxs])[clear][point]
+        f_nodes = np.array([c.grid[1][::stride] for c in ctxs])[clear][point]
         wc = w_continuous(nodes, table[0][point, tracked], ref_phases, f_nodes, table[5][point, tracked])
         wc_min, wc_max = np.fmin.reduce(wc, axis=1), np.fmax.reduce(wc, axis=1)
         monotone = _f_monotone(nodes, f_nodes, ref_phases)
 
-    w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0).tolist()
-    w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0).tolist()
-    wc_min, wc_max, monotone = wc_min.tolist(), wc_max.tolist(), monotone.tolist()
+    w_min = np.minimum.reduce(w_masses, axis=1, initial=0.0)
+    w_max = np.maximum.reduce(w_masses, axis=1, initial=0.0)
+    labels = _labels(w_min, w_max, wc_min, wc_max, *monotone.T).tolist()
+    wc_min, wc_max, nondecreasing = wc_min.tolist(), wc_max.tolist(), monotone[:, 0].tolist()
     reports, i = [], -1
     for phi, theta0, ok in zip(phis, theta0s, is_clear.tolist()):
         if not ok:
@@ -331,9 +329,9 @@ def _verdict_rows(
         if theorem == "t22" and not conjugate_pair(phi, theta0):
             reports.append(_inconclusive(phi, theta0, theorem, "non_conjugate_pair"))
             continue
-        label = _label(w_min[i], w_max[i], wc_min[i], wc_max[i], *monotone[i])
+        label = labels[i]
         # CW needs only f nonincreasing, so its flag says only that it is mirrored
-        flags = ("mirrored",) if label == "CW" else () if monotone[i][0] else ("f_not_nondecreasing",)
+        flags = ("mirrored",) if label == "CW" else () if nondecreasing[i] else ("f_not_nondecreasing",)
         reports.append(VerdictReport(
             label, theorem, w_masses[i], wc_min[i], wc_max[i], flags, label == "CW", phi, theta0
         ))
