@@ -273,14 +273,18 @@ def _labels(
     w_min: np.ndarray, w_max: np.ndarray, wc_min: np.ndarray, wc_max: np.ndarray,
     nondecreasing: np.ndarray, nonincreasing: np.ndarray,
 ) -> np.ndarray:
-    """The label of each row from its signs: the extremes of 0 and its W_j,
-    the extremes of its density functional, and the monotonicity of f."""
+    """The label of each row, as its index in LABELS, from its signs: the extremes
+    of 0 and its W_j, the extremes of its density functional, and the monotonicity of f."""
     w_abs, wc_abs = np.maximum(w_max, -w_min), np.maximum(np.abs(wc_min), np.abs(wc_max))
     tol, strict = NONNEG_TOL * (w_abs + wc_abs), STRICT_TOL * (w_abs + wc_abs)
     stationary = (w_abs <= NONNEG_TOL) & (wc_abs <= NONNEG_TOL)
     ccw = (w_min >= -tol) & ((w_max > strict) | (wc_max > strict)) & nondecreasing
     cw = (w_max <= tol) & ((w_min < -strict) | (wc_min < -strict)) & nonincreasing
-    return np.select([stationary, ccw, cw], ["Stationary", "CCW", "CW"], "Inconclusive")
+    return np.select([stationary, ccw, cw], [0, 1, 2], 3)
+
+
+# a row's label is one of these str objects: a label made per row would be a new object each
+LABELS = ("Stationary", "CCW", "CW", "Inconclusive")
 
 
 def _verdict_rows(
@@ -329,7 +333,7 @@ def _verdict_rows(
         if theorem == "t22" and not conjugate_pair(phi, theta0):
             reports.append(_inconclusive(phi, theta0, theorem, "non_conjugate_pair"))
             continue
-        label = labels[i]
+        label = LABELS[labels[i]]
         # CW needs only f nonincreasing, so its flag says only that it is mirrored
         flags = ("mirrored",) if label == "CW" else () if nondecreasing[i] else ("f_not_nondecreasing",)
         reports.append(VerdictReport(
