@@ -350,12 +350,10 @@ def sweep_verdicts(cfg: SweepConfig, traj: Trajectory) -> list[dict]:
     zeros getting the error."""
     out = []
     for t, reports in zip(traj.ts, verdicts_along(traj.samples, traj.zero_sets, cfg.theorem)):
-        items = []
-        for k, rep in reports.items():
-            if isinstance(rep, Exception):
-                items.append({"zero_index": k, "error": str(rep)})
-            else:
-                items.append(rep.to_json())
-                items[-1]["zero_index"] = k
+        items = [
+            {"zero_index": k, "error": str(rep)} if isinstance(rep, Exception)
+            else dict(rep.to_json(), zero_index=k)
+            for k, rep in reports.items()
+        ]
         out.append({"t": float(t), "verdicts": items})
     return out

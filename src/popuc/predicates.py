@@ -64,6 +64,8 @@ STRICT_TOL = 1e-10
 POLE_TOL = 1e-12
 # verdicts test the continuous part on every (nodes // VERDICT_NODES)-th grid node
 VERDICT_NODES = 512
+# the verdict labels; a row's label is one of these objects, not a new str per row
+LABELS = ("Stationary", "CCW", "CW", "Inconclusive")
 
 
 class PredicateError(ValueError):
@@ -283,10 +285,6 @@ def _labels(
     return np.select([stationary, ccw, cw], [0, 1, 2], 3)
 
 
-# a row's label is one of these str objects: a label made per row would be a new object each
-LABELS = ("Stationary", "CCW", "CW", "Inconclusive")
-
-
 def _verdict_rows(
     ctxs: list[MotionContext], rows: list[tuple[int, int, int]], theorem: str
 ) -> list[VerdictReport]:
@@ -354,13 +352,14 @@ def verdict(ctx: MotionContext, tracked: int, reference: int, theorem: str) -> V
 def verdicts_along(
     samples: Sequence[MeasureSample], zero_sets: Sequence[ZeroSet], theorem: str
 ) -> list[dict[int, VerdictReport | Exception]]:
-    """The verdicts of a trajectory: for each measure record ``samples[i]`` and
-    the zeros ``zero_sets[i]`` solved on it, the verdict of every zero that has
-    a reference zero (see :func:`reference_index`), keyed by zero index in
-    increasing order.  Each point's motion data is built once from its record;
-    a PredicateError, MeasureError or ExprError there is that point's error,
-    the value of each of its zeros.  Every row of every other point comes from
-    one table pass (:func:`_verdict_rows`)."""
+    """The verdicts of a trajectory: for each record ``samples[i]`` of one measure
+    at one node count and the zeros ``zero_sets[i]`` solved on it, as many at every
+    point, the verdict of every zero that has a reference zero (see
+    :func:`reference_index`), keyed by zero index in increasing order.  Each
+    point's motion data is built once from its record; a PredicateError,
+    MeasureError or ExprError there is that point's error, the value of each of
+    its zeros.  Every row of every other point comes from one table pass
+    (:func:`_verdict_rows`)."""
     out, ctxs, rows = [], [], []
     for sample, zs in zip(samples, zero_sets):
         refs = {k: r for k in range(len(zs)) if (r := reference_index(zs, k, theorem)) is not None}
