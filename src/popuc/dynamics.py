@@ -119,7 +119,7 @@ class SweepConfig:
         grid = known_keys(obj.get("grid", {}), "grid", ("start", "stop", "steps"))
         policy = known_keys(obj.get("policy", {}), "policy", ("kind", "value"))
         return cls(
-            measure=Measure.from_json(obj["measure"]),
+            measure=Measure.from_json(obj.get("measure")),
             degree=json_number(obj, "degree", 5, (int,)),
             t_start=float(json_number(grid, "start", 0.0)),
             t_stop=float(json_number(grid, "stop", 1.0)),
@@ -196,8 +196,7 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    nearest = np.abs(np.angle(np.exp(1j * (new_set.phases - prev_phases[0]))))
-    perm = (int(np.argmin(nearest)) + np.arange(m)) % m
+    perm = (new_set.nearest_index(prev_phases[0]) + np.arange(m)) % m
     steps = np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases)))
     if np.max(np.abs(steps)) >= min_gap / 2:
         raise TrackingError(
@@ -273,7 +272,7 @@ class BalanceEntry:
     lhs = C(t) * dphi/dt with dphi/dt by central finite difference;
     rhs is the |P|^2-weighted sum of the per-mass functionals, plus, when f
     depends on theta, the trapezoid sum of the density functional times
-    |P|^2 w on the motion context's grid (the moments' nodes).
+    |P|^2 w on the record's grid (the moments' nodes), where the motion context has ``f_grid``.
     """
 
     t: float
@@ -330,12 +329,12 @@ def balance_check(
     C = _c_at(state, complex(np.exp(1j * phi)))
     if theorem == "t22":
         C += _c_at(state, complex(np.exp(1j * theta0)))
-    if ctx.grid is not None:  # else the AC integrand is exactly zero
+    if ctx.f_grid is not None:  # else the AC integrand is exactly zero
         # trapezoid sum of W(theta) |P|^2 w dtheta/2pi; it vanishes at phi and theta0, where W is NaN
-        grid, f_grid, w_grid = ctx.grid
-        wc = w_continuous(grid, np.array([phi]), np.array([theta0]), f_grid, ctx.f_phases[[tracked]])
+        grid, density = state.sample.grid, state.sample.density
+        wc = w_continuous(grid, np.array([phi]), np.array([theta0]), ctx.f_grid, ctx.f_phases[[tracked]])
         p2 = np.abs(horner(coeffs, np.exp(1j * grid))) ** 2
-        rhs += float(np.nansum(wc[0] * p2 * w_grid)) / len(grid)
+        rhs += float(np.nansum(wc[0] * p2 * density)) / len(grid)
 
     dphi = tracked_velocity(m, degree, policy, t, phi, h, nodes)
     lhs = C * dphi

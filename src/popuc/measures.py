@@ -7,7 +7,8 @@ are produced in closed form for ``bernstein_szego`` and otherwise by the periodi
 trapezoid rule, every c_k at once from one FFT on the node grid: of B once per node
 count for a ``custom`` weight A(t) B(theta), of the whole density at each t for others.
 Only this module evaluates the measure: once per grid point, into the
-:class:`MeasureSample` that :func:`moments` hands on to the motion functionals.
+:class:`MeasureSample` that :func:`moments` hands on to the motion functionals,
+whose f = (d/dt w)/w it decides (:meth:`MeasureSample.log_derivative`, ``MotionContext.f_grid``).
 """
 from __future__ import annotations
 
@@ -253,7 +254,9 @@ class Measure:
         return cls(ac, tuple(masses))
 
     def at(self, t: float, nodes: int = DEFAULT_NODES) -> "MeasureSample":
-        """The :class:`MeasureSample` at ``t``; a negative or coincident mass raises MeasureError."""
+        """The :class:`MeasureSample` at a finite ``t``; a negative or coincident mass raises MeasureError."""
+        if not math.isfinite(t):
+            raise MeasureError(f"t must be a finite number, got t={t}")
         gam = np.array([evaluate(m.gamma, {"t": t}) for m in self.masses], dtype=float)
         om = np.array([evaluate(m.omega, {"t": t}) for m in self.masses], dtype=float)
         if np.any(gam < 0):
@@ -329,11 +332,6 @@ class MeasureSample:
         return a
 
     @cached_property
-    def d_factor(self) -> float:
-        """A'(t) of the weight's t-factor."""
-        return evaluate(self.measure.ac.t_factor[1], {"t": self.t})
-
-    @cached_property
     def density(self) -> np.ndarray:
         """The density on :attr:`grid`, finite and nonnegative, that :func:`quadrature_moment` takes."""
         vals = self.measure.ac.density(self.grid, self.t)
@@ -343,15 +341,26 @@ class MeasureSample:
             raise MeasureError(f"weight is negative at a quadrature node at t={self.t}")
         return vals
 
-    @cached_property
-    def d_density(self) -> float | np.ndarray:
-        """d/dt of a ``custom`` weight on :attr:`grid` (a number when it holds no theta)."""
-        return evaluate(self.measure.ac.d_dt, {"theta": self.grid, "t": self.t})
-
-    def weight_at(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(w, d/dt w) at the angles ``theta``, in one pass, of a weight with no t-factor."""
+    def log_derivative(self, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """f = (d/dt w)/w of the AC part at the zero ``phases`` and, only for a weight with no
+        t-factor, on :attr:`grid` (else None): zero without an AC part, A'/A for a weight A(t) B(theta).
+        A weight with no t-factor is read at the phases reduced into [0, 2 pi), the period the
+        moments integrate; a zero t-factor or a weight that vanishes raises MeasureError."""
         ac = self.measure.ac
-        return evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": self.t})
+        if ac.kind == "none":
+            return np.zeros(len(phases)), None
+        if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
+            if self.factor == 0.0:
+                raise MeasureError(f"weight vanishes at t={self.t}: its t-factor is zero")
+            return np.full(len(phases), evaluate(ac.t_factor[1], {"t": self.t}) / self.factor), None
+        reduced = np.mod(phases, 2.0 * math.pi)  # 2 pi for a phase an ulp below 0
+        theta = np.where(reduced < 2.0 * math.pi, reduced, 0.0)
+        w, dw = evaluate_all((ac.weight, ac.d_dt), {"theta": theta, "t": self.t})
+        dw_grid = evaluate(ac.d_dt, {"theta": self.grid, "t": self.t})
+        theta_all, w_all = np.concatenate([theta, self.grid]), np.concatenate([w, self.density])
+        if np.any(w_all <= 0):
+            raise MeasureError(f"weight vanishes at theta={float(theta_all[w_all <= 0][0])!r}")
+        return dw / w, dw_grid / self.density
 
 
 @dataclass(frozen=True)

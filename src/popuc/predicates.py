@@ -1,15 +1,14 @@
 """Motion functionals and verdicts for the POPUC zeros at one parameter value.
 
 The measure decides the continuous terms, from the numbers of its record at
-one t (``measures.MeasureSample``): this module evaluates no expression.
-With f(theta) = (d/dt weight)/weight, the per-mass functional W_j gains
--gamma_j s f(phi) when the AC part moves, and verdicts also test the density
-functional W(theta) = s(theta) (f(theta) - f(phi)) and the monotonicity of f
-when f can depend on theta.  One rule takes f = A'/A for every weight
-A(t) B(theta) (``ACWeight.t_factor``): ``bernstein_szego``, whose A is the
-scale, and a ``custom`` weight whose product/quotient spine splits so; for
-them W(theta) is exactly zero.  Only a ``custom`` weight with a factor that
-mixes t and theta takes f on a grid.
+one t (``measures.MeasureSample``): this module evaluates no expression and
+reads no AC kind.  With f(theta) = (d/dt weight)/weight, the per-mass
+functional W_j gains -gamma_j s f(phi) when the AC part moves, and verdicts
+also test the density functional W(theta) = s(theta) (f(theta) - f(phi)) and
+the monotonicity of f when f can depend on theta.  The record decides f
+(``MeasureSample.log_derivative``): A'/A for every weight A(t) B(theta), for
+which W(theta) is exactly zero, and for a ``custom`` weight with a factor that
+mixes t and theta, also f on the record's grid, ``MotionContext.f_grid``.
 
 The regime (``theorem``) only picks the reference zero theta0, in
 :func:`reference_index`: the pinned zero under ``t21`` and ``t23`` (one
@@ -33,12 +32,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .expressions import ExprError
-from .measures import ANGLE_TOL, MeasureError, MeasureSample, circular_gap
+from .measures import ANGLE_TOL, MeasureError, MeasureSample, circular_gap, theta_grid
 from .paraorthogonal import ZeroSet
 
 __all__ = [
@@ -75,8 +73,8 @@ class PredicateError(ValueError):
 @dataclass(frozen=True)
 class MotionContext:
     """Zero phases plus the measure's motion data at one parameter value, shared
-    by every zero: f at the zeros and, when f can depend on theta, the weight
-    and f on one grid; the functionals take the zero pair they read as arguments."""
+    by every zero: f at the zeros and, when f can depend on theta, on the record's
+    grid; the functionals take the zero pair they read as arguments."""
 
     phases: np.ndarray
     gammas: np.ndarray
@@ -85,35 +83,9 @@ class MotionContext:
     domegas: np.ndarray
     # f(theta) = (d/dt weight)/weight at each zero phase (zero without an AC part)
     f_phases: np.ndarray
-    # (nodes, f, weight) on theta_grid(0, nodes) for a weight whose f can depend
-    # on theta; else None, and verdicts and balance checks skip the density term
-    grid: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    @cached_property
-    def mass_gaps(self) -> np.ndarray:
-        """Circular distance from each mass to each zero, (masses x zeros)."""
-        return circular_gap(self.omegas[:, None], self.phases[None, :])
-
-
-def _ac_log_derivative(sample: MeasureSample, phases: np.ndarray) -> tuple:
-    """(f_phases, grid) of :class:`MotionContext` for the AC part; a zero t-factor or a
-    vanishing weight raises.  Only a weight with no t-factor has a grid, the record's: f is
-    read there and at the phases reduced into [0, 2 pi), the period the moments integrate."""
-    ac = sample.measure.ac
-    if ac.kind == "none":
-        return np.zeros(len(phases)), None
-    if ac.t_factor is not None:  # weight A(t) B(theta): f = A'/A
-        if sample.factor == 0.0:
-            raise PredicateError(f"weight vanishes at t={sample.t}: its t-factor is zero")
-        return np.full(len(phases), sample.d_factor / sample.factor), None
-
-    reduced = np.mod(phases, 2.0 * math.pi)  # 2 pi for a phase an ulp below 0
-    theta = np.where(reduced < 2.0 * math.pi, reduced, 0.0)
-    (w, dw), dw_grid = sample.weight_at(theta), sample.d_density
-    theta_all, w_all = np.concatenate([theta, sample.grid]), np.concatenate([w, sample.density])
-    if np.any(w_all <= 0):
-        raise PredicateError(f"weight vanishes at theta={float(theta_all[w_all <= 0][0])!r}")
-    return dw / w, (sample.grid, dw_grid / sample.density, sample.density)
+    # f on theta_grid(0, nodes) for a weight whose f can depend on theta; else
+    # None, and verdicts and balance checks skip the density term
+    f_grid: np.ndarray | None = None
 
 
 def reference_index(zs: ZeroSet, tracked: int, theorem: str) -> int | None:
@@ -134,13 +106,13 @@ def conjugate_pair(phi: float, theta0: float) -> bool:
 def motion_context(sample: MeasureSample, zs: ZeroSet) -> MotionContext:
     """Assemble the :class:`MotionContext` of the measure record ``sample``
     for the zeros ``zs`` solved on it, with f on the record's grid when it
-    can depend on theta.
+    can depend on theta (``MeasureSample.log_derivative``).
 
     Mass derivative data comes from exact symbolic differentiation of the
     gamma/omega expressions, done once per mass (``MassPoint.d_dt``).
     """
     return MotionContext(
-        zs.phases, sample.gammas, sample.omegas, *sample.d_masses, *_ac_log_derivative(sample, zs.phases)
+        zs.phases, sample.gammas, sample.omegas, *sample.d_masses, *sample.log_derivative(zs.phases)
     )
 
 
@@ -167,42 +139,46 @@ def s_sum(theta: float, phases: np.ndarray, tracked: int, reference: int) -> flo
 
 
 def _mass_table(
-    table: list[np.ndarray], point: np.ndarray, tracked: np.ndarray, reference: np.ndarray
+    ctx: MotionContext, point: np.ndarray, tracked: np.ndarray, reference: np.ndarray
 ) -> np.ndarray:
     """W_j = s gamma_j' - gamma_j s S omega_j' - gamma_j s f(phi), with s
     (:func:`s_factor`) and the cotangent sum S (:func:`s_sum`) at omega_j, as
     a (rows x masses) table, row i for zero ``tracked[i]`` of grid point
     ``point[i]`` measured against its zero ``reference[i]``, all from one
-    table of the half-angles (phase_l - omega_j)/2 per point; ``table`` is
+    table of the half-angles (phase_l - omega_j)/2 per point; ``ctx`` is
     the points' :func:`_stack`.
     No mass may lie on a zero (see :func:`mass_functionals`)."""
-    phases, gammas, omegas, dgammas, domegas, f_phases = table
-    f_phi = f_phases[point, tracked]
-    angles = 0.5 * (phases[:, None, :] - omegas[:, :, None])  # points x masses x zeros
+    f_phi = ctx.f_phases[point, tracked]
+    angles = 0.5 * (ctx.phases[:, None, :] - ctx.omegas[:, :, None])  # points x masses x zeros
     sines = np.sin(angles)
-    numer = np.sin(0.5 * (phases[point, tracked] - phases[point, reference]))
+    numer = np.sin(0.5 * (ctx.phases[point, tracked] - ctx.phases[point, reference]))
     s = numer[:, None] / (2.0 * sines[point, :, tracked] * sines[point, :, reference])
-    w = s * dgammas[point]
-    moving = domegas[point] != 0.0
+    w = s * ctx.dgammas[point]
+    moving = ctx.domegas[point] != 0.0
     if moving.any():
         # a mass that does not move may sit on a zero: its cotangents are not read
-        cot = 1.0 / np.tan(np.where(domegas[:, :, None] != 0.0, angles, 1.0))
-        zeros = np.arange(phases.shape[1])
+        cot = 1.0 / np.tan(np.where(ctx.domegas[:, :, None] != 0.0, angles, 1.0))
+        zeros = np.arange(ctx.phases.shape[1])
         halved = (zeros == tracked[:, None]) | (zeros == reference[:, None])
         # the cotangent sums add their terms in zero order, as s_sum does
         terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot[point]
         cot_sum = np.cumsum(terms, axis=2)[:, :, -1]
-        w = np.where(moving, w - gammas[point] * s * cot_sum * domegas[point], w)
+        w = np.where(moving, w - ctx.gammas[point] * s * cot_sum * ctx.domegas[point], w)
     if f_phi.any():
-        w -= np.where(f_phi[:, None] != 0.0, gammas[point] * s * f_phi[:, None], 0.0)
+        w -= np.where(f_phi[:, None] != 0.0, ctx.gammas[point] * s * f_phi[:, None], 0.0)
     return w
 
 
-def _stack(ctxs: list[MotionContext]) -> list[np.ndarray]:
-    """The phases, the masses' gamma, omega, gamma' and omega', and f at the
-    phases, of contexts with as many zeros and masses: one row per context."""
+def _stack(ctxs: list[MotionContext], step: int = 1) -> MotionContext:
+    """The contexts as one whose every field has one row per context, f on the
+    grid taken on every ``step``-th node; points that differ in zero, mass or
+    node count raise ValueError."""
+    for what, name in (("zero", "phases"), ("mass", "gammas"), ("node", "f_grid")):
+        if len(counts := sorted({np.size(getattr(c, name)) for c in ctxs})) > 1:
+            raise ValueError(f"the points differ in {what} count: {counts}")
     names = ("phases", "gammas", "omegas", "dgammas", "domegas", "f_phases")
-    return [np.array([getattr(c, name) for c in ctxs]) for name in names]
+    f_grid = None if ctxs[0].f_grid is None else np.array([c.f_grid[::step] for c in ctxs])
+    return MotionContext(**{k: np.array([getattr(c, k) for c in ctxs]) for k in names}, f_grid=f_grid)
 
 
 def w_continuous(
@@ -230,7 +206,7 @@ def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.nda
     ``reference``, as an array: the one-row case of the verdict table.
     A mass on the tracked or reference zero, or a moving mass on any zero,
     is a pole and raises."""
-    near = ctx.mass_gaps < POLE_TOL
+    near = circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < POLE_TOL
     if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         raise PredicateError("pole: a mass collides with a zero its functional reads")
     return _mass_table(_stack([ctx]), np.array([0]), np.array([tracked]), np.array([reference]))[0]
@@ -299,22 +275,23 @@ def _verdict_rows(
     if not rows:
         return []
     point, tracked, reference = np.array(rows, dtype=int).T
-    table = _stack(ctxs)
-    phis, theta0s = table[0][point, tracked].tolist(), table[0][point, reference].tolist()
-    clear = ~(circular_gap(table[2][:, :, None], table[0][:, None, :]) < ANGLE_TOL).any(axis=(1, 2))
+    n = 0 if ctxs[0].f_grid is None else len(ctxs[0].f_grid)
+    step = max(1, n // VERDICT_NODES)
+    table = _stack(ctxs, step)
+    phis, theta0s = table.phases[point, tracked].tolist(), table.phases[point, reference].tolist()
+    clear = ~(circular_gap(table.omegas[:, :, None], table.phases[:, None, :]) < ANGLE_TOL).any(axis=(1, 2))
     is_clear = clear[point]
     slot = np.cumsum(clear) - 1  # a clear context's row in the tables
     point, tracked, reference = slot[point[is_clear]], tracked[is_clear], reference[is_clear]
-    table = [x[clear] for x in table]
+    table = MotionContext(**{name: x if x is None else x[clear] for name, x in vars(table).items()})
     w_masses = _mass_table(table, point, tracked, reference)
 
     wc_min = wc_max = np.zeros(len(point))
     monotone = np.ones((len(point), 2), dtype=bool)  # f nondecreasing, nonincreasing
-    if ctxs[0].grid is not None:  # each row reads its own point's f on the shared nodes
-        stride = max(1, len(ctxs[0].grid[0]) // VERDICT_NODES)
-        nodes, ref_phases = ctxs[0].grid[0][::stride], table[0][point, reference]
-        f_nodes = np.array([c.grid[1][::stride] for c in ctxs])[clear][point]
-        wc = w_continuous(nodes, table[0][point, tracked], ref_phases, f_nodes, table[5][point, tracked])
+    if table.f_grid is not None:  # each row reads its own point's f on the shared nodes
+        nodes, ref_phases = theta_grid(0.0, n)[::step], table.phases[point, reference]
+        f_nodes, f_phis = table.f_grid[point], table.f_phases[point, tracked]
+        wc = w_continuous(nodes, table.phases[point, tracked], ref_phases, f_nodes, f_phis)
         wc_min, wc_max = np.fmin.reduce(wc, axis=1), np.fmax.reduce(wc, axis=1)
         monotone = _f_monotone(nodes, f_nodes, ref_phases)
 
@@ -356,9 +333,9 @@ def verdicts_along(
     at one node count and the zeros ``zero_sets[i]`` solved on it, as many at every
     point, the verdict of every zero that has a reference zero (see
     :func:`reference_index`), keyed by zero index in increasing order.  Each
-    point's motion data is built once from its record; a PredicateError,
-    MeasureError or ExprError there is that point's error, the value of each of
-    its zeros.  Every row of every other point comes from one table pass
+    point's motion data is built once from its record; a MeasureError or
+    ExprError there is that point's error, the value of each of its zeros.
+    Every row of every other point comes from one table pass
     (:func:`_verdict_rows`)."""
     out, ctxs, rows = [], [], []
     for sample, zs in zip(samples, zero_sets):
@@ -368,7 +345,7 @@ def verdicts_along(
             if refs:
                 ctxs.append(motion_context(sample, zs))
                 rows += [(len(ctxs) - 1, k, r) for k, r in refs.items()]
-        except (PredicateError, MeasureError, ExprError) as exc:
+        except (MeasureError, ExprError) as exc:
             out[-1] = dict.fromkeys(refs, exc)
     reports = iter(_verdict_rows(ctxs, rows, theorem))
     return [{k: r if isinstance(r, Exception) else next(reports) for k, r in refs.items()} for refs in out]

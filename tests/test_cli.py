@@ -360,11 +360,12 @@ _MASS = {"gamma": "t", "omega": "0"}
         ({"measure": {"ac": {"kind": "custom", "w": [1]}}}, "got [1]"),
         ({"measure": {"masses": [dict(_MASS, gamma=math.inf)]}}, "must be finite, got inf"),
         ({"measure": {"masses": [dict(_MASS, omega=math.nan)]}}, "must be finite, got nan"),
+        ({"degree": 5}, "measure must be a JSON object, got None"),
     ],
     ids=[
         "top_level", "grid", "measure", "ac", "masses", "mass",
         "gamma_null", "gamma_list", "gamma_object", "gamma_bool", "omega_null", "scale_null", "w_list",
-        "gamma_inf", "omega_nan",
+        "gamma_inf", "omega_nan", "measure_missing",
     ],
 )
 def test_config_value_of_the_wrong_json_shape_exits_2_and_names_it(tmp_path, capsys, config, named):
@@ -374,6 +375,21 @@ def test_config_value_of_the_wrong_json_shape_exits_2_and_names_it(tmp_path, cap
     for flags in ([], ["--nodes", "64"]):
         assert main(["moments", "--config", path, *flags]) == 2
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["zeros", "--t", "nan"], ["zeros", "--t", "inf"], ["sweep", "--grid", "nan:1:3"]],
+    ids=["zeros_nan", "zeros_inf", "sweep_nan"],
+)
+def test_a_non_finite_t_exits_2_and_names_t(tmp_path, capsys, command):
+    # three unit masses do not depend on t: zeros --t nan printed "t": NaN, which is
+    # not JSON, and exited 0, and a sweep from nan wrote rows of nan
+    masses = [{"gamma": "1", "omega": w} for w in ("0", "2", "4")]
+    path = _write(tmp_path, "fixed.json", {"measure": {"masses": masses}, "degree": 3})
+    out = tmp_path / "out"
+    assert main([command[0], "--config", path, *command[1:], "--out", str(out)]) == 2
+    assert "t must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_python_dash_m_popuc_runs_the_cli():

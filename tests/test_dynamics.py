@@ -466,7 +466,7 @@ def test_t23_ac_integral_vanishes_when_f_is_constant_in_theta(m):
         if k == zs.fixed_index:
             continue
         ctx = motion_context(m.at(0.4), zs)
-        assert ctx.grid is None and np.all(ctx.f_phases == ctx.f_phases[k])
+        assert ctx.f_grid is None and np.all(ctx.f_phases == ctx.f_phases[k])
         f = lambda theta: np.full(len(theta), ctx.f_phases[k])  # noqa: E731
         assert _d2_ac_integral(m, state, f, k, zs.fixed_index)[0] == 0.0
         assert balance_check(m, 5, pol, 0.4, ctx.phases[k], "t23").mismatch < 1e-4
@@ -567,7 +567,7 @@ def test_balance_ac_sum_is_the_deflated_midpoint_integral(ac, nodes):
     for degree in range(4, 17):
         state = solve_at(m, degree, pol, t, nodes)
         zs = state.zero_set
-        assert motion_context(state.sample, zs).grid is not None
+        assert motion_context(state.sample, zs).f_grid is not None
         for k in {(zs.fixed_index + 1) % degree, (zs.fixed_index + degree // 2) % degree}:
             be = balance_check(m, degree, pol, t, zs.phases[k], "t23", nodes=nodes)
             oracle, scale = _d2_ac_integral(m, state, f, k, zs.fixed_index, nodes)

@@ -135,6 +135,15 @@ def test_negative_mass_rejected():
         m.at(-0.5)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_t_is_rejected_by_name(t):
+    # unit masses that do not depend on t once gave a record, moments and zeros at t = nan
+    m = Measure.of(ACWeight.none(), [MassPoint.of(1.0, w) for w in ("0", "2", "4")])
+    for read in (lambda: m.at(t), lambda: moments(m, t, 2)):
+        with pytest.raises(MeasureError, match=f"t must be a finite number, got t={t}"):
+            read()
+
+
 def test_coincident_masses_rejected():
     m = Measure.of(
         ACWeight.none(), [MassPoint.of(1.0, "1.0"), MassPoint.of(1.0, "1.0 + t")]

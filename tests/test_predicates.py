@@ -37,12 +37,11 @@ from strategies import separable_weights
 
 def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None, f_const=0.0):
     """A hand-built context; f, when given, maps angles to f(theta) and is
-    sampled at the phases and on theta_grid(0, VERDICT_NODES) with weight 1."""
+    sampled at the phases and on theta_grid(0, VERDICT_NODES)."""
     phases = np.asarray(phases, dtype=float)
-    grid, f_phases = None, np.full(len(phases), f_const)
+    f_grid, f_phases = None, np.full(len(phases), f_const)
     if f is not None:
-        nodes = theta_grid(0.0, VERDICT_NODES)
-        grid, f_phases = (nodes, f(nodes), np.ones(VERDICT_NODES)), f(phases)
+        f_grid, f_phases = f(theta_grid(0.0, VERDICT_NODES)), f(phases)
     return MotionContext(
         phases=phases,
         gammas=np.asarray(gammas, dtype=float),
@@ -50,7 +49,7 @@ def _context(phases, gammas=(), omegas=(), dgammas=(), domegas=(), f=None, f_con
         dgammas=np.asarray(dgammas, dtype=float),
         domegas=np.asarray(domegas, dtype=float),
         f_phases=f_phases,
-        grid=grid,
+        f_grid=f_grid,
     )
 
 
@@ -165,7 +164,7 @@ def test_motion_context_from_pipeline():
     assert ctx.domegas[0] == pytest.approx(0.0)
     # f = d/dt log(1-t) at t = 0.4, at every zero; no grid, since f is constant in theta
     assert ctx.f_phases[tracked] == pytest.approx(-1.0 / 0.6, abs=1e-12)
-    assert np.all(ctx.f_phases == ctx.f_phases[0]) and ctx.grid is None
+    assert np.all(ctx.f_phases == ctx.f_phases[0]) and ctx.f_grid is None
 
 
 def test_motion_context_differentiates_each_expression_once(monkeypatch):
@@ -193,6 +192,16 @@ def test_motion_context_rejects_a_negative_lebesgue_scale():
             read()
     with pytest.raises(MeasureError, match=r"AC density is negative: scale -1.4 at t=0.4"):
         moments(sample.measure, 0.4, 4)
+
+
+def test_a_vanishing_weight_is_a_measure_error():
+    # the record decides f, so both of its "weight vanishes" errors are the measure's
+    zero_factor = Measure.of(ACWeight.lebesgue("t")).at(0.0)
+    with pytest.raises(MeasureError, match=r"^weight vanishes at t=0.0: its t-factor is zero$"):
+        motion_context(zero_factor, PHASES_ONLY)
+    on_a_zero = Measure.of(ACWeight.custom("(1 - cos(theta - 0.5))*(1 + t*cos(theta))")).at(0.3, 64)
+    with pytest.raises(MeasureError, match=r"^weight vanishes at theta=0.5$"):
+        motion_context(on_a_zero, PHASES_ONLY)
 
 
 def test_a_custom_weight_may_have_a_negative_t_factor():
@@ -389,11 +398,11 @@ def test_report_json_round_trip():
 
 def _scalar_t23_verdict(ctx, tracked, reference):
     """Reference t23 verdict: s and the density functional node by node on
-    scalars, on every (nodes // VERDICT_NODES)-th node of the context's grid,
+    scalars, on every (nodes // VERDICT_NODES)-th node of the context's f_grid,
     and f tested for monotonicity over the period that starts after theta0.
 
     Returns (label, flags, w_continuous_min, w_continuous_max, scale)."""
-    if (ctx.mass_gaps < ANGLE_TOL).any():
+    if (circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < ANGLE_TOL).any():
         return "Inconclusive", ("collision",), 0.0, 0.0, 0.0
     try:
         w_masses = np.array([w_mass(j, ctx, tracked, reference) for j in range(len(ctx.gammas))])
@@ -408,9 +417,10 @@ def _scalar_t23_verdict(ctx, tracked, reference):
 
     f_phi = float(ctx.f_phases[tracked])
     wc, values = [], []
-    if ctx.grid is not None:
-        stride = max(1, len(ctx.grid[0]) // VERDICT_NODES)
-        nodes, f_nodes = ctx.grid[0][::stride].tolist(), ctx.grid[1][::stride].tolist()
+    if ctx.f_grid is not None:
+        stride = max(1, len(ctx.f_grid) // VERDICT_NODES)
+        nodes = theta_grid(0.0, len(ctx.f_grid))[::stride].tolist()
+        f_nodes = ctx.f_grid[::stride].tolist()
         wc = [
             s(th) * (f - f_phi)
             for th, f in zip(nodes, f_nodes)
@@ -468,7 +478,7 @@ def test_array_t23_verdict_matches_scalar_reference(name):
     for zs, sample in zip(traj.zero_sets, traj.samples):
         ctx = motion_context(sample, zs)
         # no collision, so the reference runs its whole node-by-node pass
-        assert not (ctx.mass_gaps < ANGLE_TOL).any()
+        assert not (circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < ANGLE_TOL).any()
         for k in range(len(zs)):
             if k == zs.fixed_index:
                 continue
@@ -535,7 +545,7 @@ PHASES_ONLY = ZeroSet(np.array([0.5, 2.5]), np.zeros(2), 0.0)
 )
 def test_separable_weight_has_the_pointwise_constant_f(weight, t, thetas):
     ctx = motion_context(Measure.of(ACWeight.custom(weight)).at(t), PHASES_ONLY)
-    assert ctx.grid is None
+    assert ctx.f_grid is None
     f_const = ctx.f_phases[0]
     assert np.all(ctx.f_phases == f_const)
     w = parse(weight)
@@ -552,8 +562,8 @@ def test_weight_with_a_mixed_factor_samples_f_on_the_grid(weight, t, nodes):
     # far phases: f is read at them reduced into [0, 2 pi)
     zs = ZeroSet(np.array([-2.0, 0.5, 8.0]), np.zeros(3), 0.0)
     ctx = motion_context(Measure.of(ACWeight.custom(weight)).at(t, nodes), zs)
-    grid, f_grid, w_grid = ctx.grid
-    assert np.array_equal(grid, theta_grid(0.0, nodes))
+    grid, f_grid = theta_grid(0.0, nodes), ctx.f_grid
+    assert f_grid.shape == (nodes,)
     w = parse(weight)
     dw = differentiate(w, "t")
     for thetas, f in ((grid[[0, 7, -1]], f_grid[[0, 7, -1]]), (zs.phases % (2 * math.pi), ctx.f_phases)):
@@ -561,7 +571,6 @@ def test_weight_with_a_mixed_factor_samples_f_on_the_grid(weight, t, nodes):
             bindings = {"theta": theta, "t": t}
             expected = evaluate(dw, bindings) / evaluate(w, bindings)
             assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected))
-    assert np.allclose(w_grid, ACWeight.custom(weight).density(grid, t), rtol=1e-13, atol=0.0)
 
 
 # fixed and moving masses together, with a moving Lebesgue part (f constant,
@@ -860,6 +869,21 @@ def trajectory_inputs(draw):
         zero_sets.append(ZeroSet(phases, np.zeros(n), 0.0, fixed))
         samples.append(sample)
     return samples, zero_sets, theorem
+
+
+def test_points_that_differ_in_zero_or_mass_count_are_named():
+    # numpy's "inhomogeneous shape" ValueError once escaped from the stacking
+    one, two = (Measure.of(ACWeight.none(), [MassPoint.of("1", w) for w in omegas]) for omegas in (["3"], ["3", "5"]))
+    three, four = (ZeroSet(np.linspace(0.5, 2.5, n), np.zeros(n), 0.0, 0) for n in (3, 4))
+    with pytest.raises(ValueError, match=r"the points differ in zero count: \[3, 4\]"):
+        predicates.verdicts_along([one.at(0.2), one.at(0.3)], [three, four], "t21")
+    with pytest.raises(ValueError, match=r"the points differ in mass count: \[1, 2\]"):
+        predicates.verdicts_along([one.at(0.2), two.at(0.2)], [three, three], "t21")
+    # 1024 and 1023 nodes both stride to 512 verdict nodes: the second point's f was
+    # read on the first point's nodes, without an error
+    mixed = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]), one.masses)
+    with pytest.raises(ValueError, match=r"the points differ in node count: \[1023, 1024\]"):
+        predicates.verdicts_along([mixed.at(0.2, 1024), mixed.at(0.3, 1023)], [three, three], "t21")
 
 
 def _json_or_error(reports):
