@@ -333,7 +333,9 @@ class MeasureSample:
 
     @cached_property
     def density(self) -> np.ndarray:
-        """The density on :attr:`grid`, finite and nonnegative, that :func:`quadrature_moment` takes."""
+        """The density on :attr:`grid`, finite and nonnegative, that :func:`quadrature_moment` takes.
+        The finiteness check guards the closed kinds: a ``custom`` weight that is not
+        finite at a node raises EvalError in ``expressions.evaluate`` first."""
         vals = self.measure.ac.density(self.grid, self.t)
         if not np.all(np.isfinite(vals)):
             raise MeasureError("weight evaluates non-finite at a quadrature node")

@@ -143,7 +143,9 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
     # [c_0, c_{-1}, ..., c_{-n}]: <z^{j+1}, 1> = c_{-(j+1)} = row[j + 1]
     row = ms.c[ms.K - n : ms.K + 1][::-1].copy()  # contiguous: a strided dot sums in another order
     c0 = kappa = float(row[0].real)
-    table = np.eye(n + 1, dtype=complex)  # row m becomes Q_m, monic of degree m
+    flat = np.zeros((n + 1) ** 2 + 1, dtype=complex)  # one zero, then the table
+    table = flat[1:].reshape(n + 1, n + 1)  # row m becomes Q_m, monic of degree m
+    np.fill_diagonal(table, 1.0)
     step = np.empty(n, dtype=complex)  # conj_alpha Q_{m-1}*, taken from z Q_{m-1} in row m
     norms, alphas = [c0], []
     for m in range(1, n + 1):
@@ -156,8 +158,10 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
             )
         r = np.conjugate(q[::-1], out=step[:m])
         np.multiply(conj_alpha, r, out=r)  # this operand order keeps every bit
-        table[m, 1 : m + 1] = q
-        table[m, :m] -= r
+        # row m is z q - r below its leading 1, in one subtraction: the m slots of
+        # flat before q's last are a zero (the pad, or table[m-2, n]) and q[:-1]
+        start = (m - 1) * (n + 1)
+        np.subtract(flat[start : start + m], r, out=table[m, :m])
         norms.append(kappa)
         alphas.append(conj_alpha.conjugate())
     table.setflags(write=False)

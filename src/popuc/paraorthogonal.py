@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -114,6 +115,25 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     return complex(b / abs(b))
 
 
+class _Workspace(threading.local):
+    """One thread's flat buffers behind Aberth's table of powers and its
+    reciprocal differences, kept at the largest degree the thread has solved."""
+
+    table = recip = np.empty(0, dtype=complex)
+
+
+_workspace = _Workspace()
+
+
+def _scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (m+1) x m table of powers and m x m matrix of differences,
+    contiguous views of its workspace, which grows to fit them."""
+    ws = _workspace
+    if len(ws.recip) < m * m:
+        ws.table, ws.recip = np.empty((m + 1) * m, dtype=complex), np.empty(m * m, dtype=complex)
+    return ws.table[: (m + 1) * m].reshape(m + 1, m), ws.recip[: m * m].reshape(m, m)
+
+
 def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """All roots of the polynomial by Aberth-Ehrlich simultaneous iteration.
 
@@ -123,7 +143,11 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     conjugation (a symmetric set slows polynomials with real coefficients,
     whose zeros are).  P and P', padded to one length and
     stacked, come from one table of powers per sweep, which like the
-    reciprocal differences is filled in place.  The sweeps stop once every
+    reciprocal differences is filled in place.  Both live in a per-thread
+    workspace kept at the largest degree the thread has solved: at degree 80
+    to 120 each takes 100-230 KB, which the allocator would return to the OS
+    after each solve and fault in again at the next; being per thread, it
+    lets two threads solve at once.  The sweeps stop once every
     step is below STEP_TOL, or from the second sweep on once the next step
     predicted under quadratic convergence, largest (largest / last)^2, is
     below EPS max(1, max|z|); Aberth converges cubically at simple zeros, so
@@ -144,8 +168,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
         return np.array([], dtype=complex)
     pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
-    table = np.empty((m + 1, m), dtype=complex)  # powers of z
-    recip = np.empty((m, m), dtype=complex)  # z_i - z_j, then its reciprocal
+    table, recip = _scratch(m)  # powers of z; z_i - z_j, then its reciprocal
     last = math.inf  # the largest step of the sweep before
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, MAX_SWEEPS + 1):
@@ -223,7 +246,7 @@ def zeros_on_circle(
         theta_start = angles[np.argmin(np.abs(roots - xi))] = cmath.phase(xi)
     phases = theta_start + np.sort(np.mod(angles - theta_start, 2.0 * math.pi))
     scale = float(np.max(np.abs(coeffs)))
-    residuals = np.abs(polyval(coeffs, np.exp(1j * phases)))
+    residuals = np.abs(coeffs @ power_table(_scratch(len(phases))[0], np.exp(1j * phases)))
     if not np.max(residuals) <= RESIDUAL_TOL * scale:
         raise RootFindingError(
             f"projected residual {np.max(residuals):.3e} exceeds tolerance"

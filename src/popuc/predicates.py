@@ -146,7 +146,7 @@ def _mass_table(
     a (rows x masses) table, row i for zero ``tracked[i]`` of grid point
     ``point[i]`` measured against its zero ``reference[i]``, all from one
     table of the half-angles (phase_l - omega_j)/2 per point; ``ctx`` is
-    the points' :func:`_stack`.
+    the points' stack, with a leading point axis (:func:`_stack`).
     No mass may lie on a zero (see :func:`mass_functionals`)."""
     f_phi = ctx.f_phases[point, tracked]
     angles = 0.5 * (ctx.phases[:, None, :] - ctx.omegas[:, :, None])  # points x masses x zeros
@@ -209,7 +209,8 @@ def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.nda
     near = circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < POLE_TOL
     if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         raise PredicateError("pole: a mass collides with a zero its functional reads")
-    return _mass_table(_stack([ctx]), np.array([0]), np.array([tracked]), np.array([reference]))[0]
+    one = MotionContext(**{name: x if x is None else x[None] for name, x in vars(ctx).items()})
+    return _mass_table(one, np.array([0]), np.array([tracked]), np.array([reference]))[0]
 
 
 @dataclass  # not frozen: a sweep makes hundreds, and a frozen __init__ takes five times as long
