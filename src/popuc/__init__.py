@@ -13,7 +13,7 @@ from .dynamics import (
     sweep,
     tracked_velocity,
 )
-from .expressions import Expr, differentiate, evaluate, parse, to_source
+from .expressions import Expr, differentiate, evaluate, parse
 from .measures import ACWeight, MassPoint, Measure, MomentSequence, moments
 from .opuc import MonicPoly, OpucFamily, gram_opuc, inner_product, reversed_poly
 from .paraorthogonal import (

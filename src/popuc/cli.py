@@ -22,8 +22,7 @@ from .dynamics import (
     sweep,
     sweep_verdicts,
 )
-from .expressions import ExprError
-from .measures import MeasureError, moments
+from .measures import moments
 from .opuc import DegenerateMeasureError, gram_opuc
 from .paraorthogonal import RootFindingError
 from .predicates import THEOREMS
@@ -34,7 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_ERRORS = (ExprError, MeasureError, KeyError, ValueError, json.JSONDecodeError)
 _NUMERICAL_ERRORS = (DegenerateMeasureError, RootFindingError, TrackingError)
 
 
@@ -229,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _CONFIG_ERRORS as exc:
+    except ValueError as exc:  # ExprError, MeasureError and JSONDecodeError among them
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

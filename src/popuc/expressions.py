@@ -30,7 +30,6 @@ __all__ = [
     "evaluate_all",
     "differentiate",
     "free_variables",
-    "to_source",
 ]
 
 VARIABLES = ("t", "theta")
@@ -454,32 +453,3 @@ def free_variables(e: Expr) -> frozenset[str]:
     if isinstance(e, Call):
         return free_variables(e.arg)
     return frozenset()
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_source(e: Expr) -> str:
-    """Render ``e`` back to grammar-valid source text.
-
-    ``parse(to_source(parse(s)))`` is structurally equal to ``parse(s)``.
-    """
-    return _render(e, 0)
-
-
-def _render(e: Expr, parent_prec: int) -> str:
-    if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"({e.value!r})"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.func}({_render(e.arg, 0)})"
-    if isinstance(e, Neg):
-        inner = _render(e.operand, 3)
-        return f"(-{inner})" if parent_prec > 0 else f"-{inner}"
-    prec = _PRECEDENCE[e.op]
-    left = _render(e.left, prec - 1)
-    # right operand gets parens at equal precedence to preserve left associativity
-    right = _render(e.right, prec)
-    text = f"{left} {e.op} {right}"
-    return f"({text})" if prec <= parent_prec else text

@@ -119,10 +119,6 @@ class OpucFamily:
     norms: np.ndarray
     alphas: np.ndarray
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __getitem__(self, degree: int) -> MonicPoly:
         return MonicPoly(self.coeffs[degree, : degree + 1])
 

@@ -26,7 +26,6 @@ __all__ = [
     "fix_zero_param",
     "zeros_on_circle",
     "aberth_roots",
-    "deflate",
 ]
 
 UNIMODULAR_TOL = 1e-12
@@ -49,13 +48,6 @@ class PopucInstance:
 
     poly: MonicPoly
     b: complex
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    def __call__(self, z):
-        return self.poly(z)
 
 
 @dataclass(frozen=True)
@@ -260,18 +252,3 @@ def zeros_on_circle(
     if not zs.min_gap > 0:
         raise RootFindingError("coincident zeros; POPUC zeros must be simple")
     return zs
-
-
-def deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
-    """Synthetic division: coefficients of p(z)/(z - root), remainder dropped.
-
-    Intended for known zeros; the remainder is the residual p(root).
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    m = len(coeffs) - 1
-    out = np.zeros(m, dtype=complex)
-    acc = coeffs[m]
-    for k in range(m - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + acc * root
-    return out

@@ -22,9 +22,7 @@ from .measures import (
     ACWeight, MassPoint, Measure, MeasureError, circular_gap, moments, theta_grid
 )
 from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, reversed_poly
-from .paraorthogonal import (
-    RootFindingError, build_popuc, deflate, zeros_on_circle
-)
+from .paraorthogonal import RootFindingError, build_popuc, zeros_on_circle
 from .predicates import MotionContext, PredicateError, mass_functionals, reference_index, verdicts_at
 from .scenarios import scenario_config
 
@@ -131,7 +129,7 @@ def check_fixed_zero() -> CheckResult:
         cfg = scenario_config(name)
         for t in cfg.grid():
             st = solve_at(cfg.measure, cfg.degree, cfg.policy, float(t), nodes=1024)
-            worst = max(worst, abs(st.popuc(1j)))
+            worst = max(worst, abs(st.popuc.poly(1j)))
     return _result("fixed-zero", worst <= 1e-9, f"max |P(i)| = {worst:.2e}")
 
 
@@ -295,9 +293,24 @@ def _unit_mass_functionals(phases, omegas, tracked: int, reference: int, moving:
     return mass_functionals(ctx, tracked, reference)
 
 
+def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
+    """Synthetic division: coefficients of p(z)/(z - root), remainder dropped.
+
+    Intended for known zeros; the remainder is the residual p(root).
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m = len(coeffs) - 1
+    out = np.zeros(m, dtype=complex)
+    acc = coeffs[m]
+    for k in range(m - 1, -1, -1):
+        out[k] = acc
+        acc = coeffs[k] + acc * root
+    return out
+
+
 def check_identities() -> CheckResult:
     """Real/complex equivalences of the production mass functionals,
-    paraorthogonality, quotient, self-inversiveness."""
+    paraorthogonality, quotient, self-inversiveness, the sum rule in b."""
     rng = np.random.default_rng(SEED + 3)
     failures = []
 
@@ -369,8 +382,15 @@ def check_identities() -> CheckResult:
             break
 
         zs = zeros_on_circle(p)
+        # sum rule in b: each zero's d(phase)/d(arg b) is -|Q_n|/|P'|, and the phases sum to -arg b
+        dp = polyval(coeffs[1:] * np.arange(1, n + 2), zs.zeros)
+        rule = np.sum(np.abs(polyval(fam[n].coeffs, zs.zeros)) / np.abs(dp))
+        if abs(rule - 1.0) > 1e-12:
+            failures.append(f"sum rule: {abs(rule - 1.0):.2e}")
+            break
+
         zeta = complex(np.exp(1j * zs.phases[int(rng.integers(0, len(zs)))]))
-        d = deflate(coeffs, zeta)
+        d = _deflate(coeffs, zeta)
 
         # quotient property: <P/(z-zeta), h> = conj(h(zeta)) <P/(z-zeta), 1>
         h = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
@@ -403,7 +423,7 @@ def check_identities() -> CheckResult:
     zeta = complex(np.exp(1j * zs.phases[tracked]))
     xi = cmath.exp(1j * math.pi / 2)
     coeffs = st.popuc.poly.coeffs
-    d2 = deflate(deflate(coeffs, xi), zeta)
+    d2 = _deflate(_deflate(coeffs, xi), zeta)
     pref = 1j * (zeta - xi)
     nodes = 2048
     thetas = theta_grid(math.pi / 2, nodes)

@@ -434,6 +434,17 @@ def test_verify_failing_check_exits_1(monkeypatch):
     assert main(["verify", "--only", "always-fails"]) == 1
 
 
+def test_a_key_error_is_a_defect_not_a_configuration_error(monkeypatch):
+    # argparse choices guard every name a command looks up, so no input can
+    # raise KeyError: one from a bug must surface, not exit 2
+    def broken():
+        raise KeyError("missing")
+
+    monkeypatch.setitem(verify.CHECKS, "broken", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "--only", "broken"])
+
+
 def test_nodes_zero_is_rejected_not_defaulted(tmp_path):
     path = _write(
         tmp_path,

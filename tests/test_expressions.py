@@ -20,7 +20,6 @@ from popuc.expressions import (
     evaluate_all,
     free_variables,
     parse,
-    to_source,
 )
 
 
@@ -145,15 +144,6 @@ def _random_tree(rng, depth):
     return Call(fn, _random_tree(rng, depth - 1))
 
 
-def test_parse_print_round_trip_random_trees():
-    # a negative constant prints as (-x), which parses back as Neg(Const(x)),
-    # so compare after one normalizing parse: print/parse must then be exact
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        tree = parse(to_source(_random_tree(rng, int(rng.integers(1, 6)))))
-        assert parse(to_source(tree)) == tree
-
-
 def test_derivative_matches_central_difference():
     rng = np.random.default_rng(11)
     checked = 0
@@ -181,12 +171,52 @@ def test_eval_matches_python_arithmetic(a, b):
     assert evaluate(e, {"t": a}) == pytest.approx((a + b) * 2.0, rel=1e-12)
 
 
-@given(st.floats(min_value=-3, max_value=3))
-def test_round_trip_of_rendered_source(x):
-    e = BinOp("-", Call("sin", Var("t")), BinOp("/", Var("t"), Const(4.0)))
-    again = parse(to_source(e))
-    assert again == e
-    assert evaluate(again, {"t": x}) == pytest.approx(math.sin(x) - x / 4, abs=1e-12)
+def _number(k: int, form: int) -> str:
+    """k/4 written as Python and the grammar both read it: 2.25, .25 or 3."""
+    text = repr(k / 4)
+    if form == 1 and text.startswith("0."):
+        return text[1:]
+    if form == 2 and text.endswith(".0"):
+        return text[:-1]
+    return text
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(["t", "theta", "pi"]), st.builds(_number, st.integers(0, 40), st.integers(0, 2))
+)
+
+
+def _compound(children):
+    space = st.sampled_from(["", " "])
+    return st.one_of(
+        st.tuples(children, space, st.sampled_from("+-*/"), space, children).map("".join),
+        children.map(lambda c: f"-{c}"),
+        children.map(lambda c: f"({c})"),
+        st.tuples(st.sampled_from(expressions.FUNCTIONS), children).map(lambda fc: f"{fc[0]}({fc[1]})"),
+    )
+
+
+# numbers carry a decimal point, so Python computes in floats throughout
+_PYTHON_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt, "abs": abs, "pi": math.pi}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, _compound, max_leaves=12), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_parse_and_evaluate_agree_with_python_on_random_source(source, t, theta):
+    # Python's own parser is the oracle for precedence, associativity, unary
+    # minus and number tokens: the same text must give the same float, and
+    # raise (or end non-finite) exactly where evaluate raises
+    try:
+        expected = eval(source, {"__builtins__": {}}, dict(_PYTHON_NAMES, t=t, theta=theta))
+    except (ArithmeticError, ValueError):
+        expected = math.nan
+    tree = parse(source)
+    try:
+        value = evaluate(tree, {"t": t, "theta": theta})
+    except EvalError:
+        assert not math.isfinite(expected)
+    else:
+        assert value == expected
 
 
 GRID = np.linspace(-3.0, 3.0, 25)  # holds 0.0 and 1.0 exactly
