@@ -197,12 +197,10 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
     perm = (new_set.nearest_index(prev_phases[0]) + np.arange(m)) % m
-    steps = np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases)))
-    if np.max(np.abs(steps)) >= min_gap / 2:
-        raise TrackingError(
-            f"phase jump {np.max(np.abs(steps)):.3e} exceeds half the minimum gap at t={t}; "
-            "refine the grid"
-        )
+    w = np.exp(1j * (new_set.phases[perm] - prev_phases))
+    steps = np.arctan2(w.imag, w.real)
+    if (jump := np.abs(steps).max()) >= min_gap / 2:
+        raise TrackingError(f"phase jump {jump:.3e} exceeds half the minimum gap at t={t}; refine the grid")
     return perm, steps
 
 
@@ -262,7 +260,8 @@ def tracked_velocity(
     hi = solve_at(m, degree, policy, t + h, nodes).zero_set
     phi_lo = lo.phases[lo.nearest_index(phi_ref)]
     phi_hi = hi.phases[hi.nearest_index(phi_ref)]
-    return float(np.angle(np.exp(1j * (phi_hi - phi_lo)))) / (2.0 * h)
+    w = np.exp(1j * (phi_hi - phi_lo))
+    return float(np.arctan2(w.imag, w.real)) / (2.0 * h)
 
 
 @dataclass(frozen=True)

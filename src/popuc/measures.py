@@ -259,10 +259,11 @@ class Measure:
             raise MeasureError(f"t must be a finite number, got t={t}")
         gam = np.array([evaluate(m.gamma, {"t": t}) for m in self.masses], dtype=float)
         om = np.array([evaluate(m.omega, {"t": t}) for m in self.masses], dtype=float)
-        if np.any(gam < 0):
+        if (gam < 0).any():
             raise MeasureError(f"negative mass weight at t={t}")
         if len(om) > 1:  # the closest pair is a pair of neighbours round the circle
-            ordered = np.sort(om % (2.0 * math.pi))
+            ordered = om % (2.0 * math.pi)
+            ordered.sort()
             if circular_gap(ordered, ordered[np.arange(-1, len(om) - 1)]).min() < ANGLE_TOL:
                 raise MeasureError(f"coincident mass points at t={t}")
         return MeasureSample(self, t, nodes, gam, om)
@@ -422,8 +423,10 @@ def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentS
         raise MeasureError("K must be nonnegative")
     sample, k = m.at(t, nodes), np.arange(K + 1)
     gam, om = sample.gammas, sample.omegas
-    half = _ac_moments(sample, K) + np.sum(gam * np.exp(-1j * np.outer(k, om)), axis=1)
-    c = np.concatenate([np.conj(half[:0:-1]), half])
+    half = _ac_moments(sample, K) + np.add.reduce(gam * np.exp(-1j * (k[:, None] * om)), axis=1)
+    c = np.empty(2 * K + 1, dtype=complex)
+    np.conjugate(half[:0:-1], out=c[:K])
+    c[K:] = half
     c[K] = c[K].real
     if c[K].real <= 0:
         raise MeasureError(f"total mass {c[K].real} is not positive at t={t}")

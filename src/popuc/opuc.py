@@ -78,10 +78,6 @@ class MonicPoly:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, z):
         return polyval(self.coeffs, z)
 
@@ -141,9 +137,10 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
     c0 = kappa = float(row[0].real)
     flat = np.zeros((n + 1) ** 2 + 1, dtype=complex)  # one zero, then the table
     table = flat[1:].reshape(n + 1, n + 1)  # row m becomes Q_m, monic of degree m
-    np.fill_diagonal(table, 1.0)
+    flat[1 :: n + 2] = 1.0  # the diagonal of the table
     step = np.empty(n, dtype=complex)  # conj_alpha Q_{m-1}*, taken from z Q_{m-1} in row m
-    norms, alphas = [c0], []
+    norms, alphas = np.empty(n + 1), np.empty(n, dtype=complex)
+    norms[0] = c0
     for m in range(1, n + 1):
         q = table[m - 1, :m]
         conj_alpha = complex(q @ row[1 : m + 1]) / kappa
@@ -158,7 +155,6 @@ def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
         # flat before q's last are a zero (the pad, or table[m-2, n]) and q[:-1]
         start = (m - 1) * (n + 1)
         np.subtract(flat[start : start + m], r, out=table[m, :m])
-        norms.append(kappa)
-        alphas.append(conj_alpha.conjugate())
+        norms[m], alphas[m - 1] = kappa, conj_alpha.conjugate()
     table.setflags(write=False)
-    return OpucFamily(table, np.array(norms), np.array(alphas, dtype=complex))
+    return OpucFamily(table, norms, alphas)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,36 +56,40 @@ class ZeroSet:
 
     Phases ascend within one period window (see :func:`zeros_on_circle`);
     ``fixed_index`` designates the pinned zero, if there is one: it is 0.
+    ``zeros`` are the points exp(i phases), computed here unless given.
     """
 
     phases: np.ndarray
     residuals: np.ndarray
     pre_projection_deviation: float
     fixed_index: int | None = None
+    zeros: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.zeros is None:
+            object.__setattr__(self, "zeros", np.exp(1j * self.phases))
 
     def __len__(self) -> int:
         return len(self.phases)
 
-    @property
-    def zeros(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
-
     @cached_property
     def min_gap(self) -> float:
         """The smallest gap round the circle between neighbouring (ascending) phases."""
-        gaps = np.diff(np.concatenate([self.phases, [self.phases[0] + 2.0 * math.pi]]))
-        return float(np.min(gaps))
+        ring = np.empty(len(self.phases) + 1)  # the phases, then the first one round again
+        ring[:-1], ring[-1] = self.phases, self.phases[0] + 2.0 * math.pi
+        return float(np.subtract(ring[1:], ring[:-1]).min())
 
     def nearest_index(self, phase: float) -> int:
-        d = np.abs(np.angle(np.exp(1j * (self.phases - phase))))
-        return int(np.argmin(d))
+        w = np.exp(1j * (self.phases - phase))
+        return int(np.abs(np.arctan2(w.imag, w.real)).argmin())
 
 
 def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
     """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1: the Szego step with b for alpha_n."""
     if not abs(abs(b) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|b| = {abs(b)} is off the unit circle")
-    return PopucInstance(MonicPoly(szego_step(q.coeffs, np.conj(b))), complex(b))
+    b = complex(b)
+    return PopucInstance(MonicPoly(szego_step(q.coeffs, b.conjugate())), b)
 
 
 def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
@@ -108,22 +112,24 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
 
 
 class _Workspace(threading.local):
-    """One thread's flat buffers behind Aberth's table of powers and its
-    reciprocal differences, kept at the largest degree the thread has solved."""
+    """One thread's flat buffers behind Aberth's (P, P') pair, its table of
+    powers and its reciprocal differences, kept at the largest degree the
+    thread has solved."""
 
-    table = recip = np.empty(0, dtype=complex)
+    pair = table = recip = np.empty(0, dtype=complex)
 
 
 _workspace = _Workspace()
 
 
-def _scratch(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's (m+1) x m table of powers and m x m matrix of differences,
-    contiguous views of its workspace, which grows to fit them."""
+def _scratch(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's 2 x (m+1) pair, (m+1) x m table of powers and m x m matrix
+    of differences, contiguous views of its workspace, which grows to fit them."""
     ws = _workspace
     if len(ws.recip) < m * m:
-        ws.table, ws.recip = np.empty((m + 1) * m, dtype=complex), np.empty(m * m, dtype=complex)
-    return ws.table[: (m + 1) * m].reshape(m + 1, m), ws.recip[: m * m].reshape(m, m)
+        ws.pair, ws.table, ws.recip = (np.empty(k, dtype=complex) for k in (2 * m + 2, (m + 1) * m, m * m))
+    pair, table = ws.pair[: 2 * m + 2].reshape(2, m + 1), ws.table[: (m + 1) * m].reshape(m + 1, m)
+    return pair, table, ws.recip[: m * m].reshape(m, m)
 
 
 def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
@@ -134,12 +140,13 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     circle, offset by a quarter slot so that they are not symmetric under
     conjugation (a symmetric set slows polynomials with real coefficients,
     whose zeros are).  P and P', padded to one length and
-    stacked, come from one table of powers per sweep, which like the
-    reciprocal differences is filled in place.  Both live in a per-thread
-    workspace kept at the largest degree the thread has solved: at degree 80
-    to 120 each takes 100-230 KB, which the allocator would return to the OS
-    after each solve and fault in again at the next; being per thread, it
-    lets two threads solve at once.  The sweeps stop once every
+    stacked as one pair, come from one table of powers per sweep, which like
+    the reciprocal differences is filled in place.  The pair, the table and
+    the differences live in a per-thread workspace kept at the largest degree
+    the thread has solved: at degree 80 to 120 the last two take 100-230 KB
+    each, which the allocator would return to the OS after each solve and
+    fault in again at the next; being per thread, it lets two threads solve
+    at once.  The sweeps stop once every
     step is below STEP_TOL, or from the second sweep on once the next step
     predicted under quadratic convergence, largest (largest / last)^2, is
     below EPS max(1, max|z|); Aberth converges cubically at simple zeros, so
@@ -154,13 +161,16 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     m = len(coeffs) - 1
     if start is not None:
         start = np.asarray(start, dtype=complex)
-        if start.shape != (m,) or not np.all(np.isfinite(start)):
+        if start.shape != (m,) or not np.isfinite(start).all():
             raise ValueError(f"start must hold {m} finite initial guesses")
     if m < 1:
         return np.array([], dtype=complex)
-    pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
+    pair, table, recip = _scratch(m)  # P and P'; powers of z; z_i - z_j, then its reciprocal
+    pair[0] = coeffs
+    np.multiply(coeffs[1:], np.arange(1, m + 1), out=pair[1, :m])
+    pair[1, m] = 0.0
+    diagonal = recip.reshape(-1)[:: m + 1]
     z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
-    table, recip = _scratch(m)  # powers of z; z_i - z_j, then its reciprocal
     last = math.inf  # the largest step of the sweep before
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, MAX_SWEEPS + 1):
@@ -169,20 +179,20 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
             stalled = dp == 0  # a zero Newton ratio, hence a zero step
             ratio[stalled] = 0.0
             np.subtract(z[:, None], z[None, :], out=recip)
-            recip.reshape(-1)[:: m + 1] = np.inf  # the diagonal: 1/inf = 0 drops j = i
-            repulsion = np.sum(np.divide(1.0, recip, out=recip), axis=1)
+            diagonal[:] = np.inf  # 1/inf = 0 drops j = i
+            repulsion = np.add.reduce(np.divide(1.0, recip, out=recip), axis=1)
             denom = 1.0 - ratio * repulsion
-            step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
+            step = np.divide(ratio, denom, out=ratio, where=np.abs(denom) > 1e-300)
             z = z - step
-            largest, scale = np.max(np.abs(step)), max(1.0, np.max(np.abs(z)))
+            largest, scale = np.abs(step).max(), max(1.0, np.abs(z).max())
             if largest < STEP_TOL * scale or (sweep > 1 and largest**3 < EPS * scale * last**2):
                 break
             if sweep == MAX_SWEEPS:  # the iterate stands if its residual does
-                if not np.max(np.abs(polyval(coeffs, z))) <= 1e-8 * np.max(np.abs(coeffs)):
+                if not np.abs(polyval(coeffs, z)).max() <= 1e-8 * np.abs(coeffs).max():
                     raise RootFindingError("Aberth-Ehrlich iteration did not converge")
                 break
             last = largest
-    if np.any(stalled & (p != 0)):
+    if (stalled & (p != 0)).any():
         raise RootFindingError("an iterate stalled where P' vanishes and P does not")
     return z
 
@@ -203,9 +213,10 @@ def _circle_guesses(coeffs: np.ndarray) -> np.ndarray | None:
     j = np.arange(n) + 0.25
     p = horner(coeffs, np.exp((2j * math.pi / n) * j))
     p *= np.exp((-0.125j * math.pi) * j)  # e^{-i m theta_j / 2}
-    r = (p * p[np.argmax(np.abs(p))].conjugate()).real
-    after = np.append(r[1:], (-1) ** m * r[0])  # r at theta_{j+1}
-    change = np.flatnonzero((r > 0) != (after > 0))
+    r = (p * p[np.abs(p).argmax()].conjugate()).real
+    after = np.empty(n)  # r at theta_{j+1}
+    after[:-1], after[-1] = r[1:], (-1) ** m * r[0]
+    change = ((r > 0) != (after > 0)).nonzero()[0]
     if len(change) != m:
         return None
     before = r[change]
@@ -228,27 +239,22 @@ def zeros_on_circle(
     """
     coeffs = p.poly.coeffs
     roots = aberth_roots(coeffs, _circle_guesses(coeffs) if start is None else start)
-    deviation = float(np.max(np.abs(np.abs(roots) - 1.0)))
+    deviation = float(np.abs(np.abs(roots) - 1.0).max())
     if not deviation <= MODULUS_TOL:
         raise RootFindingError(
             f"root modulus deviates {deviation:.3e} from 1; input is not a POPUC"
         )
-    angles, theta_start = np.angle(roots), -math.pi
+    angles, theta_start = np.arctan2(roots.imag, roots.real), -math.pi
     if xi is not None:  # the root nearest xi is xi, with phase offset 0 exactly
-        theta_start = angles[np.argmin(np.abs(roots - xi))] = cmath.phase(xi)
-    phases = theta_start + np.sort(np.mod(angles - theta_start, 2.0 * math.pi))
-    scale = float(np.max(np.abs(coeffs)))
-    residuals = np.abs(coeffs @ power_table(_scratch(len(phases))[0], np.exp(1j * phases)))
-    if not np.max(residuals) <= RESIDUAL_TOL * scale:
-        raise RootFindingError(
-            f"projected residual {np.max(residuals):.3e} exceeds tolerance"
-        )
-    zs = ZeroSet(
-        phases=phases,
-        residuals=residuals,
-        pre_projection_deviation=deviation,
-        fixed_index=None if xi is None else 0,
-    )
+        theta_start = angles[np.abs(roots - xi).argmin()] = cmath.phase(xi)
+    offsets = np.mod(angles - theta_start, 2.0 * math.pi)
+    offsets.sort()
+    phases = theta_start + offsets
+    zeros = np.exp(1j * phases)
+    residuals = np.abs(coeffs @ power_table(_scratch(len(phases))[1], zeros))
+    if not (largest := residuals.max()) <= RESIDUAL_TOL * np.abs(coeffs).max():
+        raise RootFindingError(f"projected residual {largest:.3e} exceeds tolerance")
+    zs = ZeroSet(phases, residuals, deviation, None if xi is None else 0, zeros)
     if not zs.min_gap > 0:
         raise RootFindingError("coincident zeros; POPUC zeros must be simple")
     return zs

@@ -174,8 +174,8 @@ def _stack(ctxs: list[MotionContext], step: int = 1) -> MotionContext:
     grid taken on every ``step``-th node; points that differ in zero, mass or
     node count raise ValueError."""
     for what, name in (("zero", "phases"), ("mass", "gammas"), ("node", "f_grid")):
-        if len(counts := sorted({np.size(getattr(c, name)) for c in ctxs})) > 1:
-            raise ValueError(f"the points differ in {what} count: {counts}")
+        if len(counts := {0 if (x := getattr(c, name)) is None else len(x) for c in ctxs}) > 1:
+            raise ValueError(f"the points differ in {what} count: {sorted(counts)}")
     names = ("phases", "gammas", "omegas", "dgammas", "domegas", "f_phases")
     f_grid = None if ctxs[0].f_grid is None else np.array([c.f_grid[::step] for c in ctxs])
     return MotionContext(**{k: np.array([getattr(c, k) for c in ctxs]) for k in names}, f_grid=f_grid)

@@ -62,7 +62,7 @@ def test_opuc_output(tmp_path, mixed_config):
     assert len(payload["verblunsky"]) == 3
     assert all(n > 0 for n in payload["norms"])
     # without --degree, Q_0..Q_{degree-1}: the family solve_at builds
-    degree7 = _write(tmp_path, "degree7.json", dict(json.loads(open(mixed_config).read()), degree=7))
+    degree7 = _write(tmp_path, "degree7.json", dict(json.loads(Path(mixed_config).read_text()), degree=7))
     assert main(["opuc", "--config", degree7, "--t", "0.5", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert len(payload["polys"]) == len(payload["norms"]) == 7
@@ -113,7 +113,7 @@ def test_zeros_takes_the_config_policy_else_fixed_b_at_one(tmp_path, mixed_confi
     payload = json.loads(out.read_text())
     assert payload["b"] == [-1.0, 0.0]
     assert payload["phases"] == list(_library_zeros(mixed_config, ZeroPolicy.fixed_b(-1)))
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     del obj["policy"]
     no_policy = _write(tmp_path, "no_policy.json", obj)
     assert main(["zeros", "--config", no_policy, "--t", "0.5", "--out", str(out)]) == 0
@@ -177,7 +177,7 @@ def test_t22_sweep_labels_both_zeros_of_each_pair(tmp_path):
         ["sweep", "--config", config, "--out", str(csv_out), "--verdicts-out", str(verd_out)]
     )
     assert code == 0
-    rows = list(csv.DictReader(csv_out.open()))
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
     verdicts = json.loads(verd_out.read_text())
     assert len(verdicts) == 11
     for entry in verdicts:
@@ -289,7 +289,7 @@ def test_empty_grid_interval_exits_2(tmp_path, mixed_config, capsys):
     ids=["top_level", "grid", "policy"],
 )
 def test_misspelt_config_key_exits_2_and_names_it(tmp_path, mixed_config, capsys, edit, key):
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     edit(obj)
     path = _write(tmp_path, "typo.json", obj)
     out = tmp_path / "x.csv"
@@ -310,7 +310,7 @@ def test_misspelt_config_key_exits_2_and_names_it(tmp_path, mixed_config, capsys
 def test_misspelt_measure_key_exits_2_and_names_it(tmp_path, mixed_config, capsys, edit, key):
     # a misspelt key would otherwise take its default: "scal" left the
     # Lebesgue scale at 1, and moments printed c_0 = 1.5 at t = 0.5
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     edit(obj["measure"])
     path = _write(tmp_path, "typo.json", obj)
     assert main(["moments", "--config", path, "--t", "0.5", "--order", "1"]) == 2
@@ -492,7 +492,7 @@ def test_sweep_degree_zero_is_rejected_not_defaulted(tmp_path, mixed_config):
 
 
 def test_sweep_config_with_unknown_theorem_exits_2(tmp_path, mixed_config):
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     obj["theorem"] = "t99"
     path = _write(tmp_path, "t99.json", obj)
     out = tmp_path / "s.csv"
@@ -504,7 +504,7 @@ def test_sweep_config_with_unknown_theorem_exits_2(tmp_path, mixed_config):
 
 
 def test_flags_override_bad_config_values_before_validation(tmp_path, mixed_config):
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     out = str(tmp_path / "s.csv")
     low_degree = _write(tmp_path, "degree1.json", dict(obj, degree=1))
     assert main(["sweep", "--config", low_degree, "--out", out]) == 2
@@ -542,7 +542,7 @@ def test_sweep_nodes_precedence(tmp_path):
 @pytest.mark.parametrize("key", ["degree", "steps", "nodes"])
 def test_non_integer_config_value_exits_2_and_names_it(tmp_path, mixed_config, capsys, key, value):
     # int() used to truncate these: "degree": 5.9 swept a degree-5 POPUC
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     (obj["grid"] if key == "steps" else obj)[key] = value
     path = _write(tmp_path, "non_integer.json", obj)
     out = tmp_path / "x.csv"
@@ -571,7 +571,7 @@ def test_malformed_complex_pair_exits_2_and_names_it(tmp_path, capsys, key, valu
 @pytest.mark.parametrize("key", ["start", "stop"])
 def test_non_number_grid_bound_exits_2_and_names_it(tmp_path, mixed_config, capsys, key, value):
     # float() used to take these: "start": true swept from t = 1.0
-    obj = json.loads(open(mixed_config).read())
+    obj = json.loads(Path(mixed_config).read_text())
     obj["grid"][key] = value
     path = _write(tmp_path, "bound.json", obj)
     out = tmp_path / "x.csv"

@@ -237,6 +237,27 @@ def test_rotation_match_is_the_full_table_match(case, ref_old, ref_new):
     assert outcomes[0] == outcomes[1]
 
 
+def _match_steps_by_angle(prev_phases, new_set, perm):
+    """_match's steps before np.arctan2 took np.angle's place, kept as a bitwise reference."""
+    return np.angle(np.exp(1j * (new_set.phases[perm] - prev_phases)))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    st.integers(1, 30).flatmap(
+        lambda m: st.tuples(*(st.lists(st.floats(-10.0, 10.0), min_size=m, max_size=m) for _ in range(2)))
+    )
+)
+def test_match_steps_are_the_angle_form_bitwise(case):
+    prev, new = (np.array(phases) for phases in case)
+    new_set = ZeroSet(np.sort(new), np.zeros(len(new)), 0.0)
+    perm, steps = dynamics._match(prev, new_set, math.inf, 0.0)  # an infinite gap: no jump raises
+    w = np.exp(1j * (new_set.phases - prev[0]))
+    nearest = int(np.argmin(np.abs(np.angle(w))))
+    assert perm.tolist() == ((nearest + np.arange(len(prev))) % len(prev)).tolist()
+    assert steps.tobytes() == _match_steps_by_angle(prev, new_set, perm).tobytes()
+
+
 def test_balance_discrete():
     pol = ZeroPolicy.fixed_xi(cmath.exp(1j * 2.0))
     zs = solve_at(DISCRETE, 4, pol, 0.1).zero_set

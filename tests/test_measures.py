@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from popuc import measures
 from popuc.expressions import EvalError, ExprSyntaxError, differentiate, evaluate, parse
 
 from popuc.measures import (
@@ -240,6 +241,31 @@ def test_json_round_trip():
 def test_moments_rejects_inadmissible_measure(measure, match):
     with pytest.raises(MeasureError, match=match):
         moments(measure, -1.0, 4, nodes=256)
+
+
+def _moments_by_outer(m, t, K, nodes):
+    """moments' c before the broadcast phases and the filled array: np.outer, np.sum
+    and np.concatenate, kept as a bitwise reference."""
+    sample, k = m.at(t, nodes), np.arange(K + 1)
+    masses = np.sum(sample.gammas * np.exp(-1j * np.outer(k, sample.omegas)), axis=1)
+    half = measures._ac_moments(sample, K) + masses
+    c = np.concatenate([np.conj(half[:0:-1]), half])
+    c[K] = c[K].real
+    return c
+
+
+@pytest.mark.parametrize(
+    "ac",
+    [ACWeight.none(), ACWeight.lebesgue("1 + t"), ACWeight.bernstein_szego(0.3 - 0.2j, "2"),
+     ACWeight.custom("2 + t*cos(theta)"), ACWeight.custom("(1 + t)*(2 + sin(theta))")],
+)
+def test_moments_are_the_outer_product_form_bitwise(ac):
+    masses = [MassPoint.of("0.5 + t", "1.0"), MassPoint.of("0.3", "2.0 + t"), MassPoint.of("1.1", "4.0")]
+    cases = [Measure.of(ac, masses), Measure.of(ac, masses[:1])] + ([Measure.of(ac)] if ac.kind != "none" else [])
+    for m in cases:
+        for t in (0.1, 0.7):
+            for K in (0, 1, 5, 40):
+                assert moments(m, t, K, 64).c.tobytes() == _moments_by_outer(m, t, K, 64).tobytes()
 
 
 def test_moments_accepts_clean_measure():

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from popuc import paraorthogonal
 from popuc.measures import ACWeight, MassPoint, Measure, moments
@@ -73,7 +74,7 @@ def test_build_popuc_structure():
     fam = _family(rng, 5)
     b = cmath.exp(1j * 1.2)
     p = build_popuc(fam[4], b)
-    assert p.poly.degree == 5
+    assert len(p.poly.coeffs) - 1 == 5
     # constant coefficient is -conj(b) times the leading one of Q*
     assert p.poly.coeffs[0] == pytest.approx(-np.conj(b), abs=1e-12)
 
@@ -224,6 +225,30 @@ def test_zero_set_helpers():
     assert zs.min_gap == pytest.approx(0.9)
 
 
+def _min_gap_by_diff(phases):
+    """ZeroSet.min_gap before its ring buffer, kept as a bitwise reference."""
+    return float(np.min(np.diff(np.concatenate([phases, [phases[0] + 2.0 * math.pi]]))))
+
+
+def _nearest_index_by_angle(phases, phase):
+    """ZeroSet.nearest_index before np.arctan2 took np.angle's place, kept as a bitwise reference."""
+    return int(np.argmin(np.abs(np.angle(np.exp(1j * (phases - phase))))))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(
+    st.floats(-math.pi, math.pi),
+    st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=1, max_size=40),
+    st.floats(-10.0, 10.0),
+)
+def test_zero_set_helpers_are_their_diff_and_angle_forms_bitwise(start, offsets, phase):
+    phases = start + np.sort(offsets)  # ascending within one window, ties allowed
+    zs = ZeroSet(phases, np.zeros(len(phases)), 0.0)
+    assert zs.min_gap == _min_gap_by_diff(phases)
+    assert zs.nearest_index(phase) == _nearest_index_by_angle(phases, phase)
+    assert zs.zeros.tobytes() == np.exp(1j * phases).tobytes()
+
+
 def test_non_popuc_input_raises():
     # (z - 1/2)(z - 3) has roots off the circle
     p_coeffs = np.array([1.5, -3.5, 1.0], dtype=complex)
@@ -298,6 +323,50 @@ def _aberth_one_table_per_sweep(coeffs, start=None, rate_exit=True):
             break
         last = largest
     return z
+
+
+def _aberth_before_the_pair_buffer(coeffs, start=None):
+    """The zero finder before its (P, P') pair joined the workspace, with np.stack,
+    np.append, np.sum, np.where and np.max, and fresh buffers in place of the
+    workspace: kept as a bitwise reference.  It has no residual check at
+    MAX_SWEEPS and no stall check, which only raise."""
+    from popuc.paraorthogonal import EPS, MAX_SWEEPS, STEP_TOL
+
+    coeffs = np.asarray(coeffs, dtype=complex)
+    m = len(coeffs) - 1
+    pair = np.stack([coeffs, np.append(coeffs[1:] * np.arange(1, m + 1), 0.0)])
+    z = np.exp(1j * (2.0 * np.pi * (np.arange(m) + 0.25) / m)) if start is None else start
+    table, recip = np.empty((m + 1, m), dtype=complex), np.empty((m, m), dtype=complex)
+    last = math.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(1, MAX_SWEEPS + 1):
+            p, dp = pair @ paraorthogonal.power_table(table, z)
+            ratio = p / dp
+            stalled = dp == 0
+            ratio[stalled] = 0.0
+            np.subtract(z[:, None], z[None, :], out=recip)
+            recip.reshape(-1)[:: m + 1] = np.inf
+            repulsion = np.sum(np.divide(1.0, recip, out=recip), axis=1)
+            denom = 1.0 - ratio * repulsion
+            step = np.where(np.abs(denom) > 1e-300, ratio / denom, ratio)
+            z = z - step
+            largest, scale = np.max(np.abs(step)), max(1.0, np.max(np.abs(z)))
+            if largest < STEP_TOL * scale or (sweep > 1 and largest**3 < EPS * scale * last**2):
+                break
+            last = largest
+    return z
+
+
+@pytest.mark.parametrize("degree", range(2, 41))
+def test_aberth_is_the_loop_before_the_pair_buffer_bitwise(degree):
+    rng = np.random.default_rng(4000 + degree)
+    q = _admissible_opuc(rng, degree)
+    for arg in rng.uniform(0, 2 * math.pi, 2):
+        coeffs = build_popuc(q, cmath.exp(1j * arg)).poly.coeffs
+        near = build_popuc(q, cmath.exp(1j * (arg + 1e-3))).poly.coeffs
+        # cold from the quarter-slot and the sign-change guesses, then warm
+        for start in (None, paraorthogonal._circle_guesses(coeffs), aberth_roots(near)):
+            assert aberth_roots(coeffs, start).tobytes() == _aberth_before_the_pair_buffer(coeffs, start).tobytes()
 
 
 def _assert_aberth_is_the_reference_bitwise(coeffs, start=None):
@@ -501,12 +570,25 @@ def _same_zero_set(a, b):
 
 
 def test_the_workspace_keeps_every_bit_across_degrees():
-    # the power table and the reciprocals are views of this thread's buffers, kept at
-    # the largest degree solved: a smaller solve in between, or a larger one, leaves no trace
-    first = zeros_on_circle(_popuc_of_degree(120))
-    for degree in (5, 200):
-        zeros_on_circle(_popuc_of_degree(degree))
-    assert _same_zero_set(zeros_on_circle(_popuc_of_degree(120)), first)
+    # the pair, the power table and the reciprocals are views of one thread's buffers,
+    # kept at the largest degree solved.  A fresh thread starts with none: its first
+    # solve grows them to degree 120, the degree-5 solve takes views of them and must
+    # match a degree-5 solve on buffers of its own size, and neither it nor a larger
+    # solve leaves a trace on the later degree-120 solves; cold, and warm from the
+    # zeros at a b 1e-3 rad away
+    qs = {degree: _admissible_opuc(np.random.default_rng(degree), degree) for degree in (5, 120, 200)}
+    popucs = {degree: build_popuc(q, cmath.exp(0.7j)) for degree, q in qs.items()}
+    warm = {degree: zeros_on_circle(build_popuc(q, cmath.exp(0.701j))).zeros for degree, q in qs.items()}
+
+    def in_a_fresh_thread(starts, *degrees):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            solves = [pool.submit(zeros_on_circle, popucs[d], None, starts[d]) for d in degrees]
+            return [(zs.phases.tobytes(), zs.residuals.tobytes()) for zs in (f.result() for f in solves)]
+
+    for starts in (dict.fromkeys(qs), warm):
+        first, small, again, _, last = in_a_fresh_thread(starts, 120, 5, 120, 200, 120)
+        assert again == first and last == first
+        assert in_a_fresh_thread(starts, 5) == [small]
 
 
 def test_two_threads_solve_at_once_as_each_does_alone():
