@@ -23,6 +23,6 @@ from .paraorthogonal import (
     fix_zero_param,
     zeros_on_circle,
 )
-from .predicates import MotionContext, VerdictReport, motion_context, verdict, verdicts_at
+from .predicates import MotionContext, VerdictReport, motion_context, verdict, verdicts_along
 
 __version__ = "0.1.0"

@@ -2,10 +2,12 @@
 
 A measure is an optional absolutely continuous weight (against dtheta/2pi)
 plus a finite list of point masses whose weights and locations are
-expressions in the parameter ``t``.  Moments c_k = int e^{-ik theta} dmu
-are produced in closed form for ``bernstein_szego`` and otherwise by the periodic
-trapezoid rule, every c_k at once from one FFT on the node grid: of B once per node
-count for a ``custom`` weight A(t) B(theta), of the whole density at each t for others.
+expressions in the parameter ``t``.  Moments c_k = int e^{-ik theta} dmu of a
+weight A(t) B(theta) are A(t) times the moments of B (:meth:`ACWeight.b_moments`):
+the Poisson kernel's lam^k for ``bernstein_szego`` (``lebesgue`` is lam = 0), and
+for a ``custom`` weight the periodic trapezoid rule, every c_k at once from one FFT
+of B once per node count; a ``custom`` weight with a factor that mixes t and theta
+takes one FFT of its whole density at each t.
 Only this module evaluates the measure: once per grid point, into the
 :class:`MeasureSample` that :func:`moments` hands on to the motion functionals,
 whose f = (d/dt w)/w it decides (:meth:`MeasureSample.log_derivative`, ``MotionContext.f_grid``).
@@ -173,6 +175,7 @@ class ACWeight:
     scale: Expr | None = None
     lam: complex = 0j
     weight: Expr | None = None
+    # b_moments' tables: lam^k per K for bernstein_szego, fft(B)/nodes per node count for custom
     _b_moments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,34 +204,38 @@ class ACWeight:
 
     @cached_property
     def d_dt(self) -> Expr | None:
-        """d/dt of the scale (the weight for ``custom``; None for ``none``), built
-        once: dA/dt of ``bernstein_szego``'s :attr:`t_factor`, and for a ``custom``
-        weight with none, the d/dt that f = (d/dt w)/w takes on arrays of angles."""
-        expr = self.weight if self.kind == "custom" else self.scale
-        return None if expr is None else differentiate(expr, "t")
+        """d/dt of a ``custom`` weight (None for the other kinds), built once: for a
+        weight with no :attr:`t_factor`, the d/dt that f = (d/dt w)/w takes on arrays of angles."""
+        return differentiate(self.weight, "t") if self.kind == "custom" else None
 
     @cached_property
     def t_factor(self) -> tuple[Expr, Expr] | None:
-        """(A, dA/dt), built once, when the weight is A(t) B(theta), so that f =
-        (d/dt w)/w = A'/A at every theta: the scale for ``bernstein_szego``, and
-        A of :attr:`factors` for ``custom``.  None for ``none`` or a mixed factor."""
-        if self.kind != "custom":
-            return None if self.kind == "none" else (self.scale, self.d_dt)
+        """(A, dA/dt) of :attr:`factors`, built once, so that f = (d/dt w)/w = A'/A at
+        every theta; None for ``none`` or a mixed factor."""
         return None if self.factors is None else (self.factors[0], differentiate(self.factors[0], "t"))
 
     @cached_property
-    def factors(self) -> tuple[Expr, Expr] | None:
-        """(A, B) of a ``custom`` weight whose product/quotient spine splits as A(t) B(theta),
-        built once; None when a factor on that spine holds both t and theta."""
+    def factors(self) -> tuple[Expr, Expr | None] | None:
+        """(A, B) of a weight A(t) B(theta), built once: (scale, None) for ``bernstein_szego``,
+        whose B is the Poisson kernel, and for ``custom`` the split of its product/quotient
+        spine; None for ``none`` or when a factor on that spine holds both t and theta."""
+        if self.kind == "bernstein_szego":
+            return self.scale, None
         return _factors(self.weight) if self.kind == "custom" else None
 
-    def b_moments(self, nodes: int) -> tuple[np.ndarray, bool, bool]:
-        """(fft(B)/nodes, B < 0 at a node, B > 0 at a node) of the weight's
-        :attr:`factors` on theta_grid(0, nodes), evaluated once per ``nodes``."""
+    def b_moments(self, K: int, nodes: int) -> tuple[np.ndarray, bool, bool]:
+        """(c_0..c_K of B, B < 0 at a node, B > 0 at a node) of the weight's :attr:`factors`:
+        the Poisson kernel's lam^k, with B > 0, built once per ``K``, or the trapezoid
+        moments fft(B)/nodes on theta_grid(0, nodes) of a ``custom`` B, once per ``nodes``."""
+        if self.kind == "bernstein_szego":  # at lam = 0 (lebesgue) c_0 = 1 and c_k = 0 for k > 0
+            if K not in self._b_moments:
+                self._b_moments[K] = self.lam ** np.arange(K + 1)
+            return self._b_moments[K], False, True
         if nodes not in self._b_moments:
             b = np.broadcast_to(evaluate(self.factors[1], {"theta": theta_grid(0.0, nodes)}), (nodes,))
             self._b_moments[nodes] = np.fft.fft(b) / nodes, bool(np.any(b < 0)), bool(np.any(b > 0))
-        return self._b_moments[nodes]
+        fft, negative, positive = self._b_moments[nodes]
+        return fft[np.arange(K + 1) % nodes], negative, positive
 
     def density(self, theta: float | np.ndarray, t: float) -> np.ndarray:
         """The density w(theta; t) against dtheta/2pi, as an array of the
@@ -319,17 +326,13 @@ class MeasureSample:
 
     @cached_property
     def factor(self) -> float:
-        """A(t) of ``ACWeight.t_factor``, of a sign that keeps the weight nonnegative: a
-        closed kind's A, its scale, may not be negative, and a ``custom`` A(t) may not
-        have the sign opposite to B(theta) at a node, so it is 0 when B changes sign."""
+        """A(t) of ``ACWeight.t_factor``, of a sign that keeps the weight nonnegative: A(t)
+        may not have the sign opposite to B(theta) at a node, so it is 0 when B changes sign."""
         ac = self.measure.ac
         a = evaluate(ac.t_factor[0], {"t": self.t})
-        if ac.kind == "custom":
-            _, negative, positive = ac.b_moments(self.nodes)
-            if (a < 0 and positive) or (a > 0 and negative):
-                raise MeasureError(f"weight is negative at a quadrature node at t={self.t}")
-        elif a < 0:
-            raise MeasureError(f"AC density is negative: scale {a} at t={self.t}")
+        _, negative, positive = ac.b_moments(0, self.nodes)
+        if (a < 0 and positive) or (a > 0 and negative):
+            raise MeasureError(f"weight is negative at a quadrature node at t={self.t}")
         return a
 
     @cached_property
@@ -408,11 +411,7 @@ def _ac_moments(sample: MeasureSample, K: int) -> np.ndarray:
         return np.zeros(K + 1, dtype=complex)
     if ac.t_factor is None:
         return quadrature_moment(sample, K)
-    if ac.kind == "custom":
-        return sample.factor * ac.b_moments(sample.nodes)[0][np.arange(K + 1) % sample.nodes]
-    # geometric moments of the Poisson-kernel (squared-modulus) weight;
-    # at lam = 0 (lebesgue) c_0 = s and c_k = 0 for k > 0
-    return sample.factor * ac.lam ** np.arange(K + 1)
+    return sample.factor * ac.b_moments(K, sample.nodes)[0]
 
 
 def moments(m: Measure, t: float, K: int, nodes: int = DEFAULT_NODES) -> MomentSequence:

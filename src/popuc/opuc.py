@@ -78,9 +78,6 @@ class MonicPoly:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __call__(self, z):
-        return polyval(self.coeffs, z)
-
 
 def reversed_poly(coeffs: np.ndarray) -> np.ndarray:
     """Reversed polynomial p*(z) = z^m conj(p(1/conj(z))): b_k = conj(a_{m-k})."""

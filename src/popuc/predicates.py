@@ -23,9 +23,11 @@ from the record they were solved on, and every functional takes the zero pair it
 reads, the tracked zero and its reference, as arguments.  :func:`verdicts_along`
 decides every zero of every grid point of a sweep in one array pass, each row a
 (point, tracked, reference): the W_j form one (rows x masses) table from one
-cotangent table per point, and W(theta) one (rows x nodes) table on the moments'
-nodes.  Its one-point case is :func:`verdicts_at`, its one-zero case :func:`verdict`
-and :func:`mass_functionals`; the scalar :func:`s_factor` and :func:`s_sum` are its reference.
+half-angle table per point, and W(theta) one (rows x nodes) table on the moments'
+nodes.  Its one-zero case is :func:`verdict` and :func:`mass_functionals`; the scalar
+:func:`s_factor` and :func:`s_sum` are its reference.  Verdicts and balance checks share
+one pole rule (:func:`_poles`): a row reads a pole when a mass lies within ANGLE_TOL of its
+tracked or reference zero, or a moving mass within ANGLE_TOL of any zero.
 """
 from __future__ import annotations
 
@@ -52,14 +54,12 @@ __all__ = [
     "THEOREMS",
     "mass_functionals",
     "verdict",
-    "verdicts_at",
     "verdicts_along",
 ]
 
 # "nonnegative" slack and "strictly positive" threshold, relative to scale
 NONNEG_TOL = 1e-12
 STRICT_TOL = 1e-10
-POLE_TOL = 1e-12
 # verdicts test the continuous part on every (nodes // VERDICT_NODES)-th grid node
 VERDICT_NODES = 512
 # the verdict labels; a row's label is one of these objects, not a new str per row
@@ -119,7 +119,7 @@ def motion_context(sample: MeasureSample, zs: ZeroSet) -> MotionContext:
 def s_factor(theta: float | np.ndarray, phi: float, theta0: float) -> float | np.ndarray:
     """sin((phi-theta0)/2) / (2 sin((phi-theta)/2) sin((theta0-theta)/2)),
     element-wise over an array ``theta``; a pole at any element raises."""
-    if np.any((circular_gap(theta, phi) < POLE_TOL) | (circular_gap(theta, theta0) < POLE_TOL)):
+    if np.any((circular_gap(theta, phi) < ANGLE_TOL) | (circular_gap(theta, theta0) < ANGLE_TOL)):
         raise PredicateError("s-factor pole: theta collides with phi or theta0")
     return math.sin(0.5 * (phi - theta0)) / (
         2.0 * np.sin(0.5 * (phi - theta)) * np.sin(0.5 * (theta0 - theta))
@@ -131,7 +131,7 @@ def s_sum(theta: float, phases: np.ndarray, tracked: int, reference: int) -> flo
     ``tracked`` and ``reference`` weigh 1/2."""
     total = 0.0
     for k, ph in enumerate(phases):
-        if circular_gap(theta, ph) < POLE_TOL:
+        if circular_gap(theta, ph) < ANGLE_TOL:
             raise PredicateError("cotangent pole: theta collides with a zero")
         weight = 0.5 if k in (reference, tracked) else 1.0
         total += weight / math.tan(0.5 * (ph - theta))
@@ -147,7 +147,7 @@ def _mass_table(
     ``point[i]`` measured against its zero ``reference[i]``, all from one
     table of the half-angles (phase_l - omega_j)/2 per point; ``ctx`` is
     the points' stack, with a leading point axis (:func:`_stack`).
-    No mass may lie on a zero (see :func:`mass_functionals`)."""
+    No row may read a pole (:func:`_poles`)."""
     f_phi = ctx.f_phases[point, tracked]
     angles = 0.5 * (ctx.phases[:, None, :] - ctx.omegas[:, :, None])  # points x masses x zeros
     sines = np.sin(angles)
@@ -157,11 +157,11 @@ def _mass_table(
     moving = ctx.domegas[point] != 0.0
     if moving.any():
         # a mass that does not move may sit on a zero: its cotangents are not read
-        cot = 1.0 / np.tan(np.where(ctx.domegas[:, :, None] != 0.0, angles, 1.0))
+        cot = 1.0 / np.tan(np.where(moving[:, :, None], angles[point], 1.0))  # rows x masses x zeros
         zeros = np.arange(ctx.phases.shape[1])
         halved = (zeros == tracked[:, None]) | (zeros == reference[:, None])
         # the cotangent sums add their terms in zero order, as s_sum does
-        terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot[point]
+        terms = np.where(halved, 0.5, 1.0)[:, None, :] * cot
         cot_sum = np.cumsum(terms, axis=2)[:, :, -1]
         w = np.where(moving, w - ctx.gammas[point] * s * cot_sum * ctx.domegas[point], w)
     if f_phi.any():
@@ -188,10 +188,10 @@ def w_continuous(
     (rows x nodes) table, row i for the tracked phase ``phis[i]`` measured
     against ``theta0s[i]``; f is ``f_nodes`` at the nodes (one row for all
     rows, or one row each) and ``f_phis`` at the phases.  NaN at nodes
-    within 1e-9 of phi or theta0, which verdicts skip and where the balance
-    integrand s |P|^2 vanishes."""
+    within ANGLE_TOL of phi or theta0, which verdicts skip and where the
+    balance integrand s |P|^2 vanishes."""
     phis, theta0s = phis[:, None], theta0s[:, None]
-    usable = (circular_gap(nodes, phis) > 1e-9) & (circular_gap(nodes, theta0s) > 1e-9)
+    usable = (circular_gap(nodes, phis) > ANGLE_TOL) & (circular_gap(nodes, theta0s) > ANGLE_TOL)
     den = 2.0 * np.sin(0.5 * (phis - nodes)) * np.sin(0.5 * (theta0s - nodes))
     s = np.sin(0.5 * (phis - theta0s)) / np.where(usable, den, np.nan)
     return s * (f_nodes - f_phis[:, None])
@@ -201,16 +201,24 @@ def w_continuous(
 THEOREMS = ("t21", "t22", "t23")
 
 
+def _poles(ctx: MotionContext, point: np.ndarray, tracked: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Whether each row (point, tracked, reference) of the stack ``ctx`` reads a pole:
+    a mass within ANGLE_TOL of the row's tracked or reference zero, or a moving mass
+    within ANGLE_TOL of any zero of its point."""
+    near = circular_gap(ctx.omegas[:, :, None], ctx.phases[:, None, :]) < ANGLE_TOL  # points x masses x zeros
+    moving = near.any(axis=2) & (ctx.domegas != 0.0)
+    return (near[point, :, tracked] | near[point, :, reference] | moving[point]).any(axis=1)
+
+
 def mass_functionals(ctx: MotionContext, tracked: int, reference: int) -> np.ndarray:
     """W_j for every mass of zero ``tracked`` measured against zero
     ``reference``, as an array: the one-row case of the verdict table.
-    A mass on the tracked or reference zero, or a moving mass on any zero,
-    is a pole and raises."""
-    near = circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < POLE_TOL
-    if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
-        raise PredicateError("pole: a mass collides with a zero its functional reads")
+    A row that reads a pole (:func:`_poles`) raises."""
     one = MotionContext(**{name: x if x is None else x[None] for name, x in vars(ctx).items()})
-    return _mass_table(one, np.array([0]), np.array([tracked]), np.array([reference]))[0]
+    row = np.array([0]), np.array([tracked]), np.array([reference])
+    if _poles(one, *row)[0]:
+        raise PredicateError("pole: a mass collides with a zero its functional reads")
+    return _mass_table(one, *row)[0]
 
 
 @dataclass  # not frozen: a sweep makes hundreds, and a frozen __init__ takes five times as long
@@ -268,9 +276,9 @@ def _verdict_rows(
     """Verdicts for the rows (point, tracked, reference): zero ``tracked`` of
     context ``ctxs[point]`` measured against its zero ``reference``, every row
     from one pass over the tables of :func:`_mass_table` and :func:`w_continuous`;
-    the contexts share one measure and node count, as a sweep's do.  The rows of
-    a context with a mass within ANGLE_TOL of a zero are collisions and enter no
-    table; a t22 row that is no conjugate pair is Inconclusive."""
+    the contexts share one measure and node count, as a sweep's do.  A row that
+    reads a pole (:func:`_poles`) is a collision and enters no table; a t22 row
+    that is no conjugate pair is Inconclusive."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem selector {theorem!r}")
     if not rows:
@@ -280,11 +288,8 @@ def _verdict_rows(
     step = max(1, n // VERDICT_NODES)
     table = _stack(ctxs, step)
     phis, theta0s = table.phases[point, tracked].tolist(), table.phases[point, reference].tolist()
-    clear = ~(circular_gap(table.omegas[:, :, None], table.phases[:, None, :]) < ANGLE_TOL).any(axis=(1, 2))
-    is_clear = clear[point]
-    slot = np.cumsum(clear) - 1  # a clear context's row in the tables
-    point, tracked, reference = slot[point[is_clear]], tracked[is_clear], reference[is_clear]
-    table = MotionContext(**{name: x if x is None else x[clear] for name, x in vars(table).items()})
+    is_clear = ~_poles(table, point, tracked, reference)
+    point, tracked, reference = point[is_clear], tracked[is_clear], reference[is_clear]
     w_masses = _mass_table(table, point, tracked, reference)
 
     wc_min = wc_max = np.zeros(len(point))
@@ -350,14 +355,3 @@ def verdicts_along(
             out[-1] = dict.fromkeys(refs, exc)
     reports = iter(_verdict_rows(ctxs, rows, theorem))
     return [{k: r if isinstance(r, Exception) else next(reports) for k, r in refs.items()} for refs in out]
-
-
-def verdicts_at(sample: MeasureSample, zs: ZeroSet, theorem: str) -> dict[int, VerdictReport]:
-    """The verdict of every zero of ``zs``, solved on the measure record
-    ``sample``, that has a reference zero, keyed by zero index in increasing
-    order: the one-point case of :func:`verdicts_along`, whose error in the
-    motion data reaches the caller."""
-    reports = verdicts_along([sample], [zs], theorem)[0]
-    if reports and isinstance(error := next(iter(reports.values())), Exception):
-        raise error
-    return reports

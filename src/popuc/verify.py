@@ -23,7 +23,7 @@ from .measures import (
 )
 from .opuc import DegenerateMeasureError, gram_opuc, inner_product, polyval, reversed_poly
 from .paraorthogonal import RootFindingError, build_popuc, zeros_on_circle
-from .predicates import MotionContext, PredicateError, mass_functionals, reference_index, verdicts_at
+from .predicates import MotionContext, PredicateError, mass_functionals, reference_index, verdicts_along
 from .scenarios import scenario_config
 
 __all__ = ["CheckResult", "CHECKS", "run_checks"]
@@ -40,7 +40,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
+    seconds: float = 0.0
 
 
 def _random_measure(rng: np.random.Generator, max_masses: int = 8) -> Measure:
@@ -83,7 +83,7 @@ def check_zero_quality() -> CheckResult:
         worst_res = max(worst_res, float(np.max(zs.residuals)) / scale)
         worst_gap = min(worst_gap, zs.min_gap)
     ok = worst_dev <= 1e-9 and worst_res <= 1e-9 and worst_gap > 1e-6
-    return _result(
+    return CheckResult(
         "zeros",
         ok,
         f"max modulus deviation {worst_dev:.2e}, max residual {worst_res:.2e}, "
@@ -106,7 +106,7 @@ def check_oracle_example1() -> CheckResult:
         fam = gram_opuc(moments(m, 0.0, n + 2), n)
         oracle = bs_mass_opuc(n, lam, gamma, omega)
         worst = max(worst, float(np.max(np.abs(fam[n].coeffs - oracle.coeffs))))
-    return _result("oracle-ex1", worst <= 1e-8, f"max coefficient deviation {worst:.2e}")
+    return CheckResult("oracle-ex1", worst <= 1e-8, f"max coefficient deviation {worst:.2e}")
 
 
 def check_oracle_example2() -> CheckResult:
@@ -119,7 +119,7 @@ def check_oracle_example2() -> CheckResult:
             p = build_popuc(fam[4], b)
             oracle = lebesgue_mass_popuc(4, b, gamma)
             worst = max(worst, float(np.max(np.abs(p.poly.coeffs - oracle.coeffs))))
-    return _result("oracle-ex2", worst <= 1e-10, f"max coefficient deviation {worst:.2e}")
+    return CheckResult("oracle-ex2", worst <= 1e-10, f"max coefficient deviation {worst:.2e}")
 
 
 def check_fixed_zero() -> CheckResult:
@@ -129,8 +129,8 @@ def check_fixed_zero() -> CheckResult:
         cfg = scenario_config(name)
         for t in cfg.grid():
             st = solve_at(cfg.measure, cfg.degree, cfg.policy, float(t), nodes=1024)
-            worst = max(worst, abs(st.popuc.poly(1j)))
-    return _result("fixed-zero", worst <= 1e-9, f"max |P(i)| = {worst:.2e}")
+            worst = max(worst, abs(polyval(st.popuc.poly.coeffs, 1j)))
+    return CheckResult("fixed-zero", worst <= 1e-9, f"max |P(i)| = {worst:.2e}")
 
 
 def check_balance_discrete() -> CheckResult:
@@ -173,7 +173,7 @@ def check_balance_discrete() -> CheckResult:
         if bad:
             continue
         instances += 1
-    return _result("balance", worst <= 1e-4, f"max relative mismatch {worst:.2e}")
+    return CheckResult("balance", worst <= 1e-4, f"max relative mismatch {worst:.2e}")
 
 
 def check_balance_mixed() -> CheckResult:
@@ -191,7 +191,7 @@ def check_balance_mixed() -> CheckResult:
                 m, 5, pol, float(gamma), zs.phases[k], "t23", h=1e-5, nodes=1024
             )
             worst = max(worst, be.mismatch)
-    return _result("balance-mixed", worst <= 1e-4, f"max relative mismatch {worst:.2e}")
+    return CheckResult("balance-mixed", worst <= 1e-4, f"max relative mismatch {worst:.2e}")
 
 
 def _sign_agreement(
@@ -230,7 +230,7 @@ def check_sign_predictions() -> CheckResult:
             lambda phi, t: w0_bs(phi, theta0, omega_win),
         )
         if msg:
-            return _result("signs", False, f"BS scenario (theta0={theta0}): {msg}")
+            return CheckResult("signs", False, f"BS scenario (theta0={theta0}): {msg}")
     # (b) Lebesgue + mass, theta0 = pi/2; the mass at 0 splits the arcs at 2 pi
     theta0 = math.pi / 2
     m = Measure.of(ACWeight.lebesgue("1 - t"), [MassPoint.of("t", "0")])
@@ -238,8 +238,8 @@ def check_sign_predictions() -> CheckResult:
         m, (0.05, 0.95), theta0, 2 * math.pi, lambda phi, t: w0_lebesgue(phi, theta0, t)
     )
     if msg:
-        return _result("signs", False, f"Lebesgue: {msg}")
-    return _result("signs", True, "velocity signs match W_0 on both arcs, both scenarios")
+        return CheckResult("signs", False, f"Lebesgue: {msg}")
+    return CheckResult("signs", True, "velocity signs match W_0 on both arcs, both scenarios")
 
 
 def check_stationary() -> CheckResult:
@@ -247,7 +247,7 @@ def check_stationary() -> CheckResult:
     cfg = scenario_config("lebesgue_mass_fixed_one")
     traj = sweep(cfg)
     drift = float(np.max(np.abs(traj.chains - traj.chains[0])))
-    return _result("stationary", drift <= 1e-8, f"max phase drift {drift:.2e}")
+    return CheckResult("stationary", drift <= 1e-8, f"max phase drift {drift:.2e}")
 
 
 def check_conjugate_pair() -> CheckResult:
@@ -266,20 +266,20 @@ def check_conjugate_pair() -> CheckResult:
         zs = st.zero_set
         tracked = [k for k, p in enumerate(zs.phases) if 1e-6 < p < math.pi - 1e-6]
         if len(tracked) != 1:
-            return _result("conjugate", False, f"expected one pair zero in (0, pi) at t={t}")
+            return CheckResult("conjugate", False, f"expected one pair zero in (0, pi) at t={t}")
         k = tracked[0]
         partner = reference_index(zs, k, "t22")
         worst_sym = max(worst_sym, abs(zs.phases[k] + zs.phases[partner]))
-        rep = verdicts_at(st.sample, zs, "t22")[k]
+        rep = verdicts_along([st.sample], [zs], "t22")[0][k]
         be = balance_check(m, 4, pol, float(t), zs.phases[k], "t22", h=1e-5)
         if rep.verdict == "CCW" and be.dphi_dt <= 1e-8:
-            return _result("conjugate", False, f"CCW verdict but velocity {be.dphi_dt:.2e} at t={t}")
+            return CheckResult("conjugate", False, f"CCW verdict but velocity {be.dphi_dt:.2e} at t={t}")
         if rep.verdict == "CW" and be.dphi_dt >= -1e-8:
-            return _result("conjugate", False, f"CW verdict but velocity {be.dphi_dt:.2e} at t={t}")
+            return CheckResult("conjugate", False, f"CW verdict but velocity {be.dphi_dt:.2e} at t={t}")
         if be.mismatch > 1e-4:
-            return _result("conjugate", False, f"balance mismatch {be.mismatch:.2e} at t={t}")
+            return CheckResult("conjugate", False, f"balance mismatch {be.mismatch:.2e} at t={t}")
     ok = worst_sym <= 1e-8
-    return _result("conjugate", ok, f"max |phi + phi_conj| = {worst_sym:.2e}, verdicts consistent")
+    return CheckResult("conjugate", ok, f"max |phi + phi_conj| = {worst_sym:.2e}, verdicts consistent")
 
 
 def _unit_mass_functionals(phases, omegas, tracked: int, reference: int, moving: bool) -> np.ndarray:
@@ -441,7 +441,7 @@ def check_identities() -> CheckResult:
         failures.append(f"mixed identity: {abs(bracket):.2e} vs scale {bracket_scale:.2e}")
 
     ok = not failures
-    return _result("identities", ok, "; ".join(failures) if failures else "all identities hold")
+    return CheckResult("identities", ok, "; ".join(failures) if failures else "all identities hold")
 
 
 def check_expressions() -> CheckResult:
@@ -464,7 +464,7 @@ def check_expressions() -> CheckResult:
             continue
         worst = max(worst, err)
         checked += 1
-    return _result("expr", worst <= 1e-6, f"max relative derivative error {worst:.2e}")
+    return CheckResult("expr", worst <= 1e-6, f"max relative derivative error {worst:.2e}")
 
 
 def _random_tree(rng: np.random.Generator, depth: int):
@@ -478,10 +478,6 @@ def _random_tree(rng: np.random.Generator, depth: int):
         return BinOp(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
     fn = ["sin", "cos", "exp"][int(rng.integers(0, 3))]
     return Call(fn, _random_tree(rng, depth - 1))
-
-
-def _result(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail, seconds=0.0)
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {

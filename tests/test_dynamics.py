@@ -24,7 +24,7 @@ from popuc.expressions import evaluate_all
 from popuc.measures import ACWeight, MassPoint, Measure, moments
 from popuc.opuc import inner_product, polyval
 from popuc.paraorthogonal import ZeroSet
-from popuc.predicates import PredicateError, motion_context, reference_index, verdicts_at
+from popuc.predicates import PredicateError, motion_context, reference_index, verdicts_along
 from popuc.scenarios import SCENARIOS, scenario_config
 from popuc.verify import _deflate as deflate
 
@@ -86,7 +86,7 @@ def test_solve_at_marks_fixed_zero():
     zs = st.zero_set
     assert zs.fixed_index is not None
     assert abs(zs.phases[zs.fixed_index] - 2.0) < 1e-9
-    assert abs(st.popuc.poly(xi)) < 1e-10
+    assert abs(polyval(st.popuc.poly.coeffs, xi)) < 1e-10
     # window starts at the fixed zero, which is therefore index 0
     assert zs.fixed_index == 0
 
@@ -342,7 +342,7 @@ def test_t22_balance_rejects_a_partner_that_is_not_the_conjugate():
     k = zs.nearest_index(1.6314)
     partner = zs.phases[reference_index(zs, k, "t22")]
     assert abs(zs.phases[k] + partner) == pytest.approx(0.43, abs=0.005)
-    assert verdicts_at(m.at(0.1), zs, "t22")[k].flags == ("non_conjugate_pair",)
+    assert verdicts_along([m.at(0.1)], [zs], "t22")[0][k].flags == ("non_conjugate_pair",)
     with pytest.raises(PredicateError, match="not a conjugate pair"):
         balance_check(m, 4, pol, 0.1, zs.phases[k], "t22")
 
@@ -397,7 +397,7 @@ def test_an_error_at_one_grid_point_stays_at_that_point():
     error = "weight vanishes at t=0.5: its t-factor is zero"
     assert entries[2]["verdicts"] == [{"zero_index": k, "error": error} for k in (1, 2)]
     for i in (0, 1, 3, 4):
-        reports = verdicts_at(traj.samples[i], traj.zero_sets[i], "t23")
+        reports = verdicts_along([traj.samples[i]], [traj.zero_sets[i]], "t23")[0]
         assert entries[i]["verdicts"] == [dict(rep.to_json(), zero_index=k) for k, rep in reports.items()]
         assert all("verdict" in item for item in entries[i]["verdicts"])
 
@@ -746,7 +746,7 @@ def _evaluations_of(calls, exprs) -> int:
 def test_each_grid_point_samples_the_measure_once(monkeypatch):
     cfg = scenario_config("bs_mass_gamma")
     m, (mass,) = cfg.measure, cfg.measure.masses
-    d_dts = (*mass.d_dt, m.ac.d_dt)
+    d_dts = (*mass.d_dt, m.ac.t_factor[1])
     calls = _record_evaluations(monkeypatch)
     traj = sweep(cfg)
     assert _evaluations_of(calls, d_dts) == 0  # a sweep reads no derivative

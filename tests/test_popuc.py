@@ -95,7 +95,7 @@ def test_fix_zero_param_pins_the_zero():
         b = fix_zero_param(q, xi)
         assert abs(abs(b) - 1.0) < 1e-14
         p = build_popuc(q, b)
-        assert abs(p.poly(xi)) < 1e-9 * float(np.max(np.abs(p.poly.coeffs)))
+        assert abs(polyval(p.poly.coeffs, xi)) < 1e-9 * float(np.max(np.abs(p.poly.coeffs)))
 
 
 def test_fix_zero_param_is_the_two_evaluation_formula():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from popuc import measures, predicates
 from popuc.dynamics import (
-    SweepConfig, ZeroPolicy, solve_at, sweep, sweep_verdicts, tracked_velocity
+    SweepConfig, ZeroPolicy, balance_check, solve_at, sweep, sweep_verdicts, tracked_velocity
 )
 from popuc.expressions import differentiate, evaluate, parse
 from popuc.measures import (
@@ -28,7 +28,7 @@ from popuc.predicates import (
     s_factor,
     s_sum,
     verdict,
-    verdicts_at,
+    verdicts_along,
     w_continuous,
 )
 from popuc.scenarios import scenario_config
@@ -188,9 +188,9 @@ def test_motion_context_rejects_a_negative_lebesgue_scale():
     # context alike; a motion context built past it once returned CCW, CCW, CCW, CW
     sample = Measure.of(ACWeight.lebesgue("-1 - t"), [MassPoint.of("t", "0")]).at(0.4)
     for read in (lambda: sample.factor, lambda: motion_context(sample, PHASES_ONLY)):
-        with pytest.raises(MeasureError, match=r"AC density is negative: scale -1.4 at t=0.4"):
+        with pytest.raises(MeasureError, match=r"^weight is negative at a quadrature node at t=0.4$"):
             read()
-    with pytest.raises(MeasureError, match=r"AC density is negative: scale -1.4 at t=0.4"):
+    with pytest.raises(MeasureError, match=r"^weight is negative at a quadrature node at t=0.4$"):
         moments(sample.measure, 0.4, 4)
 
 
@@ -211,7 +211,7 @@ def test_a_custom_weight_may_have_a_negative_t_factor():
     for weight in ("(-1 - t)*(cos(theta) - 2)", "(1 + t)*(2 - cos(theta))"):
         m = Measure.of(ACWeight.custom(weight), masses)
         state = solve_at(m, 5, ZeroPolicy.fixed_xi(1j), 0.4, nodes=512)
-        reports.append([r.to_json() for r in verdicts_at(state.sample, state.zero_set, "t23").values()])
+        reports.append([r.to_json() for r in verdicts_along([state.sample], [state.zero_set], "t23")[0].values()])
     assert len(reports[0]) == 4 and reports[0] == reports[1]
 
 
@@ -402,12 +402,11 @@ def _scalar_t23_verdict(ctx, tracked, reference):
     and f tested for monotonicity over the period that starts after theta0.
 
     Returns (label, flags, w_continuous_min, w_continuous_max, scale)."""
-    if (circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < ANGLE_TOL).any():
+    # a mass on the tracked or reference zero, or a moving mass on any zero, is a pole
+    near = circular_gap(ctx.omegas[:, None], ctx.phases[None, :]) < ANGLE_TOL
+    if near[:, [tracked, reference]].any() or near[ctx.domegas != 0.0].any():
         return "Inconclusive", ("collision",), 0.0, 0.0, 0.0
-    try:
-        w_masses = np.array([w_mass(j, ctx, tracked, reference) for j in range(len(ctx.gammas))])
-    except PredicateError:
-        return "Inconclusive", ("pole",), 0.0, 0.0, 0.0
+    w_masses = np.array([w_mass(j, ctx, tracked, reference) for j in range(len(ctx.gammas))])
     phi, theta0 = float(ctx.phases[tracked]), float(ctx.phases[reference])
 
     def s(theta):
@@ -611,7 +610,7 @@ def test_verdicts_at_is_the_scalar_verdict_zero_by_zero(name):
     traj = sweep(cfg)
     checked = 0
     for t, zs, sample in zip(traj.ts, traj.zero_sets, traj.samples):
-        reports = predicates.verdicts_at(sample, zs, cfg.theorem)
+        reports = verdicts_along([sample], [zs], cfg.theorem)[0]
         expected_rows = [k for k in range(len(zs)) if reference_index(zs, k, cfg.theorem) is not None]
         assert list(reports) == expected_rows
         ctx = motion_context(cfg.measure.at(float(t), cfg.nodes), zs)
@@ -638,7 +637,7 @@ def test_t22_pass_with_skipped_rows_keeps_each_reference_phase():
     # are skipped ahead of the conjugate pair 1, 2 that reads the grid
     zs = ZeroSet(np.array([-2.5, -1.0, 1.0, 2.0]), np.zeros(4), 0.0)
     m = Measure.of(ACWeight.custom(CUSTOM_WEIGHTS["custom_cos"]))
-    reports = predicates.verdicts_at(m.at(0.5, 1024), zs, "t22")
+    reports = verdicts_along([m.at(0.5, 1024)], [zs], "t22")[0]
     ctx = motion_context(m.at(0.5, 1024), zs)
     assert [rep.flags == ("non_conjugate_pair",) for rep in reports.values()] == [True, False, False, True]
     for k, rep in reports.items():
@@ -730,6 +729,37 @@ def test_mass_functionals_poles_match_the_scalar_functionals():
             predicates.mass_functionals(ctx, 1, 0)
 
 
+def test_a_still_mass_on_a_zero_no_row_reads_leaves_the_point_its_verdicts():
+    # xi = 1 pins a zero on the still mass at 0, which is its own conjugate and so
+    # no t22 row's zero: the other rows read no pole, as their balance checks do not
+    masses = [MassPoint.of("0.4 + 0.1*t", "0")] + [
+        MassPoint.of(gamma, sign + omega)
+        for gamma, omega in (("0.5 + 0.2*t", "1.0"), ("0.8 - 0.1*t", "2.2")) for sign in ("", "-")
+    ]
+    m = Measure.of(ACWeight.lebesgue("1 + 0.2*t"), masses)
+    policy = ZeroPolicy.fixed_xi(1.0 + 0j)
+    state = solve_at(m, 5, policy, 0.1)
+    zs = state.zero_set
+    assert circular_gap(zs.phases[zs.fixed_index], 0.0) < ANGLE_TOL
+    reports = verdicts_along([state.sample], [zs], "t22")[0]
+    ctx = motion_context(state.sample, zs)
+    assert len(reports) == 4
+    for k, rep in reports.items():
+        assert "collision" not in rep.flags and len(rep.w_masses) == 5
+        ref = reference_index(zs, k, "t22")
+        assert rep.w_masses.tobytes() == predicates.mass_functionals(ctx, k, ref).tobytes()
+        assert balance_check(m, 5, policy, 0.1, zs.phases[k], "t22").mismatch <= 1e-4
+
+
+def test_a_mass_within_the_angle_tolerance_of_the_tracked_zero_is_a_pole():
+    # 1e-10 from the tracked zero: inside ANGLE_TOL, so no W_j, for a verdict or a balance check
+    ctx = _context([0.5, 2.0, 3.5], gammas=[1.0], omegas=[2.0 + 1e-10], dgammas=[0.7], domegas=[0.0])
+    with pytest.raises(PredicateError):
+        predicates.mass_functionals(ctx, 1, 0)
+    rep = verdict(ctx, 1, 0, "t21")
+    assert (rep.verdict, rep.flags) == ("Inconclusive", ("collision",))
+
+
 @st.composite
 def moving_discrete_measures(draw):
     """(measure, degree): 2-6 masses at least 0.3 apart at t = 0, with affine
@@ -758,7 +788,7 @@ def test_conclusive_verdicts_have_the_sign_of_the_velocity(case, t, arg_xi):
     policy = ZeroPolicy.fixed_xi(cmath.exp(1j * arg_xi))
     state = solve_at(m, degree, policy, t)
     zs = state.zero_set
-    for k, rep in predicates.verdicts_at(state.sample, zs, "t21").items():
+    for k, rep in verdicts_along([state.sample], [zs], "t21")[0].items():
         if rep.verdict == "Inconclusive":
             continue
         v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5)
@@ -786,7 +816,7 @@ def test_conclusive_verdicts_on_a_nonperiodic_weight_have_the_sign_of_the_veloci
     policy = ZeroPolicy.fixed_xi(1.0 + 0j)
     state = solve_at(m, degree, policy, t, nodes=1024)
     zs = state.zero_set
-    for k, rep in predicates.verdicts_at(state.sample, zs, "t23").items():
+    for k, rep in verdicts_along([state.sample], [zs], "t23")[0].items():
         if rep.verdict == "Inconclusive":
             continue
         v = tracked_velocity(m, degree, policy, t, zs.phases[k], h=1e-5, nodes=1024)
@@ -900,8 +930,5 @@ def test_the_trajectory_pass_is_the_one_point_pass_at_every_point(case):
     along = predicates.verdicts_along(samples, zero_sets, theorem)
     assert len(along) == len(samples)
     for sample, zs, reports in zip(samples, zero_sets, along):
-        try:
-            alone = verdicts_at(sample, zs, theorem)
-        except (PredicateError, MeasureError) as exc:
-            alone = dict.fromkeys(reports, exc)
+        alone = verdicts_along([sample], [zs], theorem)[0]
         assert _json_or_error(reports) == _json_or_error(alone)
