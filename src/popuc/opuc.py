@@ -24,6 +24,9 @@ __all__ = [
 
 # smallest admissible norm ratio kappa_m / c_0; below it the support is exhausted
 DEGENERACY_THRESHOLD = 1e-12
+# rows of a table of powers filled by one running product (see power_table):
+# 16 fills degree 8-24 faster than 8 does, and ties it at degree 4-5 and 40-120
+POWER_BLOCK = 16
 
 
 class DegenerateMeasureError(ValueError):
@@ -43,8 +46,10 @@ def polyval(coeffs: np.ndarray, z: complex | np.ndarray) -> complex | np.ndarray
 
 def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Value of an ascending coefficient array at each point of the 1-d ``z`` by
-    Horner's rule, in one array the size of ``z`` (:func:`polyval` tabulates powers)."""
-    p = np.full(len(z), coeffs[-1])
+    Horner's rule, in one array the size of ``z`` (:func:`polyval` tabulates powers),
+    of the coefficients' dtype: real coefficients at real points stay real."""
+    p = np.empty(len(z), dtype=coeffs.dtype)
+    p.fill(coeffs[-1])
     for c in coeffs[-2::-1]:
         np.multiply(p, z, out=p)
         p += c
@@ -52,12 +57,23 @@ def horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def power_table(table: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``table`` with row k set to z**k, by doubling: rows k..2k-1 are rows 0..k-1 times z^k."""
-    k, n = 1, len(table)
+    """``table``, a buffer its caller owns, with row k set to z**k in place.
+
+    Rows 0..POWER_BLOCK-1 are one running product (``np.multiply.accumulate``
+    down rows that each hold z); above them rows k..2k-1 are rows 0..k-1 times
+    z^k = z^(k-1) z.  At the 5 to 9 rows of most solves a fill costs NumPy's
+    per-call overhead, not arithmetic, so the running product's four calls take
+    about a third of the time of doubling from row 1, one call per power of two.
+    Row k carries a relative error of about k ulps either way.
+    """
+    n = len(table)
+    k = min(n, POWER_BLOCK)
     table[:1] = 1.0
+    table[1:k] = z
+    np.multiply.accumulate(table[1:k], out=table[1:k])
     while k < n:
-        np.multiply(table[: min(k, n - k)], z, out=table[k : 2 * k])
-        k, z = 2 * k, z * z
+        np.multiply(table[: min(k, n - k)], table[k - 1] * z, out=table[k : 2 * k])
+        k *= 2
     return table
 
 

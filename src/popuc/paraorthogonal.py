@@ -141,7 +141,9 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     conjugation (a symmetric set slows polynomials with real coefficients,
     whose zeros are).  P and P', padded to one length and
     stacked as one pair, come from one table of powers per sweep, which like
-    the reciprocal differences is filled in place.  The pair, the table and
+    the reciprocal differences is filled in place, by :func:`opuc.power_table`:
+    its first POWER_BLOCK rows are one running product, so that a fill up to
+    degree 15 is four NumPy calls.  The pair, the table and
     the differences live in a per-thread workspace kept at the largest degree
     the thread has solved: at degree 80 to 120 the last two take 100-230 KB
     each, which the allocator would return to the OS after each solve and

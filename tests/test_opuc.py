@@ -11,11 +11,14 @@ from popuc.dynamics import ZeroPolicy, solve_at
 from popuc.expressions import BinOp, Const, Neg
 from popuc.measures import ACWeight, MassPoint, Measure, circular_gap, moments
 from popuc.opuc import (
+    POWER_BLOCK,
     DegenerateMeasureError,
     MonicPoly,
     gram_opuc,
+    horner,
     inner_product,
     polyval,
+    power_table,
     reversed_poly,
     szego_step,
 )
@@ -102,6 +105,52 @@ def test_polyval_shapes():
     assert stack.shape == (2,) + zz.shape
     assert np.array_equal(stack[0], values)
     assert polyval([], zz).shape == zz.shape
+
+
+B = POWER_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 130])
+def test_power_table_rows_are_the_powers_in_polar_form(rows):
+    # row k is z^k after at most k complex products, each within sqrt(5) eps,
+    # and the polar form r^k e^{ik theta} is off by about (1 + pi) k eps more:
+    # 8 (k + 1) eps |z|^k bounds the difference to first order
+    rng = np.random.default_rng(rows)
+    radii = np.repeat([1.0, 0.5, 0.9, 1.1], 6)
+    args = np.concatenate([[0.0, math.pi / 2, math.pi, -math.pi / 2], rng.uniform(-math.pi, math.pi, 20)])
+    z = radii * np.exp(1j * args)
+    table = power_table(np.full((rows, len(z)), np.nan, dtype=complex), z)
+    k = np.arange(rows)[:, None]
+    r, theta = np.abs(z), np.angle(z)
+    bound = 8 * (k + 1) * np.finfo(float).eps * r**k
+    assert np.all(np.abs(table - r**k * np.exp(1j * k * theta)) <= bound)
+    # polyval reads the same table: unit coefficient rows pick its rows out,
+    # on a 2-d grid of points and at one 0-d point
+    eye = np.eye(rows)
+    assert np.array_equal(polyval(eye, z.reshape(4, 6)), table.reshape(rows, 4, 6))
+    assert np.array_equal(polyval(eye, np.asarray(z[7])), table[:, 7])
+    if rows:
+        assert polyval(eye[-1], z[7]) == table[-1, 7]
+
+
+def _horner_with_full(coeffs, z):
+    """opuc.horner with its accumulator from np.full, kept as a bitwise reference."""
+    p = np.full(len(z), coeffs[-1])
+    for c in coeffs[-2::-1]:
+        np.multiply(p, z, out=p)
+        p += c
+    return p
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 40])
+def test_horner_is_the_np_full_loop_bitwise_and_keeps_real_input_real(degree):
+    rng = np.random.default_rng(degree)
+    coeffs = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    z = np.exp(1j * rng.uniform(0, 2 * math.pi, 17))
+    assert horner(coeffs, z).tobytes() == _horner_with_full(coeffs, z).tobytes()
+    real = horner(coeffs.real.copy(), z.real.copy())
+    assert real.dtype == np.float64
+    assert real.tobytes() == _horner_with_full(coeffs.real.copy(), z.real.copy()).tobytes()
 
 
 def test_reversed_poly_on_circle():

@@ -468,11 +468,13 @@ def test_aberth_returns_the_iterate_the_residual_rule_accepts_at_the_roundoff_fl
     sweeps = _count_sweeps(monkeypatch)
     converged = aberth_roots(coeffs)
     assert len(sweeps) == 6
-    # the converged roots turned by 2e-14 rad: the largest step wanders at the
+    # the converged roots turned by 4e-14 rad: the largest step wanders at the
     # roundoff floor, above STEP_TOL and without a sharp drop, so the sweeps run
     # on to MAX_SWEEPS, and the iterate there, accepted by its residual, is
-    # returned as it is, within roundoff of the converged roots
-    start = converged * cmath.exp(2e-14j)
+    # returned as it is, within roundoff of the converged roots.  Which turns
+    # wander depends on the last bits of the table of powers, so a new fill
+    # order can need a new turn here
+    start = converged * cmath.exp(4e-14j)
     sweeps.clear()
     roots = aberth_roots(coeffs, start)
     assert len(sweeps) == paraorthogonal.MAX_SWEEPS
