@@ -3,7 +3,8 @@
 The per-grid-point pipeline is moments -> OPUC -> paraorthogonality parameter
 (per policy) -> POPUC -> zero set, with the measure's record (``measures.MeasureSample``)
 that its verdicts and balance check read; consecutive zero sets are matched by nearest
-circular phase, a rotation of their sorted order, and chained into continuous trajectories.
+circular phase, a rotation of their sorted order (the identity under a pinned zero), and
+chained into continuous trajectories, whose linear extrapolation starts the next solve.
 """
 from __future__ import annotations
 
@@ -157,7 +158,7 @@ def solve_at(
     """
     ms = moments(m, t, degree - 1, nodes)  # the orders gram_opuc reads
     family = gram_opuc(ms, degree - 1)
-    q = family[degree - 1]
+    q = family.coeffs[-1]  # Q_n, the table's last row, read-only
     xi = policy.value if policy.kind == "fixed_xi" else None
     popuc = build_popuc(q, policy.value if xi is None else fix_zero_param(q, xi))
     zs = zeros_on_circle(popuc, xi, start)
@@ -189,17 +190,22 @@ def _match(prev_phases: np.ndarray, new_set: ZeroSet, min_gap: float, t: float) 
     chain's step, the jump wrapped into [-pi, pi].
 
     Both phase sets ascend cyclically, so p is the rotation that sends chain 0
-    to its nearest new zero.  A jump beyond half the previous minimum gap
-    aborts the sweep loudly; below it, each new zero is the nearest of exactly
-    one old zero, so p is the nearest-phase assignment.
+    to its nearest new zero; under a pinned zero, which is chain 0 and index 0
+    of every zero set, that is the identity, taken with no search.  A jump
+    beyond half the previous minimum gap aborts the sweep loudly; below it,
+    each new zero is the nearest of exactly one old zero, so p is the
+    nearest-phase assignment.
     """
     m = len(prev_phases)
     if len(new_set) != m:
         raise TrackingError(f"zero count changed at t={t}")
-    perm = (new_set.nearest_index(prev_phases[0]) + np.arange(m)) % m
+    if new_set.fixed_index is None:
+        perm = (new_set.nearest_index(prev_phases[0]) + np.arange(m)) % m
+    else:
+        perm = np.arange(m)
     w = np.exp(1j * (new_set.phases[perm] - prev_phases))
     steps = np.arctan2(w.imag, w.real)
-    if (jump := np.abs(steps).max()) >= min_gap / 2:
+    if (jump := np.maximum.reduce(np.abs(steps))) >= min_gap / 2:
         raise TrackingError(f"phase jump {jump:.3e} exceeds half the minimum gap at t={t}; refine the grid")
     return perm, steps
 
@@ -210,8 +216,11 @@ _POINT = attrgetter("zero_set", "sample")  # all a sweep keeps of each PipelineS
 def sweep(cfg: SweepConfig) -> Trajectory:
     """Track all zeros of the POPUC across the t grid.
 
-    Each grid point after the first starts its zero search from the zeros at
-    the previous point, and is matched to the chains before the next is solved.
+    Each grid point after the first is matched to the chains before the next is
+    solved.  The second starts its zero search from the first's zeros, each later
+    one from every chain's linear extrapolation phi_{i-1} + (phi_{i-1} - phi_{i-2})
+    (a pinned chain's is its zero), or, so that each guess stays in its own arc, from the
+    zeros at t_{i-1} when a chain's last step reaches half their minimum gap.
     """
     ts = cfg.grid()
     zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[0], cfg.nodes))
@@ -219,7 +228,10 @@ def sweep(cfg: SweepConfig) -> Trajectory:
     chains = np.zeros((len(ts), len(zs)))
     chains[0] = current = zs.phases
     for i in range(1, len(ts)):
-        zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=zs.zeros))
+        start = zs.zeros
+        if i > 1 and np.maximum.reduce(np.abs(step := chains[i - 1] - chains[i - 2])) < zs.min_gap / 2:
+            start = np.exp(1j * (chains[i - 1] + step))
+        zs, sample = _POINT(solve_at(cfg.measure, cfg.degree, cfg.policy, ts[i], cfg.nodes, start=start))
         perm, steps = _match(current, zs, zero_sets[-1].min_gap, ts[i])
         chains[i] = chains[i - 1] + steps
         current = zs.phases[perm]

@@ -266,12 +266,12 @@ class Measure:
             raise MeasureError(f"t must be a finite number, got t={t}")
         gam = np.array([evaluate(m.gamma, {"t": t}) for m in self.masses], dtype=float)
         om = np.array([evaluate(m.omega, {"t": t}) for m in self.masses], dtype=float)
-        if (gam < 0).any():
+        if np.logical_or.reduce(gam < 0):
             raise MeasureError(f"negative mass weight at t={t}")
         if len(om) > 1:  # the closest pair is a pair of neighbours round the circle
             ordered = om % (2.0 * math.pi)
             ordered.sort()
-            if circular_gap(ordered, ordered[np.arange(-1, len(om) - 1)]).min() < ANGLE_TOL:
+            if np.minimum.reduce(circular_gap(ordered, ordered[np.arange(-1, len(om) - 1)])) < ANGLE_TOL:
                 raise MeasureError(f"coincident mass points at t={t}")
         return MeasureSample(self, t, nodes, gam, om)
 

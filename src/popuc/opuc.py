@@ -16,7 +16,6 @@ __all__ = [
     "DegenerateMeasureError",
     "gram_opuc",
     "reversed_poly",
-    "szego_step",
     "inner_product",
     "polyval",
     "horner",
@@ -79,7 +78,8 @@ def power_table(table: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonicPoly:
-    """Complex polynomial with leading coefficient exactly 1."""
+    """Complex polynomial with leading coefficient exactly 1, in a read-only array:
+    a copy of the one given, unless that is read-only, owns its memory and ends in 1."""
 
     coeffs: np.ndarray
 
@@ -89,9 +89,10 @@ class MonicPoly:
             raise ValueError("coefficient array must be one-dimensional and non-empty")
         if not abs(coeffs[-1] - 1.0) <= 1e-9:
             raise ValueError(f"leading coefficient {coeffs[-1]} is not 1")
-        coeffs = coeffs.copy()
-        coeffs[-1] = 1.0
-        coeffs.setflags(write=False)
+        if coeffs.flags.writeable or coeffs.base is not None or coeffs[-1] != 1.0:
+            coeffs = coeffs.copy()  # else a read-only array of its own, monic to the bit, is kept
+            coeffs[-1] = 1.0
+            coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
 
@@ -106,15 +107,6 @@ def inner_product(p: np.ndarray, q: np.ndarray, ms: MomentSequence) -> complex:
     q = np.asarray(q, dtype=complex)
     T = ms.toeplitz(max(len(p), len(q)))
     return complex(np.conj(q) @ T[: len(q), : len(p)] @ p)
-
-
-def szego_step(coeffs: np.ndarray, conj_alpha: complex) -> np.ndarray:
-    """z p(z) - conj_alpha p*(z): one step of the Szego recursion, one degree up."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros(len(coeffs) + 1, dtype=complex)
-    out[1:] = coeffs
-    out[:-1] -= conj_alpha * reversed_poly(coeffs)
-    return out
 
 
 @dataclass(frozen=True)
@@ -133,8 +125,8 @@ class OpucFamily:
 
 
 def gram_opuc(ms: MomentSequence, n: int) -> OpucFamily:
-    """Q_0..Q_n by the Szego recursion Q_{k+1} = z Q_k - conj(alpha_k) Q_k*, a
-    :func:`szego_step` into each row of one table; n > ms.K raises IndexError.
+    """Q_0..Q_n by the Szego recursion Q_{k+1} = z Q_k - conj(alpha_k) Q_k*, one
+    step into each row of one table; n > ms.K raises IndexError.
 
     conj(alpha_k) = <z Q_k, 1> / kappa_k and kappa_{k+1} = (1 - |alpha_k|^2) kappa_k,
     with kappa_k = ||Q_k||^2.  Raises :class:`DegenerateMeasureError` when the

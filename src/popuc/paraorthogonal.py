@@ -12,11 +12,10 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .opuc import MonicPoly, horner, polyval, power_table, szego_step
+from .opuc import MonicPoly, horner, polyval, power_table
 
 __all__ = [
     "PopucInstance",
@@ -56,7 +55,9 @@ class ZeroSet:
 
     Phases ascend within one period window (see :func:`zeros_on_circle`);
     ``fixed_index`` designates the pinned zero, if there is one: it is 0.
-    ``zeros`` are the points exp(i phases), computed here unless given.
+    ``zeros`` are the points exp(i phases), computed here unless given, and
+    ``min_gap`` is the smallest gap round the circle between neighbouring
+    (ascending) phases, which a sweep reads at every point.
     """
 
     phases: np.ndarray
@@ -64,36 +65,39 @@ class ZeroSet:
     pre_projection_deviation: float
     fixed_index: int | None = None
     zeros: np.ndarray | None = field(default=None, repr=False, compare=False)
+    min_gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.zeros is None:
             object.__setattr__(self, "zeros", np.exp(1j * self.phases))
+        ring = np.empty(len(self.phases) + 1)  # the phases, then the first one round again
+        ring[:-1], ring[-1] = self.phases, self.phases[0] + 2.0 * math.pi
+        object.__setattr__(self, "min_gap", float(np.minimum.reduce(np.subtract(ring[1:], ring[:-1]))))
 
     def __len__(self) -> int:
         return len(self.phases)
-
-    @cached_property
-    def min_gap(self) -> float:
-        """The smallest gap round the circle between neighbouring (ascending) phases."""
-        ring = np.empty(len(self.phases) + 1)  # the phases, then the first one round again
-        ring[:-1], ring[-1] = self.phases, self.phases[0] + 2.0 * math.pi
-        return float(np.subtract(ring[1:], ring[:-1]).min())
 
     def nearest_index(self, phase: float) -> int:
         w = np.exp(1j * (self.phases - phase))
         return int(np.abs(np.arctan2(w.imag, w.real)).argmin())
 
 
-def build_popuc(q: MonicPoly, b: complex) -> PopucInstance:
-    """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1: the Szego step with b for alpha_n."""
+def build_popuc(q: np.ndarray, b: complex) -> PopucInstance:
+    """z Q_n(z) - conj(b) Q_n*(z), monic of degree n+1, from the complex ascending
+    coefficients ``q`` of monic Q_n (say, a row of :class:`~popuc.opuc.OpucFamily`'s
+    table): the Szego step with b for alpha_n, into one array that P keeps."""
     if not abs(abs(b) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|b| = {abs(b)} is off the unit circle")
     b = complex(b)
-    return PopucInstance(MonicPoly(szego_step(q.coeffs, b.conjugate())), b)
+    p = np.zeros(len(q) + 1, dtype=complex)
+    p[1:] = q
+    p[:-1] -= b.conjugate() * np.conjugate(q[::-1])  # subtracted: negate-then-add flips a zero P[0]'s sign
+    p.setflags(write=False)
+    return PopucInstance(MonicPoly(p), b)
 
 
-def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
-    """Unimodular b such that the POPUC built from ``q`` vanishes at ``xi``.
+def fix_zero_param(q: np.ndarray, xi: complex) -> complex:
+    """Unimodular b such that the POPUC built from Q_n's coefficients ``q`` vanishes at ``xi``.
 
     b = conj(xi) conj(Q_n(xi)) / conj(Q_n*(xi)), and on the circle Q_n*(xi) =
     xi^n conj(Q_n(xi)), so b = xi^(n-1) (conj(Q_n(xi)) / |Q_n(xi)|)^2 from one
@@ -102,12 +106,12 @@ def fix_zero_param(q: MonicPoly, xi: complex) -> complex:
     if not abs(abs(xi) - 1.0) <= UNIMODULAR_TOL:
         raise ValueError(f"|xi| = {abs(xi)} is off the unit circle")
     q_xi = 0j
-    for c in reversed(q.coeffs.tolist()):
+    for c in reversed(q.tolist()):
         q_xi = q_xi * xi + c
     if not abs(q_xi) >= 1e-14:  # |Q_n*(xi)| = |Q_n(xi)|
         raise ValueError("reversed polynomial vanishes at xi (degenerate input)")
     u = q_xi.conjugate() / abs(q_xi)
-    b = xi ** (len(q.coeffs) - 2) * u * u
+    b = xi ** (len(q) - 2) * u * u
     return complex(b / abs(b))
 
 
@@ -148,14 +152,14 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     the thread has solved: at degree 80 to 120 the last two take 100-230 KB
     each, which the allocator would return to the OS after each solve and
     fault in again at the next; being per thread, it lets two threads solve
-    at once.  The sweeps stop once every
-    step is below STEP_TOL, or from the second sweep on once the next step
-    predicted under quadratic convergence, largest (largest / last)^2, is
-    below EPS max(1, max|z|); Aberth converges cubically at simple zeros, so
-    the true next step is smaller still.  That takes a cold solve from the
-    sign-change guesses about 2.2-2.4 sweeps and a warm one about 2.0-2.2, at
-    degree 4 to 120.  At MAX_SWEEPS they stop too, and the iterate stands if
-    its residual is below 1e-8 max|coeff|.  The iterate is returned as it is.
+    at once.  The sweeps stop once every step is below STEP_TOL, or from the
+    second sweep on once the next step predicted under quadratic convergence,
+    largest (largest / last)^2, is below EPS max(1, max|z|); Aberth converges
+    cubically at simple zeros, so the true next step is smaller still.  That
+    takes a cold solve from the sign-change guesses about 2.2-2.4 sweeps and a
+    warm one about 2.0-2.2, at degree 4 to 120; one from a sweep's extrapolated
+    chains about 1.8.  At MAX_SWEEPS they stop too; the iterate stands if its
+    residual is below 1e-8 max|coeff|, and is returned as it is.
     Raises :class:`RootFindingError` when the iteration does not converge or
     ends at a point where P' vanishes and P does not.
     """
@@ -163,7 +167,7 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
     m = len(coeffs) - 1
     if start is not None:
         start = np.asarray(start, dtype=complex)
-        if start.shape != (m,) or not np.isfinite(start).all():
+        if start.shape != (m,) or not np.logical_and.reduce(np.isfinite(start)):
             raise ValueError(f"start must hold {m} finite initial guesses")
     if m < 1:
         return np.array([], dtype=complex)
@@ -186,15 +190,15 @@ def aberth_roots(coeffs: np.ndarray, start: np.ndarray | None = None) -> np.ndar
             denom = 1.0 - ratio * repulsion
             step = np.divide(ratio, denom, out=ratio, where=np.abs(denom) > 1e-300)
             z = z - step
-            largest, scale = np.abs(step).max(), max(1.0, np.abs(z).max())
+            largest, scale = np.maximum.reduce(np.abs(step)), max(1.0, np.maximum.reduce(np.abs(z)))
             if largest < STEP_TOL * scale or (sweep > 1 and largest**3 < EPS * scale * last**2):
                 break
             if sweep == MAX_SWEEPS:  # the iterate stands if its residual does
-                if not np.abs(polyval(coeffs, z)).max() <= 1e-8 * np.abs(coeffs).max():
+                if not np.maximum.reduce(np.abs(polyval(coeffs, z))) <= 1e-8 * np.maximum.reduce(np.abs(coeffs)):
                     raise RootFindingError("Aberth-Ehrlich iteration did not converge")
                 break
             last = largest
-    if (stalled & (p != 0)).any():
+    if np.logical_or.reduce(stalled & (p != 0)):
         raise RootFindingError("an iterate stalled where P' vanishes and P does not")
     return z
 
@@ -241,7 +245,7 @@ def zeros_on_circle(
     """
     coeffs = p.poly.coeffs
     roots = aberth_roots(coeffs, _circle_guesses(coeffs) if start is None else start)
-    deviation = float(np.abs(np.abs(roots) - 1.0).max())
+    deviation = float(np.maximum.reduce(np.abs(np.abs(roots) - 1.0)))
     if not deviation <= MODULUS_TOL:
         raise RootFindingError(
             f"root modulus deviates {deviation:.3e} from 1; input is not a POPUC"
@@ -254,7 +258,7 @@ def zeros_on_circle(
     phases = theta_start + offsets
     zeros = np.exp(1j * phases)
     residuals = np.abs(coeffs @ power_table(_scratch(len(phases))[1], zeros))
-    if not (largest := residuals.max()) <= RESIDUAL_TOL * np.abs(coeffs).max():
+    if not (largest := np.maximum.reduce(residuals)) <= RESIDUAL_TOL * np.maximum.reduce(np.abs(coeffs)):
         raise RootFindingError(f"projected residual {largest:.3e} exceeds tolerance")
     zs = ZeroSet(phases, residuals, deviation, None if xi is None else 0, zeros)
     if not zs.min_gap > 0:

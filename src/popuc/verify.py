@@ -116,7 +116,7 @@ def check_oracle_example2() -> CheckResult:
     for gamma in (0.1, 0.5, 0.9):
         fam = gram_opuc(moments(m, gamma, 8), 4)
         for b in (1 + 0j, 1j, -1 + 0j):
-            p = build_popuc(fam[4], b)
+            p = build_popuc(fam.coeffs[4], b)
             oracle = lebesgue_mass_popuc(4, b, gamma)
             worst = max(worst, float(np.max(np.abs(p.poly.coeffs - oracle.coeffs))))
     return CheckResult("oracle-ex2", worst <= 1e-10, f"max coefficient deviation {worst:.2e}")
@@ -364,7 +364,7 @@ def check_identities() -> CheckResult:
         ms = moments(m, 0.0, 2 * degree + 4, nodes=1024)
         fam = gram_opuc(ms, n)
         b = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        p = build_popuc(fam[n], b)
+        p = build_popuc(fam.coeffs[n], b)
         coeffs = p.poly.coeffs
         scale = float(np.max(np.abs(coeffs)))
 

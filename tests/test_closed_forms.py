@@ -39,7 +39,7 @@ def _assert_zeros_of_the_closed_form(degree, lam, gamma, omega):
     xi = 1j
     m = Measure.of(ACWeight.bernstein_szego(lam), [MassPoint.of(gamma, omega)])
     zs = solve_at(m, degree, ZeroPolicy.fixed_xi(xi), 0.0).zero_set
-    q = bs_mass_opuc(degree - 1, lam, gamma, omega)
+    q = bs_mass_opuc(degree - 1, lam, gamma, omega).coeffs
     oracle = build_popuc(q, fix_zero_param(q, xi)).poly.coeffs
     residual = np.abs(np.polyval(oracle[::-1], zs.zeros)) / np.max(np.abs(oracle))
     assert len(zs) == degree
@@ -90,7 +90,7 @@ def test_lebesgue_mass_popuc_matches_pipeline():
     for gamma in (0.2, 0.5, 0.8):
         fam = gram_opuc(moments(m, gamma, 10), 4)
         for b in (1 + 0j, -1 + 0j, cmath.exp(0.4j)):
-            p = build_popuc(fam[4], b)
+            p = build_popuc(fam.coeffs[4], b)
             oracle = lebesgue_mass_popuc(4, b, gamma)
             assert np.max(np.abs(p.poly.coeffs - oracle.coeffs)) < 1e-12
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from popuc import dynamics, expressions, measures, predicates
 from popuc.dynamics import (
@@ -22,11 +22,12 @@ from popuc.dynamics import (
 )
 from popuc.expressions import evaluate_all
 from popuc.measures import ACWeight, MassPoint, Measure, moments
-from popuc.opuc import inner_product, polyval
-from popuc.paraorthogonal import ZeroSet
+from popuc.opuc import DegenerateMeasureError, inner_product, polyval
+from popuc.paraorthogonal import RootFindingError, ZeroSet
 from popuc.predicates import PredicateError, motion_context, reference_index, verdicts_along
 from popuc.scenarios import SCENARIOS, scenario_config
 from popuc.verify import _deflate as deflate
+from strategies import admissible_measures
 
 DISCRETE = Measure.of(
     ACWeight.none(),
@@ -689,13 +690,98 @@ def _record_solve_starts(monkeypatch):
     return starts
 
 
-def test_sweep_starts_each_point_from_the_previous_zeros(monkeypatch):
+def test_sweep_starts_each_point_from_the_chains_linear_extrapolation(monkeypatch):
+    # on 8 points the chains' first step is too long for the second zero set's
+    # gaps, so the third point falls back to the previous zeros; the rest extrapolate
     starts = _record_solve_starts(monkeypatch)
-    traj = sweep(scenario_config("bs_mass_gamma"))
+    traj = sweep(replace(scenario_config("bs_mass_gamma"), steps=8))
+    chains = traj.chains
     assert len(starts) == len(traj.ts)
     assert starts[0] is None
-    for start, prev in zip(starts[1:], traj.zero_sets):
-        assert np.array_equal(start, prev.zeros)
+    assert starts[1].tobytes() == traj.zero_sets[0].zeros.tobytes()
+    fell_back = []
+    for i in range(2, len(traj.ts)):
+        step = chains[i - 1] - chains[i - 2]
+        if np.max(np.abs(step)) < traj.zero_sets[i - 1].min_gap / 2:
+            assert starts[i].tobytes() == np.exp(1j * (chains[i - 1] + step)).tobytes()
+            assert starts[i][0] == traj.zero_sets[i - 1].zeros[0]  # the pinned chain extrapolates to xi
+        else:
+            assert starts[i].tobytes() == traj.zero_sets[i - 1].zeros.tobytes()
+            fell_back.append(i)
+    assert fell_back == [2]
+
+
+def _nearest_phase_match(prev_phases, new_set, min_gap, t):
+    """_match before a pinned zero took the identity rotation: chain 0 goes to its
+    nearest new zero, under either policy. Kept as a reference."""
+    m = len(prev_phases)
+    if len(new_set) != m:
+        raise TrackingError(f"zero count changed at t={t}")
+    perm = (new_set.nearest_index(prev_phases[0]) + np.arange(m)) % m
+    w = np.exp(1j * (new_set.phases[perm] - prev_phases))
+    steps = np.arctan2(w.imag, w.real)
+    if np.abs(steps).max() >= min_gap / 2:
+        raise TrackingError(f"phase jump exceeds half the minimum gap at t={t}")
+    return perm, steps
+
+
+def _chains_by_nearest_phase(zero_sets):
+    """The chains that _nearest_phase_match makes of a sweep's zero sets."""
+    chains = np.zeros((len(zero_sets), len(zero_sets[0])))
+    chains[0] = current = zero_sets[0].phases
+    for i in range(1, len(zero_sets)):
+        perm, steps = _nearest_phase_match(current, zero_sets[i], zero_sets[i - 1].min_gap, i)
+        chains[i] = chains[i - 1] + steps
+        current = zero_sets[i].phases[perm]
+    return chains
+
+
+def _sweep_from_previous_zeros(cfg):
+    """The chains of sweep before it extrapolated: every point after the first
+    starts from the zeros before it, matched by nearest phase. Kept as a reference."""
+    ts = cfg.grid()
+    zero_sets = [solve_at(cfg.measure, cfg.degree, cfg.policy, ts[0], cfg.nodes).zero_set]
+    for t in ts[1:]:
+        zero_sets.append(solve_at(cfg.measure, cfg.degree, cfg.policy, t, cfg.nodes, start=zero_sets[-1].zeros).zero_set)
+        _chains_by_nearest_phase(zero_sets[-2:])  # matched before the next is solved
+    return _chains_by_nearest_phase(zero_sets)
+
+
+# Fixed before the extrapolated starts landed; a prototype of them read at most 8.9e-16
+EXTRAPOLATED_START_TOL = 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(admissible_measures(moving=True), st.booleans(), st.floats(0.0, 2 * math.pi), st.integers(3, 12))
+def test_sweep_chains_are_the_previous_zeros_loop_within_roundoff(case, pinned, angle, steps):
+    m, n = case
+    assume(n >= 1)
+    policy = (ZeroPolicy.fixed_xi if pinned else ZeroPolicy.fixed_b)(cmath.exp(1j * angle))
+    cfg = SweepConfig(m, n + 1, 0.0, 0.3, steps, policy, nodes=1024)
+    outcomes = []
+    for run in (lambda: sweep(cfg).chains, lambda: _sweep_from_previous_zeros(cfg)):
+        try:
+            outcomes.append(run())
+        except (TrackingError, RootFindingError, DegenerateMeasureError) as exc:
+            outcomes.append(type(exc))
+    new, old = outcomes
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert np.max(np.abs(new - old)) <= EXTRAPOLATED_START_TOL
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [scenario_config(name) for name in SCENARIOS if SCENARIOS[name]["policy"]["kind"] == "fixed_xi"]
+    + [replace(scenario_config("bs_mass_gamma"), steps=8), _high_degree_config(40)],
+)
+def test_pinned_sweep_chains_are_the_nearest_phase_match_bitwise(cfg):
+    # chain 0 is the pinned zero, index 0 of every zero set, so the identity
+    # rotation is the one the nearest-phase search finds
+    traj = sweep(cfg)
+    assert traj.fixed_chain == 0
+    assert traj.chains.tobytes() == _chains_by_nearest_phase(traj.zero_sets).tobytes()
 
 
 def test_balance_check_solves_cold(monkeypatch):

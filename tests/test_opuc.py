@@ -20,10 +20,10 @@ from popuc.opuc import (
     polyval,
     power_table,
     reversed_poly,
-    szego_step,
 )
-from popuc.paraorthogonal import build_popuc, zeros_on_circle
+from popuc.paraorthogonal import build_popuc, fix_zero_param, zeros_on_circle
 from popuc.verify import _deflate as deflate
+from strategies import admissible_measures
 
 
 def _random_measure(rng):
@@ -262,29 +262,6 @@ def test_thirty_masses_support_degree_thirty_popuc():
     assert zs.min_gap > 1e-6
 
 
-@st.composite
-def admissible_measures(draw):
-    """(measure, n): 1-8 masses at least 0.28 apart, an optional Lebesgue or
-    Bernstein-Szego part, and a degree n the support carries."""
-    n_masses = draw(st.integers(1, 8))
-    start = draw(st.floats(0.0, 2 * math.pi))
-    gaps = draw(st.lists(st.floats(0.3, 0.75), min_size=n_masses, max_size=n_masses))
-    gammas = draw(st.lists(st.floats(0.05, 2.0), min_size=n_masses, max_size=n_masses))
-    om = start + np.cumsum(gaps)
-    masses = [MassPoint.of(g, float(o)) for g, o in zip(gammas, om)]
-    kind = draw(st.sampled_from(["none", "lebesgue", "bernstein_szego"]))
-    if kind == "lebesgue":
-        ac = ACWeight.lebesgue(draw(st.floats(0.1, 2.0)))
-    elif kind == "bernstein_szego":
-        lam = complex(draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)))
-        ac = ACWeight.bernstein_szego(lam, draw(st.floats(0.1, 2.0)))
-    else:
-        ac = ACWeight.none()
-    # N masses alone support Q_0..Q_{N-1}
-    n = draw(st.integers(0, n_masses - 1 if kind == "none" else 10))
-    return Measure.of(ac, masses), n
-
-
 @settings(deadline=None)
 @given(admissible_measures())
 def test_recursion_alphas_inside_disc_and_norms_match(case):
@@ -307,7 +284,7 @@ def test_popuc_zeros_for_two_b_strictly_interlace(case, arg_b, delta):
     # Golinskii (2002): zeros of z Q_n - conj(b) Q_n* for distinct unimodular b
     # interlace on the circle
     m, n = case
-    q = gram_opuc(moments(m, 0.0, n + 1), n)[n]
+    q = gram_opuc(moments(m, 0.0, n + 1), n).coeffs[n]
     phases = [
         np.mod(zeros_on_circle(build_popuc(q, np.exp(1j * a))).phases, 2 * math.pi)
         for a in (arg_b, arg_b + delta)
@@ -325,7 +302,7 @@ def test_popuc_zeros_move_clockwise_as_arg_b_increases(case, arg_b):
     # circle at rate at least 1, and P = 0 where it equals conj(b): raising
     # arg b by delta lowers every zero's phase, by at most delta
     m, n = case
-    q = gram_opuc(moments(m, 0.0, n + 1), n)[n]
+    q = gram_opuc(moments(m, 0.0, n + 1), n).coeffs[n]
     before = zeros_on_circle(build_popuc(q, cmath.exp(1j * arg_b)))
     delta = 1e-3 * before.min_gap  # so each zero's nearest zero after the step is its own
     after = zeros_on_circle(build_popuc(q, cmath.exp(1j * (arg_b + delta)))).phases
@@ -335,7 +312,7 @@ def test_popuc_zeros_move_clockwise_as_arg_b_increases(case, arg_b):
 
 
 def _popuc_zeros(m, n, b):
-    p = build_popuc(gram_opuc(moments(m, 0.0, n + 1), n)[n], b)
+    p = build_popuc(gram_opuc(moments(m, 0.0, n + 1), n).coeffs[n], b)
     return p, zeros_on_circle(p)
 
 
@@ -427,6 +404,42 @@ def test_solve_at_from_random_starts_finds_the_cold_zeros(case, kind, arg, seed)
     warm = solve_at(m, n + 1, policy, 0.0, start=start).zero_set
     assert warm.fixed_index == cold.fixed_index
     assert np.max(np.abs(warm.phases - cold.phases)) <= 1e-12
+
+
+def szego_step(coeffs, conj_alpha):
+    """z p(z) - conj_alpha p*(z): one step of the Szego recursion, one degree up, as
+    opuc.szego_step computed it when the recursion and build_popuc both called it."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    out = np.zeros(len(coeffs) + 1, dtype=complex)
+    out[1:] = coeffs
+    out[:-1] -= conj_alpha * reversed_poly(coeffs)
+    return out
+
+
+@settings(deadline=None)
+@given(admissible_measures(), st.floats(0.0, 2 * math.pi), st.booleans())
+def test_popuc_from_the_table_row_is_the_szego_step_bitwise(case, angle, pinned):
+    # build_popuc reads Q_n's read-only row of the table and keeps its one array
+    m, n = case
+    fam = gram_opuc(moments(m, 0.0, n + 1), n)
+    q = fam.coeffs[n]
+    b = fix_zero_param(q, cmath.exp(1j * angle)) if pinned else cmath.exp(1j * angle)
+    p = build_popuc(q, b).poly.coeffs
+    assert p.tobytes() == szego_step(fam[n].coeffs, b.conjugate()).tobytes()
+    assert not p.flags.writeable and p.base is None
+    assert not q.flags.writeable and q.base is not None
+
+
+def test_monic_poly_keeps_only_a_frozen_monic_array_of_its_own():
+    frozen = np.array([0.5, 1.0], dtype=complex)
+    frozen.setflags(write=False)
+    assert MonicPoly(frozen).coeffs is frozen
+    table = gram_opuc(moments(_random_measure(np.random.default_rng(3)), 0.0, 3), 2).coeffs
+    near = np.array([0.5, 1.0 + 1e-12], dtype=complex)
+    near.setflags(write=False)
+    for given_array in (np.array([0.5, 1.0], dtype=complex), table[2], near):
+        kept = MonicPoly(given_array).coeffs
+        assert kept is not given_array and kept[-1] == 1.0 and not kept.flags.writeable
 
 
 def _szego_chain(ms, n):

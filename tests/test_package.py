@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,33 @@ def test_every_public_definition_has_a_reader():
         )
     ]
     assert unread == []
+
+
+# a sweep, its verdicts and a balance check per theorem, on closed-kind measures
+_SOLVE_IMPORTS = """
+import sys
+import popuc
+loaded = set(sys.modules)
+from popuc.dynamics import SweepConfig, ZeroPolicy, balance_check, solve_at, sweep, sweep_verdicts
+from popuc.measures import ACWeight, MassPoint, Measure
+bs = Measure.of(ACWeight.bernstein_szego(-1j / 3), [MassPoint.of("t", "2*pi/3")])
+pair = Measure.of(ACWeight.lebesgue("1 - t/2"), [MassPoint.of("0.5 + 0.2*t", w) for w in ("1.0", "-1.0")])
+for m, policy, theorem in ((bs, ZeroPolicy.fixed_xi(1j), "t23"), (bs, ZeroPolicy.fixed_xi(1j), "t21"),
+                           (pair, ZeroPolicy.fixed_b(1), "t22")):
+    cfg = SweepConfig(m, 5, 0.2, 0.8, 7, policy, theorem=theorem)
+    sweep_verdicts(cfg, sweep(cfg))
+    zs = solve_at(m, 5, policy, 0.5).zero_set
+    tracked = next(k for k, p in enumerate(zs.phases) if 1e-3 < p < 3.1 and k != zs.fixed_index)
+    balance_check(m, 5, policy, 0.5, float(zs.phases[tracked]), theorem)
+print(" ".join(sorted(set(sys.modules) - loaded)))
+"""
+
+
+def test_solves_load_no_module_that_import_popuc_did_not():
+    # numpy.ma (from np.unique) or numpy.fft, loaded on first use, adds to every
+    # benchmark's peak RSS: a solve path should need only what import popuc loads
+    src = str(Path(popuc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _SOLVE_IMPORTS], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
